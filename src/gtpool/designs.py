@@ -37,6 +37,7 @@ __all__ = [
     "gen_rssd",
     "gen_utdq",
     "generate",
+    "trial_disjunct",
     "optimal_param",
     "upper_bound_m",
     "lower_bound_m",
@@ -188,6 +189,195 @@ def generate(spec: DesignSpec, seed) -> BitMatrix:
         return gen_rssd(spec.n, spec.m, int(spec.param), seed)
     q = int(spec.param)
     return expand_qary(gen_utdq(spec.n, spec.m // q, q, seed))
+
+
+# ---------------------------------------------------------------------
+# one Monte Carlo trial without the matrix
+
+
+# Doubles per chunk in the row-wise kernels (rid whole rows, rrsd).  A
+# chunk that stays in cache makes the passes over it faster than over a
+# generator block: rrsd at n = 10^4, d = 3 and sized m takes 5.7 ms per
+# trial against 19 ms with each block drawn whole (2-core x86 host,
+# 4 MiB L2).
+_CHUNK_ENTRIES = 1 << 15
+
+# rid rows at least this long are drawn head first, skipping the tail of
+# each positive row with advance(); shorter rows are drawn whole, in
+# chunks.  Measured per trial at d = 3, rate-optimal p and sized m (same
+# host): whole rows win at n = 100 (0.10 against 0.26 ms) and n = 300
+# (0.20 against 0.34 ms), the two tie at n = 1000 (0.51 against 0.54
+# ms), and head first wins at n = 2000 (0.77 against 0.95 ms) and
+# n = 10^4 (2.0 against 5.0 ms).
+_RID_SKIP_MIN_N = 1000
+
+
+def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
+    """is_disjunct(generate(spec, seed), range(1, d + 1)), without the matrix.
+
+    The defective set is items 1..d, the first d columns.  A row with no
+    defective is good; the set is disjunct iff every other column has a
+    1 in some good row (elimination decoding then strikes it).  Each
+    kernel consumes the random stream exactly as its generator lays it
+    out, so the verdict is the full path's for every seed:
+
+      rid   entry (i, j) is the double at stream position i*n + j, for
+            any block split.  Each row's d head entries are drawn; a
+            positive row's other n - d are skipped with advance(), a
+            good row's are drawn and OR'ed into the coverage.
+      rrsd  row i's n keys are the doubles at stream positions i*n to
+            i*n + n - 1, for any block split; a row's support is its r
+            smallest keys.  The row is good when its smallest defective
+            key ranks >= r, found by counting; only good rows go through
+            the generator's argpartition.
+      rssd  the generator's column blocks of m keys, row-major within a
+            block; a column's support is its s smallest keys.  The
+            defective columns' argpartition gives the good rows G, and
+            column j is covered when fewer than s of its keys lie below
+            min(keys[G, j]).
+      utdq  the generator's m/q x n integers in [1, q]; q-ary row i
+            covers column j when entry (i, j) is not one of row i's
+            defective symbols (its indicator row is then good).
+
+    Where a rank count meets a key tied at the selection boundary, the
+    generator's own argpartition decides that row or column.
+    """
+    n, m = spec.n, spec.m
+    d = int(d)
+    if not 1 <= d <= n:
+        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
+    if d == n:
+        return True  # no column to cover
+    rng = as_generator(seed)
+    if spec.model == "rid":
+        return _trial_rid(n, m, spec.param, d, rng)
+    if spec.model == "rrsd":
+        return _trial_rrsd(n, m, int(spec.param), d, rng)
+    if spec.model == "rssd":
+        return _trial_rssd(n, m, int(spec.param), d, rng)
+    q = int(spec.param)
+    return _trial_utdq(n, m // q, q, d, rng)
+
+
+def _row_chunks(rng, m: int, n: int):
+    """The next m x n doubles of the stream, as consecutive row chunks.
+
+    The chunks share one buffer, so each is valid only until the next is
+    drawn.  Row-wise generators draw the same numbers in other blocks.
+    """
+    step = max(1, _CHUNK_ENTRIES // n)
+    buf = np.empty((min(step, m), n))
+    for start in range(0, m, step):
+        chunk = buf[:min(step, m - start)]
+        rng.random(out=chunk)
+        yield chunk
+
+
+def _trial_rid(n, m, p, d, rng) -> bool:
+    covered = np.zeros(n - d, dtype=bool)
+    if n < _RID_SKIP_MIN_N:
+        for vals in _row_chunks(rng, m, n):
+            good = (vals[:, :d] < p).all(axis=1)
+            covered |= (vals[good, d:] >= p).any(axis=0)
+            if covered.all():
+                return True
+        return False
+    draw, skip = rng.random, rng.bit_generator.advance
+    tail = np.empty(n - d)
+    for _ in range(m):
+        for k in range(d):
+            if draw() >= p:  # a positive row: skip the rest of it
+                skip(n - 1 - k)
+                break
+        else:
+            draw(out=tail)
+            covered |= tail >= p
+            if covered.all():
+                return True
+    return False
+
+
+def _tied(keys, pivot, count: int):
+    """Mask of the rows of keys where argpartition's tie-break decides.
+
+    Each row has more than count keys at or below its pivot.  Where
+    fewer than count lie strictly below it, keys equal to the pivot
+    straddle the boundary of the count smallest, and which of them are
+    selected depends on argpartition, not on the values alone.
+    """
+    return np.count_nonzero(keys < pivot, axis=-1) < count
+
+
+def _trial_rrsd(n, m, r, d, rng) -> bool:
+    if r == 0 or r == n:
+        return False  # no row holds anything, or every row every item
+    covered = np.zeros(n, dtype=bool)
+    covered[:d] = True
+    for keys in _row_chunks(rng, m, n):
+        low = keys[:, :d].min(axis=1, keepdims=True)
+        # good iff the smallest defective key is not among the r smallest
+        at_most = np.count_nonzero(keys <= low, axis=1)
+        good = at_most > r
+        maybe = np.flatnonzero(good)
+        tied = maybe[_tied(keys[maybe], low[maybe], r)]
+        if tied.size:
+            idx = np.argpartition(keys[tied], r - 1, axis=1)[:, :r]
+            good[tied] = ~(idx < d).any(axis=1)
+        rows = np.flatnonzero(good)
+        if rows.size:
+            idx = np.argpartition(keys[rows], r - 1, axis=1)[:, :r]
+            covered[idx.ravel()] = True
+            if covered.all():
+                return True
+    return False
+
+
+def _trial_rssd(n, m, s, d, rng) -> bool:
+    if s == 0 or s == m:
+        return False  # no row holds anything, or every row every item
+    block = max(1, _BLOCK_ENTRIES // m)
+    defective = np.zeros(m, dtype=bool)
+    good = None
+    for start in range(0, n, block):
+        keys = rng.random((m, min(start + block, n) - start))
+        if good is None:  # the block holds defective columns
+            rows = np.argpartition(keys[:, :d - start], s - 1, axis=0)[:s, :]
+            defective[rows.ravel()] = True
+            if start + keys.shape[1] < d:
+                continue  # a block narrower than d: all of it defective
+            good = np.flatnonzero(~defective)
+            if not good.size:
+                return False
+            keys = keys[:, d - start:]
+        if not _rssd_block_covered(keys, good, s):
+            return False
+    return True
+
+
+def _rssd_block_covered(keys, good, s: int) -> bool:
+    """Every column of keys has one of its s smallest keys in a good row."""
+    low = keys[good].min(axis=0)
+    # covered iff a good row's key is among the column's s smallest
+    at_most = np.count_nonzero(keys <= low, axis=0)
+    left = np.flatnonzero(at_most > s)
+    if not left.size:
+        return True
+    cols = keys[:, left].T
+    tied = left[_tied(cols, low[left, None], s)]
+    if tied.size < left.size:
+        return False
+    sel = np.argpartition(keys[:, tied], s - 1, axis=0)[:s, :]
+    return bool(np.isin(sel, good).any(axis=0).all())
+
+
+def _trial_utdq(n, m_prime, q, d, rng) -> bool:
+    entries = rng.integers(1, q + 1, size=(m_prime, n), dtype=np.int64)
+    rest = entries[:, d:]
+    # in_head[i, j]: entry (i, j) is one of row i's defective symbols
+    in_head = rest == entries[:, :1]
+    for k in range(1, d):
+        in_head |= rest == entries[:, k:k + 1]
+    return bool((~in_head).any(axis=0).all())
 
 
 # ---------------------------------------------------------------------

@@ -13,6 +13,7 @@ formats; row/column accessors on the raw matrices are 0-based.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -294,7 +295,9 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 #                      integers in [1, q].
 # Answer vector file:  a single line of m chars 0/1.
 #
-# All errors name the 1-based offending line.
+# All errors name the 1-based offending line.  Writers fill a new file in
+# the same directory and rename it over the target, so a failed write
+# never leaves a truncated or partial file behind.
 
 
 def _read_lines(path):
@@ -354,9 +357,28 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
     return QaryMatrix(m, n, q, entries)
 
 
+@contextlib.contextmanager
+def _replace_on_success(path):
+    """Text handle on a new file next to path that replaces path on exit.
+
+    Nothing is written to path itself until the block finishes; on any
+    error the new file is removed and path keeps its old contents.
+    """
+    path = os.fspath(path)
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x", encoding="ascii")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def write_matrix(path, matrix) -> None:
-    tmp = os.fspath(path)
-    with open(tmp, "w", encoding="ascii") as fh:
+    with _replace_on_success(path) as fh:
         if isinstance(matrix, BitMatrix):
             fh.write(f"{matrix.m} {matrix.n}\n")
             for t in range(matrix.m):
@@ -385,5 +407,5 @@ def read_answers(path, expected_m: int | None = None) -> AnswerVector:
 
 
 def write_answers(path, answers: AnswerVector) -> None:
-    with open(os.fspath(path), "w", encoding="ascii") as fh:
+    with _replace_on_success(path) as fh:
         fh.write(answers.to01() + "\n")

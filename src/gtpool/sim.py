@@ -3,8 +3,15 @@
 Success of a trial means the drawn matrix is disjunct for the defective
 set {1, ..., d}; by column exchangeability of every model the choice of
 which d items are defective is irrelevant, and disjunctness coincides
-with exact recovery by the elimination decoder (asserted on every
-trial).
+with exact recovery by the elimination decoder.
+
+A trial is computed by designs.trial_disjunct, which draws the same
+random numbers as the full matrix but reads only what decides the
+verdict: the defective entries of each row and the good rows (the
+negative tests, whose items elimination strikes).  reference_trial
+keeps the full-matrix path, generate + is_disjunct + decode_eliminate;
+tests/test_sim.py checks trial by trial that the decoder agrees with
+disjunctness there and that the kernel agrees with both.
 
 Determinism contract: trial t of a run draws from the substream
 (master_seed, t), and a probe of the search at matrix size m derives
@@ -22,7 +29,13 @@ import numpy as np
 from scipy.stats import binomtest
 
 from .decoding import decode_eliminate, good_row_count, is_disjunct
-from .designs import DesignSpec, gen_rssd, generate, optimal_param
+from .designs import (
+    DesignSpec,
+    gen_rssd,
+    generate,
+    optimal_param,
+    trial_disjunct,
+)
 from .errors import InfeasibleError, ParameterError
 from .matrices import QaryMatrix, expand_qary, or_columns
 from .rng import check_seed, derive_seed, substream
@@ -33,6 +46,7 @@ __all__ = [
     "SearchResult",
     "SweepPoint",
     "run_trials",
+    "reference_trial",
     "find_min_m",
     "run_sweep",
     "slope_fit",
@@ -61,7 +75,13 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95):
 
 @dataclass(frozen=True)
 class TrialReport:
-    """Aggregated outcome of a batch of independent trials."""
+    """Aggregated outcome of a batch of independent trials.
+
+    decode_successes counts trials where elimination decoding recovers
+    the defective set exactly.  That happens exactly when the matrix is
+    disjunct for the set (decoding.py), so it equals disjunct_successes;
+    the record keeps both fields.
+    """
 
     model: str
     n: int
@@ -95,22 +115,24 @@ class TrialReport:
         }
 
 
-def _count_chunk(args) -> tuple:
+def _count_chunk(args) -> int:
     spec, d, master_seed, start, stop = args
+    return sum(trial_disjunct(spec, d, substream(master_seed, t))
+               for t in range(start, stop))
+
+
+def reference_trial(spec: DesignSpec, d: int, seed) -> tuple:
+    """(disjunct, decoded) for one trial, computed on the full matrix.
+
+    The slow oracle of designs.trial_disjunct: draws the whole matrix,
+    then runs is_disjunct and the elimination decoder on it
+    independently.  Elimination decoding recovers {1, ..., d} exactly
+    when the matrix is disjunct for it, so the two agree.
+    """
     items = tuple(range(1, d + 1))
-    disj = dec = 0
-    for t in range(start, stop):
-        matrix = generate(spec, substream(master_seed, t))
-        ok_disjunct = is_disjunct(matrix, items)
-        recovered = decode_eliminate(matrix, or_columns(matrix, items))
-        ok_decode = recovered == set(items)
-        if ok_disjunct != ok_decode:
-            raise RuntimeError(
-                f"decoder/disjunctness mismatch at trial {t}: "
-                f"{ok_decode} vs {ok_disjunct}")
-        disj += ok_disjunct
-        dec += ok_decode
-    return disj, dec
+    matrix = generate(spec, seed)
+    recovered = decode_eliminate(matrix, or_columns(matrix, items))
+    return is_disjunct(matrix, items), recovered == set(items)
 
 
 def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
@@ -124,21 +146,18 @@ def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
     jobs = max(1, int(jobs))
 
     if jobs == 1:
-        disj, dec = _count_chunk((spec, d, master_seed, 0, trials))
+        disj = _count_chunk((spec, d, master_seed, 0, trials))
     else:
         chunk = math.ceil(trials / jobs)
         work = [(spec, d, master_seed, lo, min(lo + chunk, trials))
                 for lo in range(0, trials, chunk)]
-        disj = dec = 0
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part_disj, part_dec in pool.map(_count_chunk, work):
-                disj += part_disj
-                dec += part_dec
+            disj = sum(pool.map(_count_chunk, work))
 
     low, high = wilson_interval(disj, trials)
     return TrialReport(
         model=spec.model, n=spec.n, m=spec.m, param=spec.param, d=d,
-        trials=trials, disjunct_successes=disj, decode_successes=dec,
+        trials=trials, disjunct_successes=disj, decode_successes=disj,
         frequency=disj / trials, wilson_low=low, wilson_high=high,
         master_seed=master_seed, delta=delta)
 
@@ -240,12 +259,27 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
 
 def run_sweep(model: str, d: int, n_list, target: float, trials: int,
               master_seed: int, jobs: int = 1) -> list:
-    """find_min_m at each n; returns [(SweepPoint, SearchResult), ...]."""
+    """find_min_m at each n; returns [(SweepPoint, SearchResult), ...].
+
+    The arguments are checked before the first search: at least two
+    distinct n (the slope fit needs them), every n > d >= 1, trials >= 1
+    and target in [0, 1).
+    """
+    n_list = [int(n) for n in n_list]
+    if len(set(n_list)) < 2:
+        raise ParameterError("slope needs at least two distinct n")
+    for n in n_list:
+        if not 1 <= d < n:
+            raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
+    if trials < 1:
+        raise ParameterError("need at least one trial")
+    if not 0.0 <= target < 1.0:
+        raise ParameterError(f"target={target} outside [0, 1)")
     out = []
     for n in n_list:
-        search = find_min_m(model, int(n), d, target, trials,
-                            derive_seed(master_seed, int(n)), jobs=jobs)
-        out.append((SweepPoint(n=int(n), m_star=search.m_star, target=target,
+        search = find_min_m(model, n, d, target, trials,
+                            derive_seed(master_seed, n), jobs=jobs)
+        out.append((SweepPoint(n=n, m_star=search.m_star, target=target,
                                trials_per_probe=trials), search))
     return out
 

@@ -216,6 +216,32 @@ class TestSweep:
         assert lines[0] == "n,m_star,target,trials_per_probe"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ("--n-list", "400,400", "--d", "2", "--target", "0.9",
+         "--trials", "40"),                              # one distinct n
+        ("--n-list", "400", "--d", "2", "--target", "0.9", "--trials", "40"),
+        ("--n-list", "2,400", "--d", "2", "--target", "0.9",
+         "--trials", "40"),                              # n <= d
+        ("--n-list", "50,400", "--d", "0", "--target", "0.9",
+         "--trials", "40"),
+        ("--n-list", "50,400", "--d", "2", "--target", "0.9",
+         "--trials", "0"),
+        ("--n-list", "50,400", "--d", "2", "--target", "1.0",
+         "--trials", "40"),
+        ("--n-list", "50,400", "--d", "2", "--target", "-0.1",
+         "--trials", "40"),
+    ])
+    def test_rejected_before_any_search(self, capsys, monkeypatch, flags):
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_min_m ran before validation")
+
+        monkeypatch.setattr("gtpool.sim.find_min_m", no_search)
+        code, stdout, stderr = run(capsys, "sweep", "--model", "rid",
+                                   "--seed", "3", *flags)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: ")
+
 
 class TestTable:
     def test_csv_header_extended(self, capsys):

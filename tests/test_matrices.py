@@ -192,6 +192,28 @@ class TestFileIO:
         with pytest.raises(MatrixParseError):
             read_answers(path, expected_m=3)
 
+    def test_failed_writes_keep_the_old_file(self, tmp_path):
+        class Unwritable(AnswerVector):
+            def to01(self):
+                raise RuntimeError("fails while writing")
+
+        path = tmp_path / "m.txt"
+        write_matrix(path, BitMatrix.from_strings(["10", "01"]))
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_matrix(path, "not a matrix")
+        with pytest.raises(RuntimeError):
+            write_answers(path, Unwritable(2, 1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.txt"]
+
+    def test_writes_replace_the_old_file(self, tmp_path):
+        path = tmp_path / "a.txt"
+        write_answers(path, AnswerVector.from01("0110"))
+        write_answers(path, AnswerVector.from01("1"))
+        assert path.read_text() == "1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
     @pytest.mark.parametrize("content,line", [
         ("not a header\n", 1),
         ("2 3\n101\n10\n", 3),          # short row

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from gtpool.designs import DesignSpec, gen_utdq
+from gtpool import designs
+from gtpool.designs import DesignSpec, gen_utdq, optimal_param, trial_disjunct
 from gtpool.errors import InfeasibleError, ParameterError
 from gtpool.rng import derive_seed, substream
 from gtpool.sim import (
     SweepPoint,
     find_min_m,
+    reference_trial,
     run_sweep,
     run_trials,
     slope_fit,
@@ -61,6 +64,91 @@ class TestRunTrials:
             run_trials(self.SPEC, 60, 10, 1)
         with pytest.raises(ParameterError):
             run_trials(self.SPEC, 2, 0, 1)
+
+
+def _kernel_cases(model):
+    """(spec, d) over small shapes, parameter edges and failing sizes."""
+    ns = [2, 3, 4, 5, 7, 40, 250]
+    if model == "rid":  # both sides of the row-length switch
+        ns += [designs._RID_SKIP_MIN_N - 1, designs._RID_SKIP_MIN_N + 37]
+    for n in ns:
+        for d in range(1, min(3, n) + 1):
+            for k in (0, 1, 2, 5, 12, 30, 60):
+                if model == "rid":
+                    for p in (math.exp(-1.0 / d), 0.3):
+                        yield DesignSpec("rid", n, k, p), d
+                elif model == "rrsd":
+                    for r in sorted({0, 1, optimal_param("rrsd", n, d),
+                                     n - 1, n}):
+                        yield DesignSpec("rrsd", n, k, r), d
+                elif model == "rssd":
+                    for s in sorted({0, 1, k // 3, k}):
+                        yield DesignSpec("rssd", n, k, min(s, k)), d
+                else:
+                    for q in (2, 3, 5):
+                        yield DesignSpec("utdq", n, q * (k // 2), q), d
+
+
+class TestTrialKernel:
+    """trial_disjunct against the full-matrix path, trial by trial."""
+
+    @pytest.mark.parametrize("block_entries", [None, 1, 10, 64])
+    @pytest.mark.parametrize("model", designs.MODELS)
+    def test_matches_full_matrix_path(self, monkeypatch, model, block_entries):
+        # small generator blocks and kernel chunks split rows and columns
+        # over several draws; an rssd block of 1 or 2 columns (most m at
+        # 1, 10 and 64 entries) is narrower than d = 3
+        if block_entries is not None:
+            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", block_entries)
+        outcomes = set()
+        for c, (spec, d) in enumerate(_kernel_cases(model)):
+            for t in range(3):
+                disjunct, decoded = reference_trial(spec, d,
+                                                    substream(c, t))
+                assert disjunct == decoded, (spec, d, t)
+                assert trial_disjunct(spec, d, substream(c, t)) == disjunct, (
+                    spec, d, c, t)
+                outcomes.add(disjunct)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("block_entries", [None, 5])
+    @pytest.mark.parametrize("model", ["rrsd", "rssd"])
+    def test_matches_on_tied_keys(self, monkeypatch, model, block_entries):
+        # keys on a grid of four values tie at the selection boundary in
+        # most rows and columns, where argpartition alone decides
+        if block_entries is not None:
+            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", block_entries)
+            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", block_entries)
+
+        class Coarse(np.random.Generator):
+            def random(self, size=None, out=None):
+                keys = super().random(size, out=out)
+                keys[...] = np.floor(keys * 4) / 4
+                return keys
+
+        rs = np.random.default_rng(7)
+        outcomes = set()
+        for c in range(400):
+            n = int(rs.integers(2, 30))
+            d = int(rs.integers(1, min(3, n) + 1))
+            m = int(rs.integers(0, 30))
+            param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
+            spec = DesignSpec(model, n, m, param)
+            disjunct, decoded = reference_trial(spec, d,
+                                                Coarse(np.random.PCG64(c)))
+            assert disjunct == decoded
+            got = trial_disjunct(spec, d, Coarse(np.random.PCG64(c)))
+            assert got == disjunct, (spec, d, c)
+            outcomes.add(disjunct)
+        assert outcomes == {True, False}
+
+    def test_defective_count_validated(self):
+        spec = DesignSpec("rid", 5, 4, 0.5)
+        assert trial_disjunct(spec, 5, 0) is True
+        for d in (0, 6):
+            with pytest.raises(ParameterError):
+                trial_disjunct(spec, d, 0)
 
 
 class TestFindMinM:
