@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +39,20 @@ class TestWilson:
     def test_interval_orders(self):
         low, high = wilson_interval(7, 30)
         assert 0 <= low <= 7 / 30 <= high <= 1
+
+    def test_pinned_bits(self):
+        # wilson_pins.json holds the intervals scipy's binomtest(k, n)
+        # .proportion_ci(method="wilson") gave, for every k at n in
+        # {1, 2, 7, 50, 200} and a few k at n in {10^3, 10^5}
+        pins = json.loads(
+            Path(__file__).with_name("wilson_pins.json").read_text())
+        few = pins.pop("few")
+        for n, intervals in pins.items():
+            for k, pin in enumerate(intervals):
+                assert list(wilson_interval(k, int(n))) == pin, (k, n)
+        for key, pin in few.items():
+            k, n = map(int, key.split("/"))
+            assert list(wilson_interval(k, n)) == pin, key
 
 
 class TestRunTrials:

@@ -169,6 +169,19 @@ class TestColumnWeightRate:
         assert a3 == pytest.approx(0.2027683846412477, abs=1e-6)
         assert f3 == pytest.approx(0.24545607834057087, abs=1e-9)
 
+    @pytest.mark.parametrize("d, pin", [
+        # d=1 is flat around 1/2: no valid golden bracket, grid point kept
+        (1, (0.49995000499950004, 0.9999999927879673)),
+        (2, (0.28643340065601963, 0.38318593632226255)),
+        (3, (0.2027683846412477, 0.24545607834057087)),
+        (10, (0.06655996982026142, 0.0704379822060795)),
+        (64, (0.010761195988985166, 0.01085660538428189)),
+        (200, (0.003458620939507616, 0.0034684016492070313)),
+    ])
+    def test_alpha_star_pinned_bits(self, d, pin):
+        # recorded from scipy's minimize_scalar(method="golden")
+        assert rssd_alpha_star(d) == pin
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_star_beats_neighbours(self, d):
         a, f = rssd_alpha_star(d)
