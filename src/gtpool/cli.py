@@ -47,33 +47,6 @@ __all__ = ["main"]
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
 
-_CONVERTERS = {
-    "model": str,
-    "n": int,
-    "d": int,
-    "m": int,
-    "delta": float,
-    "p": float,
-    "r": int,
-    "s": int,
-    "q": int,
-    "seed": int,
-    "entropy": lambda v: v.lower() in _BOOL_TRUE,
-    "jobs": int,
-    "trials": int,
-    "target": float,
-    "n_list": str,
-    "out": str,
-    "qary_out": str,
-    "matrix": str,
-    "answers": str,
-    "defectives": str,
-    "separable": lambda v: v.lower() in _BOOL_TRUE,
-    "exact_utdq_sizing": lambda v: v.lower() in _BOOL_TRUE,
-    "dmax": int,
-    "format": str,
-}
-
 
 def _load_config(path: str) -> dict:
     out = {}
@@ -93,13 +66,27 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _merge_config(ns: dict, config: dict) -> None:
+def _merge_config(ns: dict, config: dict, parser) -> None:
+    """Fill unset flags from config, each converted as parser would."""
+    actions = {a.dest: a for a in parser._actions if a.dest in ns}
     for key, raw in config.items():
-        if key not in ns:
+        action = actions.get(key)
+        if action is None:
             raise ParameterError(f"unknown config key {key!r}")
-        if ns[key] is None:
-            conv = _CONVERTERS.get(key, str)
+        if ns[key] is not None:
+            continue
+        if action.nargs == 0:  # store_true flag
+            ns[key] = raw.lower() in _BOOL_TRUE
+            continue
+        conv = action.type or str
+        try:
             ns[key] = conv(raw)
+        except ValueError:
+            raise ParameterError(
+                f"config {key}: invalid {conv.__name__} value {raw!r}")
+        if action.choices is not None and ns[key] not in action.choices:
+            raise ParameterError(
+                f"config {key}: {raw!r} is not one of {action.choices}")
 
 
 def _require(ns: dict, *names: str) -> None:
@@ -339,7 +326,7 @@ def _add_common(p, *names):
     p.add_argument("--config", help="key=value file supplying defaults")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple:
     parser = argparse.ArgumentParser(
         prog="gtpool",
         description="Randomized pool designs for non-adaptive group testing")
@@ -411,16 +398,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"])
     p.set_defaults(func=cmd_table1)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     ns = vars(args)
     try:
         if ns.get("config"):
-            _merge_config(ns, _load_config(ns["config"]))
+            _merge_config(ns, _load_config(ns["config"]),
+                          commands[ns["command"]])
         return args.func(ns)
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

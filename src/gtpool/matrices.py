@@ -212,23 +212,17 @@ class AnswerVector:
 
 @dataclass(frozen=True)
 class DefectiveSet:
-    """A candidate set of defective items (1-based) plus its size budget."""
+    """A candidate set of defective items (1-based)."""
 
     items: tuple
-    d_bound: int
 
-    def __init__(self, items, d_bound: int | None = None):
+    def __init__(self, items):
         items = tuple(sorted(int(i) for i in items))
         if any(i < 1 for i in items):
             raise DimensionError("items are 1-based; got an index < 1")
         if len(set(items)) != len(items):
             raise DimensionError("duplicate item in defective set")
-        if d_bound is None:
-            d_bound = len(items)
-        if d_bound < len(items):
-            raise ParameterError("d_bound smaller than the set itself")
         object.__setattr__(self, "items", items)
-        object.__setattr__(self, "d_bound", int(d_bound))
 
     def __iter__(self):
         return iter(self.items)

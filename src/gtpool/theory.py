@@ -30,8 +30,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.optimize import minimize_scalar
-
 from .errors import CapacityError, ParameterError
 
 __all__ = [
@@ -180,7 +178,8 @@ def _ln_p_any(q: int, d: int) -> float:
     if d * math.log2(q) <= 53:
         qd = q**d
         terms = [
-            r_qdi_unchecked(q, d, i) * math.log(i / q) for i in range(1, top + 1)
+            math.comb(q, i) * _surjections_raw(d, i) * math.log(i / q)
+            for i in range(1, top + 1)
         ]
         return math.fsum(terms) / qd
     log_n = _log_surjection_table(d)
@@ -198,10 +197,6 @@ def _ln_p_any(q: int, d: int) -> float:
             continue
         acc.append(math.exp(lw) * (math.log(i) - lnq))
     return math.fsum(acc)
-
-
-def r_qdi_unchecked(q: int, d: int, i: int) -> int:
-    return math.comb(q, i) * _surjections_raw(d, i)
 
 
 def ln_p_qd(q: int, d: int) -> float:
@@ -241,40 +236,55 @@ def rssd_objective(alpha: float, d: int) -> float:
 
 _GRID_POINTS = 10_000
 
+def _golden_max(f, xa: float, xb: float, xc: float):
+    """Golden-section (x, f(x)) maximising f on a bracket xa < xb < xc.
+
+    SciPy 1.17's _minimize_scalar_golden (xtol=1e-9) run on -f, step for
+    step, so the bits match; None unless f(xb) exceeds f(xa) and f(xc).
+    """
+    if not f(xa) < f(xb) > f(xc):
+        return None
+    gr = 0.61803399  # SciPy's golden ratio conjugate, to eight digits
+    gc = 1.0 - gr
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = f(x1), f(x2)
+    while abs(x3 - x0) > 1e-9 * (abs(x1) + abs(x2)):
+        if f2 > f1:
+            x0, x1, x2 = x1, x2, gr * x2 + gc * x3
+            f1, f2 = f2, f(x2)
+        else:
+            x3, x2, x1 = x2, x1, gr * x1 + gc * x0
+            f2, f1 = f1, f(x1)
+    return (x1, f1) if f1 > f2 else (x2, f2)
+
 
 @lru_cache(maxsize=None)
 def rssd_alpha_star(d: int) -> tuple:
     """(argmax alpha, max value) of the rate objective on (0, 1].
 
-    Coarse 10^4-point grid, then golden-section refinement to 1e-9.
+    Coarse 10^4-point grid, then golden-section refinement to 1e-9 by
+    _golden_max (a port of SciPy 1.17's, bit for bit); at d = 1 the top is
+    flat, no bracket is valid and the grid point stands.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
     best_k, best_v = 1, -1.0
     denom = _GRID_POINTS + 1
-    vals = []
     for k in range(1, _GRID_POINTS + 1):
         v = rssd_objective(k / denom, d)
-        vals.append(v)
         if v > best_v:
             best_k, best_v = k, v
     lo = max(best_k - 1, 1) / denom
     mid = best_k / denom
     hi = min(best_k + 1, _GRID_POINTS) / denom
     if lo < mid < hi:
-        try:
-            res = minimize_scalar(
-                lambda a: -rssd_objective(a, d),
-                bracket=(lo, mid, hi),
-                method="golden",
-                options={"xtol": 1e-9},
-            )
-        except ValueError:
-            # flat-topped bracket (happens at d=1 where the objective is
-            # symmetric around 1/2); the grid point is already fine
-            res = None
-        if res is not None and -res.fun >= best_v:
-            return float(res.x), float(-res.fun)
+        res = _golden_max(lambda a: rssd_objective(a, d), lo, mid, hi)
+        if res is not None and res[1] >= best_v:
+            return res
     return mid, best_v
 
 

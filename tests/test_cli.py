@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +289,31 @@ class TestConfigAndErrors:
         assert code == 2
         assert "modle" in stderr
 
+    def test_config_value_of_wrong_type_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = rid\nn = abc\nd = 1\nm = 25\nseed = 4\n")
+        code, stdout, stderr = run(capsys, "design", "--config", str(cfg),
+                                   "--out", str(tmp_path / "m.txt"))
+        assert code == 2 and stdout == ""
+        assert "config n:" in stderr and "abc" in stderr
+
+    def test_config_value_outside_choices_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, stdout, stderr = run(capsys, "table1", "--dmax", "2",
+                                   "--config", str(cfg))
+        assert code == 2 and stdout == ""
+        assert "format" in stderr and "xml" in stderr
+
+    def test_config_values_typed_like_flags(self, capsys, small_matrix,
+                                            tmp_path):
+        path, _ = small_matrix
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"matrix = {path}\ndefectives = 1,3\nseparable = yes\n")
+        code, stdout, _ = run(capsys, "check", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(stdout)["separable"] is False  # as in test_verdicts
+
     def test_missing_matrix_file_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "decode", "--matrix",
                          str(tmp_path / "nope.txt"), "--defectives", "1")
@@ -297,3 +326,16 @@ class TestConfigAndErrors:
                               "--defectives", "1")
         assert code == 4
         assert ":3:" in stderr
+
+
+def test_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    code = ("import sys, gtpool.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpool.errors import DimensionError, MatrixParseError, ParameterError
+from gtpool.errors import DimensionError, MatrixParseError
 from gtpool.matrices import (
     AnswerVector,
     BitMatrix,
@@ -103,10 +103,6 @@ class TestDefectiveSet:
     def test_duplicates_rejected(self):
         with pytest.raises(DimensionError):
             DefectiveSet([3, 1, 3])
-
-    def test_budget_enforced(self):
-        with pytest.raises(ParameterError):
-            DefectiveSet([1, 2, 3], d_bound=2)
 
     def test_one_based(self):
         with pytest.raises(DimensionError):
