@@ -1,9 +1,16 @@
-"""Output bytes pinned across changes to how a trial is computed.
+"""Output bytes pinned across changes to how a design is drawn.
 
 ``output_pins.json`` holds the records and the CLI stdout below as they
 were before the per-trial kernel (``designs.trial_disjunct``) replaced
 the full-matrix path in ``sim``.  Equality here means the kernel draws
 the same numbers and reaches the same verdict on every pinned trial.
+
+It also holds sha256 digests of ``generate`` matrices and of the files
+``gtpool design`` writes, recorded before the generators and the trial
+kernels came to share one stream reader per model.  The cases span
+several row chunks, several rssd column blocks, m = 0 and the extreme
+parameters, so they guard the stream layout that the kernels, the
+generators and the oracle ``sim.reference_trial`` all read.
 
 Regenerate only for a change that is meant to alter output bytes, and
 say so in CHANGES.md:
@@ -12,13 +19,15 @@ say so in CHANGES.md:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 from gtpool.cli import main
-from gtpool.designs import DesignSpec, optimal_param, upper_bound_m
+from gtpool.designs import DesignSpec, generate, optimal_param, upper_bound_m
 from gtpool.sim import find_min_m, run_trials
 
 PIN_FILE = Path(__file__).with_name("output_pins.json")
@@ -45,6 +54,51 @@ CLI_RUNS = {
                        "--n-list", "50,400", "--target", "0.8",
                        "--trials", "60", "--format", "csv"],
 }
+
+# (model, n, m, param) drawn by generate: several row chunks at n=1000,
+# m=130; ten rssd column blocks at m=601, n=60,000; m = 0; r in {0, n};
+# s in {0, m}; rows shorter than a byte and longer than a generator block
+GENERATED = [
+    ("rid", 1000, 130, math.exp(-1.0 / 3)), ("rid", 7, 5, 0.5),
+    ("rid", 1, 3, 0.5), ("rid", 60_000, 70, 0.6), ("rid", 50, 0, 0.5),
+    ("rrsd", 1000, 130, 283), ("rrsd", 1000, 130, 0),
+    ("rrsd", 1000, 130, 1000), ("rrsd", 13, 9, 4), ("rrsd", 50, 0, 10),
+    ("rrsd", 70_000, 60, 17_000),
+    ("rssd", 60_000, 601, 172), ("rssd", 1000, 130, 37),
+    ("rssd", 1000, 130, 0), ("rssd", 1000, 130, 130), ("rssd", 9, 11, 3),
+    ("rssd", 50, 0, 0),
+    ("utdq", 1000, 130, 5), ("utdq", 1000, 130, 2), ("utdq", 11, 12, 3),
+    ("utdq", 50, 0, 4),
+]
+DESIGN_RUNS = {
+    "rid": ["--model", "rid", "--n", "3000", "--d", "3", "--delta", "0.1"],
+    "utdq": ["--model", "utdq", "--n", "3000", "--d", "3", "--delta", "0.1"],
+}
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _matrix_digest(mat) -> str:
+    width = (mat.n + 7) // 8
+    head = f"{mat.m} {mat.n}\n".encode()
+    return _digest(head + b"".join(w.to_bytes(width, "big")
+                                   for w in mat.rows))
+
+
+def _design_digests(flags) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out, qout = Path(tmp, "bin.txt"), Path(tmp, "qary.txt")
+        argv = ["design", *flags, "--out", str(out)]
+        if flags[1] == "utdq":
+            argv += ["--qary-out", str(qout)]
+        record = json.loads(_stdout(argv))
+        del record["out"]
+        digests = {"stdout": record, "out": _digest(out.read_bytes())}
+        if qout.exists():
+            digests["qary_out"] = _digest(qout.read_bytes())
+    return digests
 
 
 def _stdout(argv) -> str:
@@ -76,6 +130,11 @@ def pinned_outputs() -> dict:
                                        SEED).probe_records()
     for name, argv in CLI_RUNS.items():
         out[f"cli.{name}"] = _stdout(argv)
+    for model, n, m, param in GENERATED:
+        out[f"generate.{model}.n{n}.m{m}.{param:g}"] = _matrix_digest(
+            generate(DesignSpec(model, n, m, param), SEED))
+    for name, flags in DESIGN_RUNS.items():
+        out[f"cli.design.{name}"] = _design_digests(flags)
     return out
 
 
