@@ -126,6 +126,11 @@ def _explicit_param(ns: dict, model: str):
     return ns.get(wanted)
 
 
+def _jobs(ns: dict) -> int:
+    """--jobs, 1 when not given; sim rejects counts below 1."""
+    return 1 if ns.get("jobs") is None else ns["jobs"]
+
+
 def _binary_matrix(path: str) -> BitMatrix:
     loaded = read_matrix(path)
     if isinstance(loaded, QaryMatrix):
@@ -144,11 +149,12 @@ def _emit(obj) -> None:
 def cmd_design(ns: dict) -> int:
     _require(ns, "model", "n", "d", "out")
     model = ns["model"]
-    if model not in designs.MODELS:
-        raise ParameterError(f"unknown model {model!r}")
     n, d = ns["n"], ns["d"]
     seed = _resolve_seed(ns)
     explicit = _explicit_param(ns, model)
+    if ns.get("qary_out") is not None and model != "utdq":
+        raise ParameterError(
+            f"--qary-out does not apply to model {model!r} (utdq only)")
     delta = ns.get("delta")
 
     sizing = None
@@ -228,8 +234,6 @@ def cmd_decode(ns: dict) -> int:
 def cmd_mc(ns: dict) -> int:
     _require(ns, "model", "n", "d", "m", "trials")
     model = ns["model"]
-    if model not in designs.MODELS:
-        raise ParameterError(f"unknown model {model!r}")
     n, d, m = ns["n"], ns["d"], ns["m"]
     seed = _resolve_seed(ns)
     explicit = _explicit_param(ns, model)
@@ -237,7 +241,7 @@ def cmd_mc(ns: dict) -> int:
         model, n, d, m_hint=m)
     spec = designs.DesignSpec(model, n, m, param)
     report = sim.run_trials(spec, d, ns["trials"], seed,
-                            jobs=ns.get("jobs") or 1, delta=ns.get("delta"))
+                            jobs=_jobs(ns), delta=ns.get("delta"))
     if (ns.get("format") or "json") == "csv":
         rec = report.as_record()
         keys = list(rec)
@@ -251,13 +255,11 @@ def cmd_mc(ns: dict) -> int:
 def cmd_sweep(ns: dict) -> int:
     _require(ns, "model", "d", "n_list", "target", "trials")
     model = ns["model"]
-    if model not in designs.MODELS:
-        raise ParameterError(f"unknown model {model!r}")
     d = ns["d"]
     n_list = _parse_items(ns["n_list"])
     seed = _resolve_seed(ns)
     results = sim.run_sweep(model, d, n_list, ns["target"], ns["trials"],
-                            seed, jobs=ns.get("jobs") or 1)
+                            seed, jobs=_jobs(ns))
     points = [point for point, _ in results]
     slope_per_d = sim.slope_fit(points, d)
     if (ns.get("format") or "json") == "csv":
@@ -281,7 +283,7 @@ def cmd_sweep(ns: dict) -> int:
 
 
 def cmd_table1(ns: dict) -> int:
-    dmax = ns.get("dmax") or 10
+    dmax = 10 if ns.get("dmax") is None else ns["dmax"]
     rows = theory.table1(dmax)
     if (ns.get("format") or "csv") == "json":
         out = []

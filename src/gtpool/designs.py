@@ -25,7 +25,7 @@ import numpy as np
 
 from . import theory
 from .errors import DimensionError, ParameterError
-from .matrices import BitMatrix, QaryMatrix, expand_qary
+from .matrices import BitMatrix, QaryMatrix, _pack_rows, expand_qary
 from .rng import as_generator
 
 __all__ = [
@@ -46,9 +46,6 @@ __all__ = [
 MODELS = theory.MODELS
 
 _E = math.e
-# Entries drawn per block when generating large matrices, to bound the
-# transient float buffer (~32 MB).
-_BLOCK_ENTRIES = 4_000_000
 
 
 def _check_model(model: str) -> str:
@@ -97,86 +94,104 @@ class DesignSpec:
 # generation
 
 
-def _rows_from_dense_block(dense) -> list:
-    n = dense.shape[1]
-    pad = (-n) % 8
-    packed = np.packbits(dense, axis=1)
-    return [int.from_bytes(r.tobytes(), "big") >> pad for r in packed]
+# The readers below fix where each entry sits in the random stream.  A
+# generator (and so the oracle sim.reference_trial) and its trial kernel
+# draw through the same reader, so the kernel reads exactly the numbers
+# the generator does; only the rid kernel's head-first path reads the
+# row layout by itself, entry by entry.  The generate digests in
+# tests/output_pins.json guard the layouts.
+
+# Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and
+# their kernels read.  Output does not depend on it: row-wise draws give
+# the same numbers for any split.  A chunk that stays in cache makes the
+# passes over it faster than over a larger block: the rrsd kernel at
+# n = 10^4, d = 3 and sized m takes 5.7 ms per trial against 19 ms with
+# 4*10^6-entry blocks (2-core x86 host, 4 MiB L2).
+_CHUNK_ENTRIES = 1 << 15
+
+# Entries per rssd column block of _column_blocks.  It fixes the rssd
+# stream layout (keys are row-major within a block), so changing it
+# changes every rssd matrix drawn with more than _BLOCK_ENTRIES // m
+# columns.
+_BLOCK_ENTRIES = 4_000_000
+
+
+def _row_chunks(rng, m: int, n: int):
+    """The next m x n doubles of the stream, as consecutive row chunks.
+
+    Entry (i, j) is the double at stream position i*n + j for any chunk
+    size.  The chunks share one buffer, so each is valid only until the
+    next is drawn.
+    """
+    step = max(1, _CHUNK_ENTRIES // n)
+    buf = np.empty((min(step, m), n))
+    for start in range(0, m, step):
+        chunk = buf[:min(step, m - start)]
+        rng.random(out=chunk)
+        yield chunk
+
+
+def _column_blocks(rng, m: int, n: int):
+    """The next m x n doubles of the stream, as rssd lays them out.
+
+    Yields (start, keys) for consecutive blocks of _BLOCK_ENTRIES // m
+    columns (at least one): keys is the m x width block whose column 0
+    is matrix column start, drawn row-major.  Needs m >= 1.
+    """
+    block = max(1, _BLOCK_ENTRIES // m)
+    for start in range(0, n, block):
+        yield start, rng.random((m, min(start + block, n) - start))
+
+
+def _utdq_entries(rng, m_prime: int, n: int, q: int):
+    """The next m' x n integers of the stream, uniform in [1, q]."""
+    return rng.integers(1, q + 1, size=(m_prime, n), dtype=np.int64)
 
 
 def gen_rid(n: int, m: int, p: float, seed) -> BitMatrix:
     """Matrix with i.i.d. entries, each zero with probability p."""
-    if not 0.0 < p < 1.0:
-        raise ParameterError(f"p={p} outside (0, 1)")
-    if n < 1 or m < 0:
-        raise DimensionError(f"bad shape {m} x {n}")
-    rng = as_generator(seed)
+    DesignSpec("rid", n, m, p)
     rows = []
-    block = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, m, block):
-        stop = min(start + block, m)
-        dense = rng.random((stop - start, n)) >= p
-        rows.extend(_rows_from_dense_block(dense.astype(np.uint8)))
+    for vals in _row_chunks(as_generator(seed), m, n):
+        rows.extend(_pack_rows(vals >= p))
     return BitMatrix(m, n, rows)
 
 
 def gen_rrsd(n: int, m: int, r: int, seed) -> BitMatrix:
     """Matrix whose rows are i.i.d. uniform weight-r rows."""
+    DesignSpec("rrsd", n, m, r)
     r = int(r)
-    if not 0 <= r <= n:
-        raise ParameterError(f"r={r} outside 0..{n}")
-    if n < 1 or m < 0:
-        raise DimensionError(f"bad shape {m} x {n}")
-    rng = as_generator(seed)
+    if r == 0 or r == n:  # no draw: every row is empty or full
+        return BitMatrix(m, n, [(1 << n) - 1 if r else 0] * m)
     rows = []
-    block = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, m, block):
-        rows_b = min(start + block, m) - start
-        dense = np.zeros((rows_b, n), dtype=np.uint8)
-        if r == n:
-            dense[:] = 1
-        elif r > 0:
-            # the r smallest of n i.i.d. uniform keys form a uniform r-subset
-            keys = rng.random((rows_b, n))
-            idx = np.argpartition(keys, r - 1, axis=1)[:, :r]
-            dense[np.arange(rows_b)[:, None], idx] = 1
-        rows.extend(_rows_from_dense_block(dense))
+    for keys in _row_chunks(as_generator(seed), m, n):
+        # the r smallest of n i.i.d. uniform keys form a uniform r-subset
+        idx = np.argpartition(keys, r - 1, axis=1)[:, :r]
+        dense = np.zeros(keys.shape, dtype=bool)
+        dense[np.arange(len(keys))[:, None], idx] = True
+        rows.extend(_pack_rows(dense))
     return BitMatrix(m, n, rows)
 
 
 def gen_rssd(n: int, m: int, s: int, seed) -> BitMatrix:
     """Matrix whose columns are i.i.d. uniform weight-s columns."""
+    DesignSpec("rssd", n, m, s)
     s = int(s)
-    if not 0 <= s <= m:
-        raise ParameterError(f"s={s} outside 0..{m}")
-    if n < 1 or m < 0:
-        raise DimensionError(f"bad shape {m} x {n}")
-    rng = as_generator(seed)
-    dense = np.zeros((m, n), dtype=np.uint8)
-    if m:
-        block = max(1, _BLOCK_ENTRIES // max(m, 1))
-        for start in range(0, n, block):
-            stop = min(start + block, n)
-            cols_b = stop - start
-            if s == m:
-                dense[:, start:stop] = 1
-            elif s > 0:
-                keys = rng.random((m, cols_b))
-                idx = np.argpartition(keys, s - 1, axis=0)[:s, :]
-                dense[idx, np.arange(start, stop)[None, :]] = 1
-    return BitMatrix(m, n, _rows_from_dense_block(dense) if m else [])
+    if s == 0 or s == m:  # no draw: every column is empty or full
+        return BitMatrix(m, n, [(1 << n) - 1 if s else 0] * m)
+    dense = np.zeros((m, n), dtype=bool)
+    for start, keys in _column_blocks(as_generator(seed), m, n):
+        idx = np.argpartition(keys, s - 1, axis=0)[:s, :]
+        dense[idx, np.arange(start, start + keys.shape[1])[None, :]] = True
+    return BitMatrix(m, n, _pack_rows(dense))
 
 
 def gen_utdq(n: int, m_prime: int, q: int, seed) -> QaryMatrix:
     """q-ary matrix with i.i.d. uniform entries in [1, q]."""
+    DesignSpec("utdq", n, q * m_prime, q)
     q = int(q)
-    if q < 2:
-        raise ParameterError("q must be >= 2")
-    if n < 1 or m_prime < 0:
-        raise DimensionError(f"bad shape {m_prime} x {n}")
-    rng = as_generator(seed)
-    entries = rng.integers(1, q + 1, size=(m_prime, n), dtype=np.int64)
-    return QaryMatrix(m_prime, n, q, entries)
+    return QaryMatrix(m_prime, n, q,
+                      _utdq_entries(as_generator(seed), m_prime, n, q))
 
 
 def generate(spec: DesignSpec, seed) -> BitMatrix:
@@ -195,13 +210,6 @@ def generate(spec: DesignSpec, seed) -> BitMatrix:
 # one Monte Carlo trial without the matrix
 
 
-# Doubles per chunk in the row-wise kernels (rid whole rows, rrsd).  A
-# chunk that stays in cache makes the passes over it faster than over a
-# generator block: rrsd at n = 10^4, d = 3 and sized m takes 5.7 ms per
-# trial against 19 ms with each block drawn whole (2-core x86 host,
-# 4 MiB L2).
-_CHUNK_ENTRIES = 1 << 15
-
 # rid rows at least this long are drawn head first, skipping the tail of
 # each positive row with advance(); shorter rows are drawn whole, in
 # chunks.  Measured per trial at d = 3, rate-optimal p and sized m (same
@@ -218,24 +226,23 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     The defective set is items 1..d, the first d columns.  A row with no
     defective is good; the set is disjunct iff every other column has a
     1 in some good row (elimination decoding then strikes it).  Each
-    kernel consumes the random stream exactly as its generator lays it
-    out, so the verdict is the full path's for every seed:
+    kernel reads the random stream through its generator's reader, so
+    the verdict is the full path's for every seed:
 
-      rid   entry (i, j) is the double at stream position i*n + j, for
-            any block split.  Each row's d head entries are drawn; a
-            positive row's other n - d are skipped with advance(), a
-            good row's are drawn and OR'ed into the coverage.
-      rrsd  row i's n keys are the doubles at stream positions i*n to
-            i*n + n - 1, for any block split; a row's support is its r
-            smallest keys.  The row is good when its smallest defective
-            key ranks >= r, found by counting; only good rows go through
-            the generator's argpartition.
-      rssd  the generator's column blocks of m keys, row-major within a
-            block; a column's support is its s smallest keys.  The
-            defective columns' argpartition gives the good rows G, and
-            column j is covered when fewer than s of its keys lie below
-            min(keys[G, j]).
-      utdq  the generator's m/q x n integers in [1, q]; q-ary row i
+      rid   _row_chunks: entry (i, j) is the double at stream position
+            i*n + j.  Rows shorter than _RID_SKIP_MIN_N are read in
+            chunks; in longer ones each row's d head entries are drawn,
+            a positive row's other n - d are skipped with advance(), and
+            a good row's are drawn and OR'ed into the coverage.
+      rrsd  _row_chunks; a row's support is its r smallest keys.  The
+            row is good when its smallest defective key ranks >= r,
+            found by counting; only good rows go through the generator's
+            argpartition.
+      rssd  _column_blocks; a column's support is its s smallest keys.
+            The defective columns' argpartition gives the good rows G,
+            and column j is covered when fewer than s of its keys lie
+            below min(keys[G, j]).
+      utdq  _utdq_entries, the m/q x n integers in [1, q]; q-ary row i
             covers column j when entry (i, j) is not one of row i's
             defective symbols (its indicator row is then good).
 
@@ -257,20 +264,6 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
         return _trial_rssd(n, m, int(spec.param), d, rng)
     q = int(spec.param)
     return _trial_utdq(n, m // q, q, d, rng)
-
-
-def _row_chunks(rng, m: int, n: int):
-    """The next m x n doubles of the stream, as consecutive row chunks.
-
-    The chunks share one buffer, so each is valid only until the next is
-    drawn.  Row-wise generators draw the same numbers in other blocks.
-    """
-    step = max(1, _CHUNK_ENTRIES // n)
-    buf = np.empty((min(step, m), n))
-    for start in range(0, m, step):
-        chunk = buf[:min(step, m - start)]
-        rng.random(out=chunk)
-        yield chunk
 
 
 def _trial_rid(n, m, p, d, rng) -> bool:
@@ -335,11 +328,9 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
 def _trial_rssd(n, m, s, d, rng) -> bool:
     if s == 0 or s == m:
         return False  # no row holds anything, or every row every item
-    block = max(1, _BLOCK_ENTRIES // m)
     defective = np.zeros(m, dtype=bool)
     good = None
-    for start in range(0, n, block):
-        keys = rng.random((m, min(start + block, n) - start))
+    for start, keys in _column_blocks(rng, m, n):
         if good is None:  # the block holds defective columns
             rows = np.argpartition(keys[:, :d - start], s - 1, axis=0)[:s, :]
             defective[rows.ravel()] = True
@@ -371,7 +362,7 @@ def _rssd_block_covered(keys, good, s: int) -> bool:
 
 
 def _trial_utdq(n, m_prime, q, d, rng) -> bool:
-    entries = rng.integers(1, q + 1, size=(m_prime, n), dtype=np.int64)
+    entries = _utdq_entries(rng, m_prime, n, q)
     rest = entries[:, d:]
     # in_head[i, j]: entry (i, j) is one of row i's defective symbols
     in_head = rest == entries[:, :1]
@@ -503,9 +494,8 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
 
     if q is None:
         q = theory.utdq_q_star(d)[0]
+    DesignSpec("utdq", n, 0, q)  # checks q as a design would
     q = int(q)
-    if q < 2:
-        raise ParameterError("q must be >= 2")
     if exact_utdq:
         return _utdq_upper_exact(n, d, delta, q)
     denom = -math.log1p(-((1.0 - 1.0 / q) ** d))
@@ -648,9 +638,8 @@ def lower_bound_m(model: str, n: int, d: int,
 
     if q is None:
         q = theory.utdq_q_star(d)[0]
+    DesignSpec("utdq", n, 0, q)  # checks q as a design would
     q = int(q)
-    if q < 2:
-        raise ParameterError("q must be >= 2")
     lnp = theory._ln_p_any(q, d)
     m0 = q * math.log(8.0 * (n - d)) / (-lnp)
     try:

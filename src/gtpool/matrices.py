@@ -69,16 +69,10 @@ class BitMatrix:
         a = np.asarray(arr)
         if a.ndim != 2:
             raise DimensionError("dense input must be 2-D")
-        m, n = a.shape
-        if m == 0:
-            return cls(0, n, ())
         a = a.astype(np.uint8)
         if a.max(initial=0) > 1:
             raise DimensionError("dense input must be 0/1")
-        pad = (-n) % 8
-        packed = np.packbits(a, axis=1)
-        rows = [int.from_bytes(r.tobytes(), "big") >> pad for r in packed]
-        return cls(m, n, rows)
+        return cls(*a.shape, _pack_rows(a))
 
     @classmethod
     def from_strings(cls, lines) -> "BitMatrix":
@@ -238,6 +232,13 @@ class DefectiveSet:
 # operations
 
 
+def _pack_rows(bits2d) -> list:
+    """One packed int per row of a 2-D 0/1 array, column 0 the high bit."""
+    pad = (-bits2d.shape[1]) % 8
+    return [int.from_bytes(r.tobytes(), "big") >> pad
+            for r in np.packbits(bits2d, axis=1)]
+
+
 def _item_mask(matrix: BitMatrix, items) -> int:
     """OR of the column bits for 1-based ``items``; validates range."""
     n = matrix.n
@@ -269,16 +270,11 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
     has a 1 exactly in the columns where row i equals s.  Each group of
     q rows therefore partitions the items.
     """
-    q = mq.q
+    symbols = np.arange(1, mq.q + 1)[:, None]
     rows = []
-    if mq.m:
-        pad = (-mq.n) % 8
-        for i in range(mq.m):
-            row = mq.entries[i]
-            for s in range(1, q + 1):
-                packed = np.packbits(row == s)
-                rows.append(int.from_bytes(packed.tobytes(), "big") >> pad)
-    return BitMatrix(mq.m * q, mq.n, rows)
+    for row in mq.entries:
+        rows.extend(_pack_rows(row == symbols))
+    return BitMatrix(mq.m * mq.q, mq.n, rows)
 
 
 # ---------------------------------------------------------------------

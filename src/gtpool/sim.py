@@ -11,7 +11,10 @@ verdict: the defective entries of each row and the good rows (the
 negative tests, whose items elimination strikes).  reference_trial
 keeps the full-matrix path, generate + is_disjunct + decode_eliminate;
 tests/test_sim.py checks trial by trial that the decoder agrees with
-disjunctness there and that the kernel agrees with both.
+disjunctness there and that the kernel agrees with both.  The oracle
+and the kernel read the stream through the same per-model readers in
+designs, so a change to a reader's layout would move both alike; the
+generate digests in tests/output_pins.json guard that layout.
 
 Determinism contract: trial t of a run draws from the substream
 (master_seed, t), and a probe of the search at matrix size m derives
@@ -150,8 +153,9 @@ def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
         raise ParameterError(f"need 1 <= d < n, got d={d}, n={spec.n}")
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if jobs < 1:
+        raise ParameterError(f"jobs={jobs} must be >= 1")
     master_seed = check_seed(master_seed)
-    jobs = max(1, int(jobs))
 
     if jobs == 1:
         disj = _count_chunk((spec, d, master_seed, 0, trials))
@@ -270,8 +274,8 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
     """find_min_m at each n; returns [(SweepPoint, SearchResult), ...].
 
     The arguments are checked before the first search: at least two
-    distinct n (the slope fit needs them), every n > d >= 1, trials >= 1
-    and target in [0, 1).
+    distinct n (the slope fit needs them), every n > d >= 1, trials >= 1,
+    target in [0, 1) and jobs >= 1.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
@@ -283,6 +287,8 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
         raise ParameterError("need at least one trial")
     if not 0.0 <= target < 1.0:
         raise ParameterError(f"target={target} outside [0, 1)")
+    if jobs < 1:
+        raise ParameterError(f"jobs={jobs} must be >= 1")
     out = []
     for n in n_list:
         search = find_min_m(model, n, d, target, trials,

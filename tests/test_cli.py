@@ -84,6 +84,18 @@ class TestDesign:
         assert code == 2
         assert "--r" in stderr
 
+    def test_qary_out_only_for_utdq(self, capsys, tmp_path):
+        qout = tmp_path / "qary.txt"
+        code, stdout, stderr = run(capsys, "design", "--model", "rid",
+                                   "--n", "50", "--d", "1", "--m", "20",
+                                   "--seed", "1", "--out",
+                                   str(tmp_path / "m.txt"),
+                                   "--qary-out", str(qout))
+        assert code == 2
+        assert stdout == ""
+        assert "--qary-out" in stderr
+        assert not qout.exists()
+
     def test_infeasible_sizing_exits_3(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "design", "--model", "rssd",
                               "--n", "100", "--d", "1", "--delta", "0.1",
@@ -200,6 +212,13 @@ class TestMc:
         _, team, _ = run(capsys, *self.ARGS, "--jobs", "4")
         assert solo == team
 
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, stdout, stderr = run(capsys, *self.ARGS, "--jobs", jobs)
+        assert code == 2
+        assert stdout == ""
+        assert "jobs" in stderr
+
 
 class TestSweep:
     ARGS = ("sweep", "--model", "rid", "--d", "1", "--n-list", "30,90",
@@ -234,6 +253,8 @@ class TestSweep:
          "--trials", "40"),
         ("--n-list", "50,400", "--d", "2", "--target", "-0.1",
          "--trials", "40"),
+        ("--n-list", "50,400", "--d", "2", "--target", "0.9",
+         "--trials", "40", "--jobs", "0"),
     ])
     def test_rejected_before_any_search(self, capsys, monkeypatch, flags):
         def no_search(*args, **kwargs):
@@ -266,8 +287,10 @@ class TestTable:
         assert rows[0]["rssd_published"] == 1.95
 
     def test_dmax_validated(self, capsys):
-        code, _, _ = run(capsys, "table1", "--dmax", "1")
-        assert code == 2
+        for dmax in ("0", "1"):
+            code, stdout, _ = run(capsys, "table1", "--dmax", dmax)
+            assert code == 2, dmax
+            assert stdout == "", dmax
 
 
 class TestConfigAndErrors:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtpool import designs
 from gtpool.designs import (
     DesignSpec,
     gen_rid,
@@ -16,7 +17,7 @@ from gtpool.designs import (
     optimal_param,
     upper_bound_m,
 )
-from gtpool.errors import ParameterError
+from gtpool.errors import DimensionError, ParameterError
 from gtpool.matrices import expand_qary
 
 
@@ -96,13 +97,36 @@ class TestGenerators:
         assert generate(DesignSpec("utdq", 30, 12, 3), 3) == expand_qary(
             gen_utdq(30, 4, 3, 3))
 
-    def test_blocked_generation_is_consistent(self):
-        # large enough to span several generation blocks
-        m = gen_rid(60_000, 80, 0.6, 2024)
-        assert (m.m, m.n) == (80, 60_000)
-        ones = sum(m.row_weight(t) for t in range(m.m))
-        assert abs(ones / (80 * 60_000) - 0.4) < 0.005
-        assert m == gen_rid(60_000, 80, 0.6, 2024)
+    def test_blocked_generation_is_consistent(self, monkeypatch):
+        # row-wise draws give the same matrix for any chunk or block size;
+        # at the defaults n = 1000 spans several chunks of rows
+        shapes = [(7, 30), (37, 20), (1000, 130)]
+        want = [(gen_rid(n, m, 0.6, 2024), gen_rrsd(n, m, n // 3, 2024))
+                for n, m in shapes]
+        for entries in (1, 10, 64):
+            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", entries)
+            got = [(gen_rid(n, m, 0.6, 2024), gen_rrsd(n, m, n // 3, 2024))
+                   for n, m in shapes]
+            assert got == want, entries
+
+    def test_arguments_checked_as_design_spec(self):
+        with pytest.raises(ParameterError):
+            gen_rid(10, 5, 1.0, 0)
+        with pytest.raises(ParameterError):
+            gen_rrsd(10, 5, 11, 0)
+        with pytest.raises(ParameterError):
+            gen_rrsd(10, 5, 2.5, 0)  # not truncated to 2
+        with pytest.raises(ParameterError):
+            gen_rssd(10, 5, 6, 0)
+        with pytest.raises(ParameterError):
+            gen_rssd(10, 5, 1.5, 0)
+        with pytest.raises(ParameterError):
+            gen_utdq(10, 5, 1, 0)
+        with pytest.raises(DimensionError):
+            gen_rid(0, 5, 0.5, 0)
+        with pytest.raises(DimensionError):
+            gen_utdq(10, -1, 3, 0)
 
 
 class TestOptimalParam:
@@ -193,6 +217,11 @@ class TestUpperSizing:
             upper_bound_m("rid", 10, 0, 0.1)
         with pytest.raises(ParameterError):
             upper_bound_m("rid", 10, 2, 1.5)
+        for q in (1, 2.5):
+            with pytest.raises(ParameterError):
+                upper_bound_m("utdq", 100, 2, 0.1, q=q)
+            with pytest.raises(ParameterError):
+                lower_bound_m("utdq", 100, 2, q=q)
 
 
 class TestLowerSizing:
