@@ -57,7 +57,9 @@ CLI_RUNS = {
 
 # (model, n, m, param) drawn by generate: several row chunks at n=1000,
 # m=130; ten rssd column blocks at m=601, n=60,000; m = 0; r in {0, n};
-# s in {0, m}; rows shorter than a byte and longer than a generator block
+# s in {0, m}; rows shorter than a byte; rid and rrsd matrices of more
+# than 4 * 10^6 entries, the size of the blocks the generators drew when
+# the digests were recorded
 GENERATED = [
     ("rid", 1000, 130, math.exp(-1.0 / 3)), ("rid", 7, 5, 0.5),
     ("rid", 1, 3, 0.5), ("rid", 60_000, 70, 0.6), ("rid", 50, 0, 0.5),
