@@ -5,6 +5,10 @@ were before the per-trial kernel (``designs.trial_disjunct``) replaced
 the full-matrix path in ``sim``.  Equality here means the kernel draws
 the same numbers and reaches the same verdict on every pinned trial.
 
+It also holds the stdout of ``gtpool table1`` (CSV at the default
+``--dmax`` and JSON at ``--dmax 12``), recorded before the table came to
+be rendered from one record per row.
+
 It also holds sha256 digests of ``generate`` matrices and of the files
 ``gtpool design`` writes, recorded before the generators and the trial
 kernels came to share one stream reader per model.  The cases span
@@ -53,6 +57,11 @@ CLI_RUNS = {
     "sweep.utdq.csv": ["sweep", "--model", "utdq", "--d", "2",
                        "--n-list", "50,400", "--target", "0.8",
                        "--trials", "60", "--format", "csv"],
+}
+# unseeded: the constants table as CSV at the default --dmax, and as JSON
+TABLE_RUNS = {
+    "table1": ["table1"],
+    "table1.dmax12.json": ["table1", "--dmax", "12", "--format", "json"],
 }
 
 # (model, n, m, param) drawn by generate: several row chunks at n=1000,
@@ -103,10 +112,10 @@ def _design_digests(flags) -> dict:
     return digests
 
 
-def _stdout(argv) -> str:
+def _stdout(argv, seeded=True) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main(argv + ["--seed", str(SEED)])
+        code = main(argv + (["--seed", str(SEED)] if seeded else []))
     assert code == 0
     return buf.getvalue()
 
@@ -132,6 +141,8 @@ def pinned_outputs() -> dict:
                                        SEED).probe_records()
     for name, argv in CLI_RUNS.items():
         out[f"cli.{name}"] = _stdout(argv)
+    for name, argv in TABLE_RUNS.items():
+        out[f"cli.{name}"] = _stdout(argv, seeded=False)
     for model, n, m, param in GENERATED:
         out[f"generate.{model}.n{n}.m{m}.{param:g}"] = _matrix_digest(
             generate(DesignSpec(model, n, m, param), SEED))

@@ -201,6 +201,18 @@ class TestQSearch:
         q3, v3 = utdq_q_star(3)
         assert (q3, v3) == (5, pytest.approx(2.224021107744281, abs=1e-9))
 
+    @pytest.mark.parametrize("d, pin", [
+        (1, (3, 2.730717679880512)),
+        (2, (4, 2.3083120654223417)),
+        (3, (5, 2.224021107744281)),
+        (10, (15, 2.1223229466175377)),
+        (64, (93, 2.087665376203058)),
+        (200, (289, 2.083381236693471)),
+    ])
+    def test_q_star_pinned_bits(self, d, pin):
+        # recorded from the scan over the whole of utdq_search_range(d)
+        assert utdq_q_star(d) == pin
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_star_is_argmin_over_range(self, d):
         q_star, v_star = utdq_q_star(d)
