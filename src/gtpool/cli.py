@@ -17,6 +17,7 @@ supply any long flag's value; flags given on the command line win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -34,7 +35,9 @@ from .errors import (
 )
 from .matrices import (
     BitMatrix,
+    DefectiveSet,
     QaryMatrix,
+    _replace_on_success,
     expand_qary,
     read_answers,
     read_matrix,
@@ -142,6 +145,13 @@ def _emit(obj) -> None:
     print(json.dumps(obj))
 
 
+def _emit_csv(records) -> None:
+    """Header from the first record's keys, then one line per record."""
+    print(",".join(records[0]))
+    for rec in records:
+        print(",".join("" if v is None else str(v) for v in rec.values()))
+
+
 # ---------------------------------------------------------------------
 # subcommands
 
@@ -181,14 +191,17 @@ def cmd_design(ns: dict) -> int:
         param = designs.optimal_param(model, n, d, m_hint=m)
 
     spec = designs.DesignSpec(model, n, m, param)
-    if model == "utdq":
-        mq = designs.gen_utdq(n, m // int(param), int(param), seed)
-        matrix = expand_qary(mq)
-        if ns.get("qary_out"):
-            write_matrix(ns["qary_out"], mq)
-    else:
-        matrix = designs.generate(spec, seed)
-    write_matrix(ns["out"], matrix)
+    qary_out = ns.get("qary_out")
+    # all or nothing, and an unwritable target fails before the draw
+    with _replace_on_success(*filter(None, (qary_out, ns["out"]))) as tmps:
+        if model == "utdq":
+            mq = designs.gen_utdq(n, m // int(param), int(param), seed)
+            if qary_out:
+                write_matrix(tmps[0], mq)
+            matrix = expand_qary(mq)
+        else:
+            matrix = designs.generate(spec, seed)
+        write_matrix(tmps[-1], matrix)
     _emit({
         "model": model, "n": n, "d": d, "delta": delta, "m": m,
         "param": param, "lambda": lam, "feasible": True, "seed": seed,
@@ -200,10 +213,10 @@ def cmd_design(ns: dict) -> int:
 def cmd_check(ns: dict) -> int:
     _require(ns, "matrix", "defectives")
     matrix = _binary_matrix(ns["matrix"])
-    items = _parse_items(ns["defectives"])
+    items = list(DefectiveSet(_parse_items(ns["defectives"])))
     record = {
         "matrix": ns["matrix"],
-        "defectives": sorted(items),
+        "defectives": items,
         "disjunct": is_disjunct(matrix, items),
         "separable": None,
         "d": None,
@@ -224,7 +237,8 @@ def cmd_decode(ns: dict) -> int:
     if ns.get("answers") is not None:
         answers = read_answers(ns["answers"], expected_m=matrix.m)
     else:
-        answers = or_columns(matrix, _parse_items(ns["defectives"]))
+        answers = or_columns(matrix,
+                             DefectiveSet(_parse_items(ns["defectives"])))
     candidates = sorted(decode_eliminate(matrix, answers))
     _emit({"matrix": ns["matrix"], "m": matrix.m, "n": matrix.n,
            "candidates": candidates})
@@ -243,10 +257,7 @@ def cmd_mc(ns: dict) -> int:
     report = sim.run_trials(spec, d, ns["trials"], seed,
                             jobs=_jobs(ns), delta=ns.get("delta"))
     if (ns.get("format") or "json") == "csv":
-        rec = report.as_record()
-        keys = list(rec)
-        print(",".join(keys))
-        print(",".join("" if rec[k] is None else str(rec[k]) for k in keys))
+        _emit_csv([report.as_record()])
     else:
         _emit(report.as_record())
     return 0
@@ -263,10 +274,7 @@ def cmd_sweep(ns: dict) -> int:
     points = [point for point, _ in results]
     slope_per_d = sim.slope_fit(points, d)
     if (ns.get("format") or "json") == "csv":
-        print("n,m_star,target,trials_per_probe")
-        for point in points:
-            print(f"{point.n},{point.m_star},{point.target},"
-                  f"{point.trials_per_probe}")
+        _emit_csv([dataclasses.asdict(point) for point in points])
     else:
         _emit({
             "model": model, "d": d, "target": ns["target"],
@@ -283,31 +291,11 @@ def cmd_sweep(ns: dict) -> int:
 
 
 def cmd_table1(ns: dict) -> int:
-    dmax = 10 if ns.get("dmax") is None else ns["dmax"]
-    rows = theory.table1(dmax)
+    rows = theory.table1(10 if ns.get("dmax") is None else ns["dmax"])
     if (ns.get("format") or "csv") == "json":
-        out = []
-        for row in rows:
-            rec = {
-                "d": row.d, "rid": row.rid, "rrsd": row.rrsd,
-                "rssd": row.rssd, "rssd_alpha": row.rssd_alpha,
-                "utdq": row.utdq, "utdq_q": row.utdq_q,
-            }
-            ref = theory.PUBLISHED_TABLE.get(row.d)
-            rec["rssd_published"] = ref[0] if ref else None
-            rec["utdq_published"] = ref[1] if ref else None
-            rec["flags"] = theory.published_deviation_flags(row)
-            out.append(rec)
-        _emit({"rows": out})
-        return 0
-    base_lines = theory.table1_csv(rows).splitlines()
-    print(base_lines[0] + ",rssd_published,utdq_published,flags")
-    for row, line in zip(rows, base_lines[1:]):
-        ref = theory.PUBLISHED_TABLE.get(row.d)
-        pub_rssd = f"{ref[0]}" if ref else ""
-        pub_utdq = f"{ref[1]}" if ref else ""
-        flags = "+".join(theory.published_deviation_flags(row))
-        print(f"{line},{pub_rssd},{pub_utdq},{flags}")
+        _emit({"rows": [row.as_record() for row in rows]})
+    else:
+        print(theory.table1_csv(rows), end="")
     return 0
 
 
@@ -322,6 +310,11 @@ def _add_common(p, *names):
         p.add_argument("--seed", type=int)
         p.add_argument("--entropy", action="store_true", default=None,
                        help="draw a seed from the OS instead of --seed")
+    if "params" in names:
+        p.add_argument("--p", type=float, help="rid zero-probability")
+        p.add_argument("--r", type=int, help="rrsd row weight")
+        p.add_argument("--s", type=int, help="rssd column weight")
+        p.add_argument("--q", type=int, help="utdq alphabet size")
     if "jobs" in names:
         p.add_argument("--jobs", type=int,
                        help="worker processes (results identical for any count)")
@@ -335,15 +328,11 @@ def _build_parser() -> tuple:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("design", help="size and write a test matrix")
-    _add_common(p, "model", "seed")
+    _add_common(p, "model", "seed", "params")
     p.add_argument("--n", type=int, help="number of items")
     p.add_argument("--d", type=int, help="defective budget")
     p.add_argument("--delta", type=float, help="failure budget for auto-sizing")
     p.add_argument("--m", type=int, help="explicit test count (skips sizing)")
-    p.add_argument("--p", type=float, help="rid zero-probability")
-    p.add_argument("--r", type=int, help="rrsd row weight")
-    p.add_argument("--s", type=int, help="rssd column weight")
-    p.add_argument("--q", type=int, help="utdq alphabet size")
     p.add_argument("--exact-utdq-sizing", action="store_true", default=None,
                    dest="exact_utdq_sizing",
                    help="use the exact utdq display instead of the "
@@ -371,16 +360,12 @@ def _build_parser() -> tuple:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("mc", help="Monte Carlo success-rate estimate")
-    _add_common(p, "model", "seed", "jobs")
+    _add_common(p, "model", "seed", "params", "jobs")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--delta", type=float, help="recorded for context only")
-    p.add_argument("--p", type=float)
-    p.add_argument("--r", type=int)
-    p.add_argument("--s", type=int)
-    p.add_argument("--q", type=int)
     p.add_argument("--format", choices=["json", "csv"])
     p.set_defaults(func=cmd_mc)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import DimensionError, SizeGuardError
+from .errors import DimensionError, ParameterError, SizeGuardError
 from .matrices import AnswerVector, BitMatrix, DefectiveSet, _item_mask, or_columns
 
 __all__ = [
@@ -86,7 +86,8 @@ def is_separable(matrix: BitMatrix, defectives, d: int) -> bool:
     """True iff no other candidate set of size <= d gives the same answers.
 
     Exhaustive over all subsets of the items, smallest first; refuses to
-    run when the candidate count exceeds SEPARABILITY_BUDGET.
+    run when d is below the set's size or the candidate count exceeds
+    SEPARABILITY_BUDGET.
 
     Disjunctness for the set alone does not imply this: a proper subset
     may give the same answers (the 1x1 zero matrix with item 1 defective
@@ -95,13 +96,14 @@ def is_separable(matrix: BitMatrix, defectives, d: int) -> bool:
     """
     n = matrix.n
     d = int(d)
-    if d < 0:
-        d = 0
+    target_items = DefectiveSet(defectives).items
+    if d < len(target_items):
+        raise ParameterError(
+            f"d = {d} is below the size {len(target_items)} of the set")
     total = sum(math.comb(n, k) for k in range(0, min(d, n) + 1))
     if total > SEPARABILITY_BUDGET:
         raise SizeGuardError(
             f"{total} candidate sets exceed the budget of {SEPARABILITY_BUDGET}")
-    target_items = tuple(DefectiveSet(defectives).items)
     target = or_columns(matrix, target_items).bits
     cols = matrix.column_words()
     for k in range(0, min(d, n) + 1):

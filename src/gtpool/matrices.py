@@ -348,27 +348,34 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
 
 
 @contextlib.contextmanager
-def _replace_on_success(path):
-    """Text handle on a new file next to path that replaces path on exit.
+def _replace_on_success(*paths):
+    """Paths of new, empty files, one next to each path, that replace
+    the paths when the block finishes.
 
-    Nothing is written to path itself until the block finishes; on any
-    error the new file is removed and path keeps its old contents.
+    Every new file is created before the block starts and no path is
+    replaced before it finishes, so an error in the block leaves every
+    path with its old contents; the new files are then removed.
     """
-    path = os.fspath(path)
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
-    fh = open(tmp, "x", encoding="ascii")
+    tmps = []
     try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
+        for path in paths:
+            head, tail = os.path.split(os.fspath(path))
+            tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+            open(tmp, "x").close()
+            tmps.append(tmp)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        os.remove(tmp)
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
 
 
 def write_matrix(path, matrix) -> None:
-    with _replace_on_success(path) as fh:
+    with (_replace_on_success(path) as (tmp,),
+          open(tmp, "w", encoding="ascii") as fh):
         if isinstance(matrix, BitMatrix):
             fh.write(f"{matrix.m} {matrix.n}\n")
             for t in range(matrix.m):
@@ -397,5 +404,6 @@ def read_answers(path, expected_m: int | None = None) -> AnswerVector:
 
 
 def write_answers(path, answers: AnswerVector) -> None:
-    with _replace_on_success(path) as fh:
+    with (_replace_on_success(path) as (tmp,),
+          open(tmp, "w", encoding="ascii") as fh):
         fh.write(answers.to01() + "\n")

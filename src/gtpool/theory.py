@@ -27,7 +27,7 @@ nontrivial ones tend to 1/ln2^2 = 2.0814 as d grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 from .errors import CapacityError, ParameterError
@@ -298,12 +298,18 @@ def utdq_search_range(d: int) -> range:
 
 @lru_cache(maxsize=None)
 def utdq_q_star(d: int) -> tuple:
-    """(argmin q, min value) of q / (-d ln P(q, d)) over the search range."""
+    """(argmin q, min value) of q / (-d ln P(q, d)) over the search range.
+
+    The ratio falls, then rises, over the range, so the scan stops at the
+    first rise; utdq_search_range caps it.
+    """
     best_q, best_v = None, math.inf
     for q in utdq_search_range(d):
         v = q / (-d * _ln_p_any(q, d))
         if v < best_v:
             best_q, best_v = q, v
+        elif v > best_v:
+            break
     return best_q, best_v
 
 
@@ -345,78 +351,51 @@ class ConstantsRow:
                 raise ParameterError(
                     f"{name} constant {v} below the information floor")
 
+    def as_record(self) -> dict:
+        """The columns `gtpool table1` prints: the fields, the published
+        (rssd, utdq) values at this d (None without one) and the flags."""
+        ref_rssd, ref_utdq = PUBLISHED_TABLE.get(self.d, (None, None))
+        return {**asdict(self), "rssd_published": ref_rssd,
+                "utdq_published": ref_utdq,
+                "flags": published_deviation_flags(self)}
+
 
 def table1(d_max: int) -> list:
     """Constant rows for d = 2..d_max plus the asymptotic row."""
     if not 2 <= d_max <= CAPACITY_CAP:
         raise ParameterError(f"d_max must lie in [2, {CAPACITY_CAP}]")
-    rows = []
-    for d in range(2, d_max + 1):
-        alpha, fmax = rssd_alpha_star(d)
-        q, utdq_val = utdq_q_star(d)
-        rows.append(
-            ConstantsRow(
-                d=d,
-                rid=math.e,
-                rrsd=math.e,
-                rssd=1.0 / (d * LN2 * fmax),
-                rssd_alpha=alpha,
-                utdq=utdq_val,
-                utdq_q=q,
-            )
-        )
-    rows.append(
-        ConstantsRow(
-            d=None,
-            rid=math.e,
-            rrsd=math.e,
-            rssd=ASYMPTOTIC_CONSTANT,
-            rssd_alpha=None,
-            utdq=ASYMPTOTIC_CONSTANT,
-            utdq_q=None,
-        )
-    )
-    return rows
+    rows = [ConstantsRow(d, c_constant("rid", d), c_constant("rrsd", d),
+                         c_constant("rssd", d), rssd_alpha_star(d)[0],
+                         c_constant("utdq", d), utdq_q_star(d)[0])
+            for d in range(2, d_max + 1)]
+    return rows + [ConstantsRow(None, math.e, math.e, ASYMPTOTIC_CONSTANT,
+                                None, ASYMPTOTIC_CONSTANT, None)]
 
 
-def _fmt(v, digits=6):
-    if v is None:
-        return ""
-    if isinstance(v, int):
-        return str(v)
-    return f"{v:.{digits}f}"
+def _csv_cell(key: str, value) -> str:
+    if value is None:
+        return "inf" if key == "d" else ""
+    if key == "flags":
+        return "+".join(value)
+    if isinstance(value, float) and not key.endswith("_published"):
+        return f"{value:.6f}"
+    return str(value)
 
 
 def table1_csv(rows) -> str:
-    """CSV rendering: header, one line per d, final row labeled 'inf'."""
-    out = ["d,rid,rrsd,rssd,rssd_alpha,utdq,utdq_q"]
-    for r in rows:
-        label = "inf" if r.d is None else str(r.d)
-        out.append(
-            ",".join(
-                [
-                    label,
-                    _fmt(r.rid),
-                    _fmt(r.rrsd),
-                    _fmt(r.rssd),
-                    _fmt(r.rssd_alpha),
-                    _fmt(r.utdq),
-                    _fmt(r.utdq_q),
-                ]
-            )
-        )
+    """CSV of table1's rows as records: computed values to six places,
+    published ones as given, flags joined by '+', the asymptotic row
+    labeled 'inf'."""
+    records = [row.as_record() for row in rows]
+    out = [",".join(records[0])]
+    for rec in records:
+        out.append(",".join(_csv_cell(k, v) for k, v in rec.items()))
     return "\n".join(out) + "\n"
 
 
 def published_deviation_flags(row: ConstantsRow) -> list:
     """Names of columns whose value strays > FLAG_THRESHOLD from the
     published reference at this d; empty when d has no reference entry."""
-    if row.d is None or row.d not in PUBLISHED_TABLE:
-        return []
-    ref_rssd, ref_utdq = PUBLISHED_TABLE[row.d]
-    flags = []
-    if abs(row.rssd - ref_rssd) > FLAG_THRESHOLD:
-        flags.append("rssd")
-    if abs(row.utdq - ref_utdq) > FLAG_THRESHOLD:
-        flags.append("utdq")
-    return flags
+    ref = PUBLISHED_TABLE.get(row.d, ())
+    return [name for name, want in zip(("rssd", "utdq"), ref)
+            if abs(getattr(row, name) - want) > FLAG_THRESHOLD]

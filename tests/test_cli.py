@@ -115,6 +115,57 @@ class TestDesign:
         assert expand_qary(read_matrix(qout)) == read_matrix(out)
         assert rec["m"] % rec["param"] == 0
 
+    UTDQ = ("design", "--model", "utdq", "--n", "40", "--d", "2",
+            "--delta", "0.2", "--seed", "1")
+
+    @pytest.mark.parametrize("missing", ["out", "qary_out"])
+    @pytest.mark.parametrize("old", [None, "old\n"])
+    def test_unwritable_target_writes_neither(self, capsys, tmp_path,
+                                              monkeypatch, missing, old):
+        # one target in a directory that does not exist; the other is
+        # absent or holds old bytes, and must stay so; nothing is drawn
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before opening the targets")
+
+        monkeypatch.setattr("gtpool.designs.gen_utdq", no_draw)
+        paths = {"out": tmp_path / "bin.txt", "qary_out": tmp_path / "q.txt"}
+        kept = paths.pop("qary_out" if missing == "out" else "out")
+        paths[missing] = tmp_path / "MISSING_DIR" / "x.txt"
+        if old is not None:
+            kept.write_text(old)
+        other = "--qary-out" if missing == "out" else "--out"
+        code, stdout, _ = run(capsys, *self.UTDQ,
+                              f"--{missing.replace('_', '-')}",
+                              str(paths[missing]), other, str(kept))
+        assert code == 4 and stdout == ""
+        if old is None:
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert kept.read_text() == old
+            assert list(tmp_path.iterdir()) == [kept]
+
+    # write 0 is the q-ary pre-image, write 1 the binary matrix
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_failed_write_writes_neither(self, capsys, tmp_path,
+                                         monkeypatch, failing):
+        calls = []
+
+        def flaky_write(path, matrix):
+            calls.append(path)
+            if len(calls) == failing + 1:
+                raise OSError("no space left")
+            write_matrix(path, matrix)
+
+        monkeypatch.setattr("gtpool.cli.write_matrix", flaky_write)
+        out, qout = tmp_path / "bin.txt", tmp_path / "q.txt"
+        out.write_text("old\n")
+        code, stdout, _ = run(capsys, *self.UTDQ, "--out", str(out),
+                              "--qary-out", str(qout))
+        assert code == 4 and stdout == ""
+        assert len(calls) == failing + 1
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
 
 class TestCheck:
     def test_verdicts(self, capsys, small_matrix):
@@ -139,6 +190,26 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--matrix", path,
                          "--defectives", "1,zebra")
         assert code == 2
+
+    @pytest.mark.parametrize("d", ["-1", "0", "1"])
+    def test_separable_budget_below_set_size(self, capsys, small_matrix, d):
+        path, _ = small_matrix
+        code, stdout, stderr = run(capsys, "check", "--matrix", path,
+                                   "--defectives", "1,3", "--separable",
+                                   "--d", d)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command, flags", [
+        ("check", ()), ("check", ("--separable",)), ("decode", ()),
+    ])
+    def test_repeated_item_rejected(self, capsys, small_matrix, command,
+                                    flags):
+        path, _ = small_matrix
+        code, stdout, stderr = run(capsys, command, "--matrix", path,
+                                   "--defectives", "1,3,1", *flags)
+        assert code == 2 and stdout == ""
+        assert "duplicate item" in stderr
 
 
 class TestDecode:

@@ -11,7 +11,7 @@ from gtpool.decoding import (
     is_disjunct,
     is_separable,
 )
-from gtpool.errors import DimensionError, SizeGuardError
+from gtpool.errors import DimensionError, ParameterError, SizeGuardError
 from gtpool.matrices import AnswerVector, BitMatrix, or_columns
 
 
@@ -154,6 +154,14 @@ def test_separable_budget_guard():
     m = BitMatrix(1, 4000, [0])
     with pytest.raises(SizeGuardError):
         is_separable(m, [1], 3)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_separable_budget_below_set_size(d):
+    # checked before the scan: no candidate set of size <= d is the set
+    m = BitMatrix.from_strings(["110", "001"])
+    with pytest.raises(ParameterError):
+        is_separable(m, [1, 2], d)
 
 
 def test_exhaustive_tiny_equivalence():

@@ -213,8 +213,10 @@ class TestQSearch:
         # recorded from the scan over the whole of utdq_search_range(d)
         assert utdq_q_star(d) == pin
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", range(1, 33))
     def test_star_is_argmin_over_range(self, d):
+        # the oracle scans the whole range; utdq_q_star stops at the
+        # first rise
         q_star, v_star = utdq_q_star(d)
         for q in utdq_search_range(d):
             v = q / (-d * theory._ln_p_any(q, d))
@@ -256,7 +258,8 @@ class TestTable:
     def test_csv_shape(self):
         text = table1_csv(table1(3))
         lines = text.splitlines()
-        assert lines[0] == "d,rid,rrsd,rssd,rssd_alpha,utdq,utdq_q"
+        assert lines[0] == ("d,rid,rrsd,rssd,rssd_alpha,utdq,utdq_q,"
+                            "rssd_published,utdq_published,flags")
         assert lines[1].startswith("2,2.718282,2.718282,")
         assert lines[-1].startswith("inf,")
         assert text.endswith("\n")
