@@ -118,31 +118,27 @@ class TestDesign:
     UTDQ = ("design", "--model", "utdq", "--n", "40", "--d", "2",
             "--delta", "0.2", "--seed", "1")
 
-    @pytest.mark.parametrize("missing", ["out", "qary_out"])
+    @pytest.mark.parametrize("broken", ["--out", "--qary-out"])
     @pytest.mark.parametrize("old", [None, "old\n"])
     def test_unwritable_target_writes_neither(self, capsys, tmp_path,
-                                              monkeypatch, missing, old):
+                                              monkeypatch, broken, old):
         # one target in a directory that does not exist; the other is
         # absent or holds old bytes, and must stay so; nothing is drawn
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before opening the targets")
 
         monkeypatch.setattr("gtpool.designs.gen_utdq", no_draw)
-        paths = {"out": tmp_path / "bin.txt", "qary_out": tmp_path / "q.txt"}
-        kept = paths.pop("qary_out" if missing == "out" else "out")
-        paths[missing] = tmp_path / "MISSING_DIR" / "x.txt"
+        kept = tmp_path / "kept.txt"
         if old is not None:
             kept.write_text(old)
-        other = "--qary-out" if missing == "out" else "--out"
+        other = "--qary-out" if broken == "--out" else "--out"
         code, stdout, _ = run(capsys, *self.UTDQ,
-                              f"--{missing.replace('_', '-')}",
-                              str(paths[missing]), other, str(kept))
+                              broken, str(tmp_path / "MISSING_DIR" / "x.txt"),
+                              other, str(kept))
         assert code == 4 and stdout == ""
-        if old is None:
-            assert list(tmp_path.iterdir()) == []
-        else:
+        assert list(tmp_path.iterdir()) == ([] if old is None else [kept])
+        if old is not None:
             assert kept.read_text() == old
-            assert list(tmp_path.iterdir()) == [kept]
 
     # write 0 is the q-ary pre-image, write 1 the binary matrix
     @pytest.mark.parametrize("failing", [0, 1])
