@@ -16,6 +16,13 @@ several row chunks, several rssd column blocks, m = 0 and the extreme
 parameters, so they guard the stream layout that the kernels, the
 generators and the oracle ``sim.reference_trial`` all read.
 
+It also holds the stdout of ``gtpool check`` (with and without
+``--separable``, ``--d`` at and above the set's size) and of ``gtpool
+decode --defectives`` on seeded ``gtpool design`` files, a q-ary one
+among them, recorded while ``is_separable`` still scanned every set of
+size <= d among all n items.  The sets include disjunct and non-disjunct
+ones, and disjunct sets that a proper subset impersonates.
+
 Regenerate only for a change that is meant to alter output bytes, and
 say so in CHANGES.md:
 
@@ -80,6 +87,44 @@ GENERATED = [
     ("rssd", 50, 0, 0),
     ("utdq", 1000, 130, 5), ("utdq", 1000, 130, 2), ("utdq", 11, 12, 3),
     ("utdq", 50, 0, 4),
+]
+# seeded designs written into one directory, then read by check and decode
+MATRIX_DESIGNS = {
+    "rid.txt": ["--model", "rid", "--n", "80", "--d", "2", "--delta", "0.2"],
+    "rid.m10.txt": ["--model", "rid", "--n", "60", "--d", "2", "--m", "10"],
+    "rssd.s1.txt": ["--model", "rssd", "--n", "30", "--d", "2", "--m", "24",
+                    "--s", "1"],
+    "utdq.txt": ["--model", "utdq", "--n", "50", "--d", "2", "--delta", "0.2",
+                 "--qary-out", "utdq.qary.txt"],
+}
+# each command line is its own pin key; in these designs 6,71, 1,2 on
+# rid.m10.txt, 1,2,3 and 8,15 are not disjunct, while 13, 3,13 and 2,16
+# are disjunct but impersonated by a proper subset
+MATRIX_RUNS = [
+    "check --matrix rid.txt --defectives 1,2",
+    "check --matrix rid.txt --defectives 1,2 --separable",
+    "check --matrix rid.txt --defectives 1,2 --separable --d 3",
+    "check --matrix rid.txt --defectives 6,71 --separable",
+    "check --matrix rid.txt --defectives 6,71 --separable --d 3",
+    "check --matrix rid.m10.txt --defectives 1,2 --separable --d 2",
+    "check --matrix rid.m10.txt --defectives 13 --separable",
+    "check --matrix rid.m10.txt --defectives 13 --separable --d 2",
+    "check --matrix rid.m10.txt --defectives 3,13 --separable --d 3",
+    "check --matrix rssd.s1.txt --defectives 2,16",
+    "check --matrix rssd.s1.txt --defectives 2,16 --separable",
+    "check --matrix rssd.s1.txt --defectives 1,2,3 --separable",
+    "check --matrix rssd.s1.txt --defectives 1,5,10 --separable",
+    "check --matrix rssd.s1.txt --defectives 1,5,10 --separable --d 4",
+    "check --matrix utdq.txt --defectives 1,4",
+    "check --matrix utdq.qary.txt --defectives 1,2 --separable --d 3",
+    "check --matrix utdq.qary.txt --defectives 8,15 --separable",
+    "decode --matrix rid.txt --defectives 1,2",
+    "decode --matrix rid.txt --defectives 6,71",
+    "decode --matrix rid.m10.txt --defectives 1,2",
+    "decode --matrix rid.m10.txt --defectives 3,13",
+    "decode --matrix rssd.s1.txt --defectives 1,2,3",
+    "decode --matrix utdq.qary.txt --defectives 8,15",
+    "decode --matrix utdq.txt --defectives 1,4",
 ]
 DESIGN_RUNS = {
     "rid": ["--model", "rid", "--n", "3000", "--d", "3", "--delta", "0.1"],
@@ -148,6 +193,11 @@ def pinned_outputs() -> dict:
             generate(DesignSpec(model, n, m, param), SEED))
     for name, flags in DESIGN_RUNS.items():
         out[f"cli.design.{name}"] = _design_digests(flags)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, flags in MATRIX_DESIGNS.items():
+            _stdout(["design", *flags, "--out", name])
+        for command in MATRIX_RUNS:
+            out[f"cli.{command}"] = _stdout(command.split(), seeded=False)
     return out
 
 
