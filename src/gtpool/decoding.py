@@ -15,6 +15,13 @@ every proper subset of S (the empty set included) does: a member of S
 missing from a disjunct subset T sits in a row with no member of T, so
 the answers differ.  So a matrix that is disjunct for S and all its
 subsets is separable for S.
+
+A set T that answers like S avoids every negative test of S's answers,
+so T lies among the items that elimination decoding keeps (COMP's
+"possible defectives").  The separability check therefore scans only
+subsets of those survivors, and its budget counts those subsets: for a
+disjunct S the survivors are S itself, and the scan is 2^|S| sets
+whatever n is.
 """
 
 from __future__ import annotations
@@ -33,7 +40,8 @@ __all__ = [
     "SEPARABILITY_BUDGET",
 ]
 
-# Upper bound on the number of candidate sets is_separable may enumerate.
+# Upper bound on the number of candidate sets is_separable may enumerate:
+# subsets of size <= d of the elimination survivors.
 SEPARABILITY_BUDGET = 10_000_000
 
 
@@ -85,34 +93,39 @@ def is_disjunct(matrix: BitMatrix, defectives) -> bool:
 def is_separable(matrix: BitMatrix, defectives, d: int) -> bool:
     """True iff no other candidate set of size <= d gives the same answers.
 
-    Exhaustive over all subsets of the items, smallest first; refuses to
-    run when d is below the set's size or the candidate count exceeds
-    SEPARABILITY_BUDGET.
+    Exact, but it scans only subsets of the elimination survivors of the
+    set's answers, smallest first: a set that answers alike avoids every
+    negative test, so it lies among the survivors.  Refuses to run when
+    d is below the set's size, or when the candidate count, the number
+    of survivor subsets of size <= d, exceeds SEPARABILITY_BUDGET.  A
+    disjunct set leaves only itself alive, so it costs 2^|S| candidates.
 
     Disjunctness for the set alone does not imply this: a proper subset
     may give the same answers (the 1x1 zero matrix with item 1 defective
     answers like the empty set).  Disjunctness for the set and for all
     its subsets does.
     """
-    n = matrix.n
     d = int(d)
     target_items = DefectiveSet(defectives).items
     if d < len(target_items):
         raise ParameterError(
             f"d = {d} is below the size {len(target_items)} of the set")
-    total = sum(math.comb(n, k) for k in range(0, min(d, n) + 1))
+    answers = or_columns(matrix, target_items)
+    alive = sorted(decode_eliminate(matrix, answers))
+    kmax = min(d, len(alive))
+    total = sum(math.comb(len(alive), k) for k in range(kmax + 1))
     if total > SEPARABILITY_BUDGET:
         raise SizeGuardError(
             f"{total} candidate sets exceed the budget of {SEPARABILITY_BUDGET}")
-    target = or_columns(matrix, target_items).bits
-    cols = matrix.column_words()
-    for k in range(0, min(d, n) + 1):
-        for combo in combinations(range(1, n + 1), k):
+    target = answers.bits
+    cols = {i: or_columns(matrix, (i,)).bits for i in alive}
+    for k in range(kmax + 1):
+        for combo in combinations(alive, k):
             if combo == target_items:
                 continue
             acc = 0
             for i in combo:
-                acc |= cols[i - 1]
+                acc |= cols[i]
             if acc == target:
                 return False
     return True

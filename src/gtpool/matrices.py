@@ -290,6 +290,10 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # never leaves a truncated or partial file behind.
 
 
+# str.translate table that deletes the characters of a binary row
+_DELETE_01 = str.maketrans("", "", "01")
+
+
 def _read_lines(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -321,7 +325,7 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
             if len(s) != n:
                 raise MatrixParseError(
                     path, lineno, f"expected {n} characters, got {len(s)}")
-            if set(s) - {"0", "1"}:
+            if s.translate(_DELETE_01):
                 raise MatrixParseError(path, lineno, "characters must be 0 or 1")
             rows.append(int(s, 2))
         return BitMatrix(m, n, rows)
@@ -338,10 +342,12 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
             raise MatrixParseError(
                 path, lineno, f"expected {n} entries, got {len(parts)}")
         try:
-            vals = [int(x) for x in parts]
+            vals = np.array(list(map(int, parts)), dtype=np.int64)
         except ValueError:
             raise MatrixParseError(path, lineno, "entries must be integers")
-        if any(v < 1 or v > q for v in vals):
+        except OverflowError:  # an entry beyond int64 lies outside [1, q]
+            vals = None
+        if vals is None or vals.min() < 1 or vals.max() > q:
             raise MatrixParseError(path, lineno, f"entries must lie in [1, {q}]")
         entries[t] = vals
     return QaryMatrix(m, n, q, entries)
@@ -354,22 +360,29 @@ def _replace_on_success(*paths):
 
     Every new file is created before the block starts and no path is
     replaced before it finishes, so an error in the block leaves every
-    path with its old contents; the new files are then removed.
+    path with its old contents; the new files are then removed.  An
+    OSError about a new file names its path instead, which is the name
+    the caller knows.
     """
-    tmps = []
+    targets = {}
+    for path in map(os.fspath, paths):
+        head, tail = os.path.split(path)
+        targets[os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")] = path
+    made = []
     try:
-        for path in paths:
-            head, tail = os.path.split(os.fspath(path))
-            tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+        for tmp in targets:
             open(tmp, "x").close()
-            tmps.append(tmp)
-        yield tmps
-        for tmp, path in zip(tmps, paths):
+            made.append(tmp)
+        yield made
+        for tmp, path in targets.items():
             os.replace(tmp, path)
-    except BaseException:
-        for tmp in tmps:
+    except BaseException as exc:
+        for tmp in made:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename in targets:
+            exc.filename = targets[exc.filename]
+            del exc.filename2  # unset, not None, or str(exc) shows "-> None"
         raise
 
 

@@ -140,6 +140,21 @@ class TestDesign:
         if old is not None:
             assert kept.read_text() == old
 
+    @pytest.mark.parametrize("target", ["MISSING_DIR/x.txt", "x.txt"])
+    def test_io_error_names_the_target(self, capsys, tmp_path, monkeypatch,
+                                       target):
+        # a missing directory fails the temp file's open; a directory
+        # of the target's name fails the final replace
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x.txt").mkdir()
+        code, stdout, stderr = run(capsys, "design", "--model", "rid",
+                                   "--n", "50", "--d", "2", "--delta", "0.2",
+                                   "--seed", "1", "--out", target)
+        assert code == 4 and stdout == ""
+        assert f"'{target}'" in stderr and ".tmp" not in stderr
+        assert list(tmp_path.iterdir()) == [tmp_path / "x.txt"]
+        assert list((tmp_path / "x.txt").iterdir()) == []
+
     # write 0 is the q-ary pre-image, write 1 the binary matrix
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failed_write_writes_neither(self, capsys, tmp_path,
@@ -195,6 +210,20 @@ class TestCheck:
                                    "--d", d)
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: ")
+
+    def test_separable_beyond_the_full_scan_budget(self, capsys, tmp_path):
+        # a scan of all C(4000, <= 3) candidate sets exceeds the budget
+        # (exit 2); a disjunct set leaves only its own 8 subsets
+        path = str(tmp_path / "m.txt")
+        code, _, _ = run(capsys, "design", "--model", "rid", "--n", "4000",
+                         "--d", "3", "--delta", "0.1", "--seed", "1",
+                         "--out", path)
+        assert code == 0
+        code, stdout, _ = run(capsys, "check", "--matrix", path,
+                              "--defectives", "1,2,3", "--separable")
+        assert code == 0
+        rec = json.loads(stdout)
+        assert (rec["disjunct"], rec["separable"], rec["d"]) == (True, True, 3)
 
     @pytest.mark.parametrize("command, flags", [
         ("check", ()), ("check", ("--separable",)), ("decode", ()),

@@ -2,15 +2,17 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gtpool import decoding
 from gtpool.decoding import (
     decode_eliminate,
     good_row_count,
     is_disjunct,
     is_separable,
 )
+from gtpool.designs import DesignSpec, generate, optimal_param, upper_bound_m
 from gtpool.errors import DimensionError, ParameterError, SizeGuardError
 from gtpool.matrices import AnswerVector, BitMatrix, or_columns
 
@@ -113,6 +115,43 @@ def test_separable_matches_brute_force(case):
     assert is_separable(m, items, d) == brute_separable(arr, items, d)
 
 
+@given(small_cases(), st.integers(1, 2))
+@settings(max_examples=120, deadline=None)
+def test_separable_above_set_size_matches_brute_force(case, extra):
+    # a non-disjunct set leaves outsiders alive, and a d above the set's
+    # size lets a candidate hold some of them
+    rows, items = case
+    arr = np.array(rows, dtype=np.uint8)
+    m = BitMatrix.from_dense(arr)
+    assume(decode_eliminate(m, or_columns(m, items)) > set(items))
+    d = len(items) + extra
+    assert is_separable(m, items, d) == brute_separable(arr, items, d)
+
+
+def test_separable_exhaustive_tiny_matrices():
+    # every matrix with n <= 4 and m <= 3, every set of size 0-3, every d
+    # from the set's size to 3, against the answers of every subset of
+    # the items; a table per matrix keeps this to a few seconds, where
+    # brute_separable per case would take minutes
+    cases = 0
+    for n in range(1, 5):
+        subsets = [c for k in range(n + 1)
+                   for c in combinations(range(1, n + 1), k)]
+        for m_rows in range(4):
+            for bits in product(range(2 ** n), repeat=m_rows):
+                m = BitMatrix(m_rows, n, bits)
+                answers = {t: or_columns(m, t) for t in subsets}
+                for items in subsets:
+                    alike = [len(t) for t in subsets
+                             if t != items and answers[t] == answers[items]]
+                    for d in range(len(items), 4):
+                        want = all(k > d for k in alike)
+                        assert is_separable(m, items, d) == want, (
+                            bits, items, d)
+                        cases += 1
+    assert cases == 152_633
+
+
 @given(small_cases())
 @settings(max_examples=120, deadline=None)
 def test_disjunct_forbids_outside_collisions(case):
@@ -154,6 +193,39 @@ def test_separable_budget_guard():
     m = BitMatrix(1, 4000, [0])
     with pytest.raises(SizeGuardError):
         is_separable(m, [1], 3)
+
+
+def test_separable_budget_counts_survivor_subsets(monkeypatch):
+    # the one test is positive, so all five items survive: 1 + 5 + 10
+    # candidate sets of size <= 2
+    m = BitMatrix.from_strings(["11111"])
+    monkeypatch.setattr(decoding, "SEPARABILITY_BUDGET", 16)
+    assert not is_separable(m, [1], 2)
+    monkeypatch.setattr(decoding, "SEPARABILITY_BUDGET", 15)
+    with pytest.raises(SizeGuardError):
+        is_separable(m, [1], 2)
+    # one test per item leaves only the set alive: its 2 subsets, any d
+    m = BitMatrix.from_strings(["10000", "01000", "00100", "00010", "00001"])
+    monkeypatch.setattr(decoding, "SEPARABILITY_BUDGET", 2)
+    assert is_separable(m, [1], 4)
+    monkeypatch.setattr(decoding, "SEPARABILITY_BUDGET", 1)
+    with pytest.raises(SizeGuardError):
+        is_separable(m, [1], 4)
+
+
+def test_separable_answers_beyond_the_full_scan_budget():
+    # a scan of all C(4000, <= 3) candidate sets exceeds the budget; a
+    # disjunct set leaves only itself alive, so only its 8 subsets remain
+    n, d = 4000, 3
+    sizing = upper_bound_m("rid", n, d, 0.1)
+    m = generate(DesignSpec("rid", n, sizing.m,
+                            optimal_param("rid", n, d, m_hint=sizing.m)), 1)
+    items = (1, 2, 3)
+    assert is_disjunct(m, items)
+    target = or_columns(m, items)
+    subsets_differ = all(or_columns(m, t) != target
+                         for k in range(d) for t in combinations(items, k))
+    assert is_separable(m, items, d) == subsets_differ
 
 
 @pytest.mark.parametrize("d", [-1, 0, 1])

@@ -215,6 +215,11 @@ class TestFileIO:
         ("2 3\n101\n10\n", 3),          # short row
         ("2 3\n101\n1x1\n", 3),         # bad character
         ("1 2 3\n1 5\n", 2),            # q-ary entry out of range
+        ("1 2 3\n0 1\n", 2),            # q-ary entry of 0
+        ("1 2 3\n1 2.0\n", 2),          # q-ary entry not an integer
+        ("1 3 3\n1 99999999999999999999 x\n", 2),  # beyond int64, then junk
+        ("2 3\n101\n1_1\n", 3),        # int(s, 2) would accept it
+        ("2 3\n101\n+01\n", 3),        # int(s, 2) would accept it
         ("2 3\n101\n", 3),              # missing row
     ])
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, line):
