@@ -23,6 +23,12 @@ among them, recorded while ``is_separable`` still scanned every set of
 size <= d among all n items.  The sets include disjunct and non-disjunct
 ones, and disjunct sets that a proper subset impersonates.
 
+It also holds the probe list of a ``utdq`` search, whose bisection runs
+in steps of q, and the JSON of ``upper_bound_m``/``lower_bound_m``
+records on all four models, infeasible ones among them, recorded while
+those records were still written out key by key.  The sizing records
+are pinned as JSON strings, so their key order is pinned too.
+
 Regenerate only for a change that is meant to alter output bytes, and
 say so in CHANGES.md:
 
@@ -38,7 +44,13 @@ import tempfile
 from pathlib import Path
 
 from gtpool.cli import main
-from gtpool.designs import DesignSpec, generate, optimal_param, upper_bound_m
+from gtpool.designs import (
+    DesignSpec,
+    generate,
+    lower_bound_m,
+    optimal_param,
+    upper_bound_m,
+)
 from gtpool.sim import find_min_m, run_trials
 
 PIN_FILE = Path(__file__).with_name("output_pins.json")
@@ -126,6 +138,27 @@ MATRIX_RUNS = [
     "decode --matrix utdq.qary.txt --defectives 8,15",
     "decode --matrix utdq.txt --defectives 1,4",
 ]
+# (bound, model, n, d, delta or None, keyword arguments) for the sizing
+# records: the four models at one scale, each infeasible path (rssd's
+# singular d = 1 display and its correction factor >= 1, utdq's exact
+# display, rrsd's lower precondition, rssd's lower positive-test rate)
+# and the scales where the exact utdq and rrsd lower displays hold
+SIZINGS = {
+    **{f"upper.{model}": ("upper", model, 2000, 3, 0.1, {})
+       for model in ("rid", "rrsd", "rssd", "utdq")},
+    **{f"lower.{model}": ("lower", model, 2000, 3, None, {})
+       for model in ("rid", "rrsd", "rssd", "utdq")},
+    "upper.rssd.d1": ("upper", "rssd", 2000, 1, 0.1, {}),
+    "upper.rssd.n40": ("upper", "rssd", 40, 2, 0.01, {}),
+    "upper.utdq.q7": ("upper", "utdq", 2000, 3, 0.1, {"q": 7}),
+    "upper.utdq.exact": ("upper", "utdq", 2000, 3, 0.1,
+                         {"exact_utdq": True}),
+    "upper.utdq.exact.n1e12": ("upper", "utdq", 10 ** 12, 1, 0.1,
+                               {"exact_utdq": True}),
+    "lower.rrsd.n1e12": ("lower", "rrsd", 10 ** 12, 2, None, {}),
+    "lower.rssd.d1": ("lower", "rssd", 2000, 1, None, {}),
+    "lower.utdq.q3": ("lower", "utdq", 10 ** 6, 1, None, {"q": 3}),
+}
 DESIGN_RUNS = {
     "rid": ["--model", "rid", "--n", "3000", "--d", "3", "--delta", "0.1"],
     "utdq": ["--model", "utdq", "--n", "3000", "--d", "3", "--delta", "0.1"],
@@ -184,6 +217,13 @@ def pinned_outputs() -> dict:
     out["run_trials.rid.n150"] = run_trials(short, 3, 50, SEED).as_record()
     out["find_min_m.rid"] = find_min_m("rid", 1000, 2, 0.9, 100,
                                        SEED).probe_records()
+    # q = 4 at d = 2: bracketing, then three bisection steps of q
+    out["find_min_m.utdq"] = find_min_m("utdq", 400, 2, 0.8, 60,
+                                        SEED).probe_records()
+    for name, (bound, model, n, d, delta, kw) in SIZINGS.items():
+        sizing = (upper_bound_m(model, n, d, delta, **kw) if bound == "upper"
+                  else lower_bound_m(model, n, d, **kw))
+        out[f"sizing.{name}"] = json.dumps(sizing.as_record())
     for name, argv in CLI_RUNS.items():
         out[f"cli.{name}"] = _stdout(argv)
     for name, argv in TABLE_RUNS.items():

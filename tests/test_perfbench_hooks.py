@@ -4,6 +4,11 @@
 ``perfbench/worker.py`` clears the theory caches by name; renaming or
 dropping one of them passes every other test but stops the benchmark
 with an AttributeError.  Both files are loaded by path, as they are.
+
+``worker.py`` also reads ``sim``'s records: ``mc_call`` reads a
+``run_trials`` report's ``as_record()``, ``disjunct_successes`` and
+``trials``, and ``sweep_call``/``sweep_verify`` unpack ``run_sweep`` as
+``(point, search)`` pairs and read ``n``, ``m_star`` and the probe keys.
 """
 
 import importlib.util
@@ -12,6 +17,8 @@ from pathlib import Path
 
 import gtpool
 import gtpool.cli
+from gtpool.designs import DesignSpec
+from gtpool.sim import run_sweep, run_trials
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -37,3 +44,21 @@ def test_spans_and_cache_names_resolve(monkeypatch):
         with spans.installed(spans.Recorder(), gtpool, harness=harness):
             assert gtpool.cli.write_matrix is not write_matrix
     assert gtpool.cli.write_matrix is write_matrix
+
+
+def test_trial_report_surface():
+    rep = run_trials(DesignSpec("rid", 40, 12, 0.6), 2, 3, 5)
+    record = rep.as_record()
+    assert record["disjunct_successes"] == rep.disjunct_successes
+    assert record["trials"] == rep.trials == 3
+
+
+def test_sweep_surface():
+    res = run_sweep("rid", 1, [20, 40], 0.5, 10, 5)
+    assert [pt.n for pt, _ in res] == [20, 40]
+    for pt, search in res:
+        assert pt.m_star == search.m_star
+        assert search.probe_records()
+        for probe in search.probe_records():
+            assert set(probe) == {"m", "successes", "trials", "wilson_low",
+                                  "accepted"}

@@ -73,7 +73,10 @@ class TestRunTrials:
 
     def test_record_keys_ordered(self):
         rec = run_trials(self.SPEC, 2, 10, 1).as_record()
-        assert list(rec)[:5] == ["model", "n", "m", "param", "d"]
+        assert list(rec) == [
+            "model", "n", "m", "param", "d", "delta", "trials",
+            "disjunct_successes", "decode_successes", "frequency",
+            "wilson_low", "wilson_high", "master_seed"]
 
     def test_argument_validation(self):
         with pytest.raises(ParameterError):
