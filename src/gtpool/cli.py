@@ -4,7 +4,7 @@ Subcommands: design, check, decode, mc, sweep, table1.  Structured
 output is JSON (one object) or CSV on stdout; diagnostics go to stderr.
 
 Exit codes: 0 success, 2 usage or parameter problem, 3 infeasible
-sizing or search, 4 unreadable or malformed input file.
+sizing or search, 4 unreadable, malformed or non-ASCII input file.
 
 Randomized commands (design, mc, sweep) refuse to run without --seed;
 pass --entropy to draw a seed from the OS, which is then echoed in the
@@ -25,19 +25,17 @@ import sys
 from . import designs, sim, theory
 from .decoding import decode_eliminate, is_disjunct, is_separable
 from .errors import (
-    CapacityError,
-    DimensionError,
     GroupTestError,
     InfeasibleError,
     MatrixParseError,
     ParameterError,
-    SizeGuardError,
 )
 from .matrices import (
     BitMatrix,
     DefectiveSet,
     QaryMatrix,
     _replace_on_success,
+    _undecodable,
     expand_qary,
     read_answers,
     read_matrix,
@@ -52,20 +50,22 @@ _BOOL_TRUE = ("1", "true", "yes", "on")
 
 
 def _load_config(path: str) -> dict:
-    out = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParameterError(
-                        f"{path}:{lineno}: config lines are key=value")
-                key, value = (part.strip() for part in line.split("=", 1))
-                out[key.replace("-", "_")] = value
+            text = fh.read()
     except OSError as exc:
         raise MatrixParseError(path, 0, f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+    out = {}
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: config lines are key=value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key.replace("-", "_")] = value
     return out
 
 
@@ -167,7 +167,6 @@ def cmd_design(ns: dict) -> int:
             f"--qary-out does not apply to model {model!r} (utdq only)")
     delta = ns.get("delta")
 
-    sizing = None
     if ns.get("m") is not None:
         m = ns["m"]
         lam = None
@@ -183,13 +182,8 @@ def cmd_design(ns: dict) -> int:
             return 3
         m, lam = sizing.m, sizing.lam
 
-    if explicit is not None:
-        param = explicit
-    elif model == "utdq" and sizing is not None:
-        param = sizing.q
-    else:
-        param = designs.optimal_param(model, n, d, m_hint=m)
-
+    param = explicit if explicit is not None else designs.optimal_param(
+        model, n, d, m_hint=m)
     spec = designs.DesignSpec(model, n, m, param)
     qary_out = ns.get("qary_out")
     # all or nothing, and an unwritable target fails before the draw
@@ -403,14 +397,10 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except (ParameterError, DimensionError, CapacityError,
-            SizeGuardError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except GroupTestError as exc:  # fallback for any future subtype
+    except GroupTestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ on the correction factor) decides feasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -427,21 +427,9 @@ class SizingResult:
     m_prime: float | None = None
 
     def as_record(self) -> dict:
-        return {
-            "model": self.model,
-            "bound": self.bound,
-            "n": self.n,
-            "d": self.d,
-            "delta": self.delta,
-            "m": self.m,
-            "m_real": self.m_real,
-            "lambda": self.lam,
-            "feasible": self.feasible,
-            "reason": self.reason,
-            "alpha": self.alpha,
-            "q": self.q,
-            "m_prime": self.m_prime,
-        }
+        """The fields in order, with lam under the key "lambda"."""
+        return {"lambda" if k == "lam" else k: v
+                for k, v in asdict(self).items()}
 
 
 def _infeasible(model, bound, n, d, delta, reason, **extra) -> SizingResult:
@@ -455,11 +443,6 @@ def _check_sizing_args(n, d, delta):
         raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
     if delta is not None and not 0.0 < delta < 1.0:
         raise ParameterError(f"delta={delta} outside (0, 1)")
-
-
-def _quadratic_root_minus(b: float, c: float) -> float:
-    """Positive root t of t^2 - b t - c = 0 (b, c >= 0)."""
-    return 0.5 * (b + math.sqrt(b * b + 4.0 * c))
 
 
 def _quadratic_root_plus(b: float, c: float) -> float:
@@ -483,7 +466,7 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     if model in ("rid", "rrsd"):
         b = math.sqrt(2.0 * _E * math.log(2.0 / delta))
         c = _E * d * math.log(2.0 * n / delta)
-        t = _quadratic_root_minus(b, c)
+        t = _quadratic_root_plus(-b, c)
         m_real = t * t
         return SizingResult(model=model, bound="upper", n=n, d=d, delta=delta,
                             m=math.ceil(m_real), m_real=m_real,

@@ -103,19 +103,6 @@ class BitMatrix:
         mask = 1 << (self.n - 1 - j)
         return sum(1 for w in self.rows if w & mask)
 
-    def column_words(self):
-        """Transpose view: one packed int per column, bit (m-1-t) = row t.
-
-        Handy when many unions of column subsets are needed (the
-        separability scan); building it costs one pass over the matrix.
-        """
-        n, m = self.n, self.m
-        cols = [0] * n
-        for w in self.rows:
-            for j in range(n):
-                cols[j] = (cols[j] << 1) | ((w >> (n - 1 - j)) & 1)
-        return cols
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.m, self.n), dtype=np.uint8)
         pad = (-self.n) % 8
@@ -294,12 +281,21 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 _DELETE_01 = str.maketrans("", "", "01")
 
 
+def _undecodable(path, exc: UnicodeDecodeError) -> MatrixParseError:
+    """The parse error for a whole-file read that met a byte outside the
+    file's encoding, naming the 1-based line of that byte."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return MatrixParseError(path, line, f"not {exc.encoding} text")
+
+
 def _read_lines(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             return fh.read().split("\n")
     except OSError as exc:
         raise MatrixParseError(path, 0, f"cannot read: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
 
 
 def read_matrix(path) -> BitMatrix | QaryMatrix:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -84,14 +84,16 @@ def wilson_interval(successes: int, trials: int):
             1.0 if successes == trials else center + half)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialReport:
     """Aggregated outcome of a batch of independent trials.
 
-    decode_successes counts trials where elimination decoding recovers
-    the defective set exactly.  That happens exactly when the matrix is
-    disjunct for the set (decoding.py), so it equals disjunct_successes;
-    the record keeps both fields.
+    The fields, in order, are the record as_record() gives and
+    ``gtpool mc`` prints.  decode_successes counts trials where
+    elimination decoding recovers the defective set exactly.  That
+    happens exactly when the matrix is disjunct for the set
+    (decoding.py), so it equals disjunct_successes; the record keeps
+    both fields.
     """
 
     model: str
@@ -99,6 +101,7 @@ class TrialReport:
     m: int
     param: float
     d: int
+    delta: float | None = None
     trials: int
     disjunct_successes: int
     decode_successes: int
@@ -106,24 +109,25 @@ class TrialReport:
     wilson_low: float
     wilson_high: float
     master_seed: int
-    delta: float | None = None
 
     def as_record(self) -> dict:
-        return {
-            "model": self.model,
-            "n": self.n,
-            "m": self.m,
-            "param": self.param,
-            "d": self.d,
-            "delta": self.delta,
-            "trials": self.trials,
-            "disjunct_successes": self.disjunct_successes,
-            "decode_successes": self.decode_successes,
-            "frequency": self.frequency,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "master_seed": self.master_seed,
-        }
+        return asdict(self)
+
+
+def _check_run_args(d: int, *ns: int, trials: int = 1, target: float = 0.0,
+                    jobs: int = 1) -> None:
+    """Raise ParameterError for the first broken rule, in this order:
+    1 <= d < n for each n, trials >= 1, target in [0, 1), jobs >= 1.
+    The defaults pass, so a caller checks only what it passes."""
+    for n in ns:
+        if not 1 <= d < n:
+            raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
+    if trials < 1:
+        raise ParameterError("need at least one trial")
+    if not 0.0 <= target < 1.0:
+        raise ParameterError(f"target={target} outside [0, 1)")
+    if jobs < 1:
+        raise ParameterError(f"jobs={jobs} must be >= 1")
 
 
 def _count_chunk(args) -> int:
@@ -149,12 +153,7 @@ def reference_trial(spec: DesignSpec, d: int, seed) -> tuple:
 def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
                jobs: int = 1, delta: float | None = None) -> TrialReport:
     """Draw matrices for one DesignSpec and count successes."""
-    if not 1 <= d < spec.n:
-        raise ParameterError(f"need 1 <= d < n, got d={d}, n={spec.n}")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    if jobs < 1:
-        raise ParameterError(f"jobs={jobs} must be >= 1")
+    _check_run_args(d, spec.n, trials=trials, jobs=jobs)
     master_seed = check_seed(master_seed)
 
     if jobs == 1:
@@ -198,11 +197,7 @@ class SearchResult:
     probes: tuple
 
     def probe_records(self) -> list:
-        return [
-            {"m": p.m, "successes": p.successes, "trials": p.trials,
-             "wilson_low": p.wilson_low, "accepted": p.accepted}
-            for p in self.probes
-        ]
+        return [asdict(p) for p in self.probes]
 
 
 @dataclass(frozen=True)
@@ -226,13 +221,13 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     Success frequency is monotone in m for every model, so exponential
     bracketing followed by bisection applies; a probe at m passes when
     its Wilson 95% lower bound reaches target - 0.03 (guard band against
-    Monte Carlo noise).  Probes at a given m always see the same seed,
-    making the result independent of the search path.
+    Monte Carlo noise).  Both run in whole steps, m = k * step, where
+    step is q for utdq (its m counts binary rows, q per q-ary row) and 1
+    otherwise.  Probes at a given m always see the same seed, making the
+    result independent of the search path.  The arguments are checked
+    before the first probe.
     """
-    if not 0.0 <= target < 1.0:
-        raise ParameterError(f"target={target} outside [0, 1)")
-    if not 1 <= d < n:
-        raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
+    _check_run_args(d, n, trials=trials, target=target, jobs=jobs)
     master_seed = check_seed(master_seed)
     step = int(optimal_param("utdq", n, d)) if model == "utdq" else 1
     probes = []
@@ -246,26 +241,22 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
                                   accepted=ok))
         return ok
 
-    lo, hi = 0, step  # m = 0 never succeeds for n > d
-    while not accept(hi):
+    lo, hi = 0, 1  # in steps; m = 0 never succeeds for n > d
+    while not accept(hi * step):
         lo = hi
         hi *= 2
-        if hi > cap:
+        if hi * step > cap:
             raise InfeasibleError(
                 f"no m <= {cap} reached target {target} for {model} at "
                 f"n={n}, d={d} ({len(probes)} probes)")
-    while hi - lo > step:
-        mid = ((lo + hi) // 2) // step * step
-        if mid <= lo:
-            mid = lo + step
-        elif mid >= hi:
-            mid = hi - step
-        if accept(mid):
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if accept(mid * step):
             hi = mid
         else:
             lo = mid
     return SearchResult(model=model, n=n, d=d, target=target,
-                        trials_per_probe=trials, m_star=hi,
+                        trials_per_probe=trials, m_star=hi * step,
                         probes=tuple(probes))
 
 
@@ -280,15 +271,7 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
         raise ParameterError("slope needs at least two distinct n")
-    for n in n_list:
-        if not 1 <= d < n:
-            raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    if not 0.0 <= target < 1.0:
-        raise ParameterError(f"target={target} outside [0, 1)")
-    if jobs < 1:
-        raise ParameterError(f"jobs={jobs} must be >= 1")
+    _check_run_args(d, *n_list, trials=trials, target=target, jobs=jobs)
     out = []
     for n in n_list:
         search = find_min_m(model, n, d, target, trials,
@@ -299,13 +282,12 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
 
 
 def slope_fit(points, d: int) -> float:
-    """Least-squares slope of m_star against ln n, divided by d."""
-    pts = [(p.n, p.m_star) if isinstance(p, SweepPoint) else tuple(p)
-           for p in points]
-    if len(pts) < 2:
+    """Least-squares slope of the points' m_star against ln n, over d."""
+    points = list(points)
+    if len(points) < 2:
         raise ParameterError("slope needs at least two points")
-    xs = np.log([float(n) for n, _ in pts])
-    ys = np.array([float(ms) for _, ms in pts])
+    xs = np.log([float(p.n) for p in points])
+    ys = np.array([float(p.m_star) for p in points])
     if np.unique(xs).size < 2:
         raise ParameterError("slope needs at least two distinct n")
     slope = np.polyfit(xs, ys, 1)[0]
@@ -367,12 +349,9 @@ def transversal_prob_check(mq: QaryMatrix, n: int, d: int, trials: int,
 
         1 - (1 - prod_i |S_i| / q) ** (n - d).
     """
-    if not 1 <= d < n:
-        raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
+    _check_run_args(d, n, trials=trials)
     if mq.n < d:
         raise ParameterError(f"fixed matrix has only {mq.n} columns, need {d}")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
     seed = check_seed(seed)
     q = mq.q
     fixed = np.array(mq.entries[:, :d])

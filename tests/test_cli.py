@@ -446,6 +446,29 @@ class TestConfigAndErrors:
         assert code == 4
         assert ":3:" in stderr
 
+    @pytest.mark.parametrize("case", ["qary", "binary", "answers", "config"])
+    def test_non_ascii_byte_exits_4(self, capsys, small_matrix, tmp_path,
+                                    case):
+        # the bad byte sits on line 2 of a q-ary matrix, line 3 of a
+        # binary one, line 1 of an answer file and line 2 of a config
+        path, _ = small_matrix
+        bad = tmp_path / "bad.txt"
+        data, line, argv = {
+            "qary": (b"1 2 3\n\xd9\xa3 1\n", 2,
+                     ["check", "--matrix", str(bad), "--defectives", "1"]),
+            "binary": (b"2 3\n101\n1\xff1\n", 3,
+                       ["decode", "--matrix", str(bad), "--defectives", "1"]),
+            "answers": (b"\xff01\n", 1,
+                        ["decode", "--matrix", path, "--answers", str(bad)]),
+            "config": (b"dmax = 2\n\xff\n", 2,
+                       ["table1", "--config", str(bad)]),
+        }[case]
+        bad.write_bytes(data)
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 4 and stdout == ""
+        assert f"{bad}:{line}:" in stderr
+        assert "Traceback" not in stderr
+
 
 def test_import_loads_no_scipy():
     src = Path(__file__).resolve().parents[1] / "src"

@@ -53,13 +53,6 @@ class TestBitMatrix:
         assert [m.row_weight(t) for t in range(3)] == [2, 2, 0]
         assert [m.column_weight(j) for j in range(3)] == [1, 2, 1]
 
-    def test_column_words_transpose(self):
-        m = BitMatrix.from_strings(["10", "11", "01"])
-        cols = m.column_words()
-        # column word bit (m-1-t) is row t
-        assert cols[0] == 0b110
-        assert cols[1] == 0b011
-
     @given(dense_matrices())
     @settings(max_examples=60)
     def test_dense_round_trip(self, rows):
