@@ -141,8 +141,9 @@ MATRIX_RUNS = [
 # (bound, model, n, d, delta or None, keyword arguments) for the sizing
 # records: the four models at one scale, each infeasible path (rssd's
 # singular d = 1 display and its correction factor >= 1, utdq's exact
-# display, rrsd's lower precondition, rssd's lower positive-test rate)
-# and the scales where the exact utdq and rrsd lower displays hold
+# display, rrsd's lower precondition, rssd's lower positive-test rate,
+# utdq's lower correction overflow and its missing positive root) and
+# the scales where the exact utdq and rrsd lower displays hold
 SIZINGS = {
     **{f"upper.{model}": ("upper", model, 2000, 3, 0.1, {})
        for model in ("rid", "rrsd", "rssd", "utdq")},
@@ -158,6 +159,8 @@ SIZINGS = {
     "lower.rrsd.n1e12": ("lower", "rrsd", 10 ** 12, 2, None, {}),
     "lower.rssd.d1": ("lower", "rssd", 2000, 1, None, {}),
     "lower.utdq.q3": ("lower", "utdq", 10 ** 6, 1, None, {"q": 3}),
+    "lower.utdq.overflow": ("lower", "utdq", 1000, 240, None, {"q": 20}),
+    "lower.utdq.noroot": ("lower", "utdq", 1000, 200, None, {"q": 20}),
 }
 DESIGN_RUNS = {
     "rid": ["--model", "rid", "--n", "3000", "--d", "3", "--delta", "0.1"],
