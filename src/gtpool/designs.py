@@ -19,7 +19,8 @@ on the correction factor) decides feasibility.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -52,6 +53,23 @@ def _check_model(model: str) -> str:
     if model not in MODELS:
         raise ParameterError(f"unknown model {model!r}; expected one of {MODELS}")
     return model
+
+
+def _check_args(d: int, *ns: int, trials: int = 1, target: float = 0.0,
+                jobs: int = 1, delta: float | None = None) -> None:
+    """Raise ParameterError for the first rule below that fails.  The
+    defaults pass, so a caller checks only what it passes."""
+    for n in ns:
+        if not 1 <= d < n:
+            raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
+    if trials < 1:
+        raise ParameterError("need at least one trial")
+    if not 0.0 <= target < 1.0:
+        raise ParameterError(f"target={target} outside [0, 1)")
+    if jobs < 1:
+        raise ParameterError(f"jobs={jobs} must be >= 1")
+    if delta is not None and not 0.0 < delta < 1.0:
+        raise ParameterError(f"delta={delta} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -362,7 +380,12 @@ def _rssd_block_covered(keys, good, s: int) -> bool:
 
 
 def _trial_utdq(n, m_prime, q, d, rng) -> bool:
-    entries = _utdq_entries(rng, m_prime, n, q)
+    return _utdq_disjunct(_utdq_entries(rng, m_prime, n, q), d)
+
+
+def _utdq_disjunct(entries, d: int) -> bool:
+    """Whether the expansion of the q-ary entries is disjunct for its
+    first d columns, read off the entries without expanding them."""
     rest = entries[:, d:]
     # in_head[i, j]: entry (i, j) is one of row i's defective symbols
     in_head = rest == entries[:, :1]
@@ -402,14 +425,15 @@ def optimal_param(model: str, n: int, d: int, m_hint: int | None = None):
 # sizing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SizingResult:
     """Outcome of a test-count bound.
 
     m is the rounded-up integer count, m_real the pre-rounding root.
     lam is the model's square-root correction factor at the returned m
-    (None where the display has no such factor); when the correction
-    leaves its validity range, feasible is False and reason says why.
+    (None where the display has no such factor).  A result with a reason
+    is infeasible; its m and m_real stay 0 unless the display has a root
+    to report (utdq's lower bound past its correction factor's range).
     """
 
     model: str
@@ -417,14 +441,17 @@ class SizingResult:
     n: int
     d: int
     delta: float | None
-    m: int
-    m_real: float
-    lam: float | None
-    feasible: bool
+    m: int = 0
+    m_real: float = 0.0
+    lam: float | None = None
+    feasible: bool = field(init=False)
     reason: str | None = None
     alpha: float | None = None
     q: int | None = None
     m_prime: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "feasible", self.reason is None)
 
     def as_record(self) -> dict:
         """The fields in order, with lam under the key "lambda"."""
@@ -432,24 +459,19 @@ class SizingResult:
                 for k, v in asdict(self).items()}
 
 
-def _infeasible(model, bound, n, d, delta, reason, **extra) -> SizingResult:
-    return SizingResult(model=model, bound=bound, n=n, d=d, delta=delta,
-                        m=0, m_real=0.0, lam=extra.pop("lam", None),
-                        feasible=False, reason=reason, **extra)
-
-
-def _check_sizing_args(n, d, delta):
-    if not 1 <= d < n:
-        raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
-    if delta is not None and not 0.0 < delta < 1.0:
-        raise ParameterError(f"delta={delta} outside (0, 1)")
-
-
 def _quadratic_root_plus(b: float, c: float) -> float:
     """Positive root t of t^2 + b t - c = 0 (returns 0 when c <= 0)."""
     if c <= 0.0:
         return 0.0
     return 0.5 * (-b + math.sqrt(b * b + 4.0 * c))
+
+
+def _utdq_alphabet(n: int, d: int, q) -> int:
+    """q, or utdq_q_star(d)'s when None, checked as a design's alphabet."""
+    if q is None:
+        q = theory.utdq_q_star(d)[0]
+    DesignSpec("utdq", n, 0, q)
+    return int(q)
 
 
 def upper_bound_m(model: str, n: int, d: int, delta: float,
@@ -461,38 +483,33 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     q^(d+1)-scale correction) sits behind exact_utdq=True.
     """
     _check_model(model)
-    _check_sizing_args(n, d, delta)
+    _check_args(d, n, delta=delta)
+    result = partial(SizingResult, model=model, bound="upper", n=n, d=d,
+                     delta=delta)
 
     if model in ("rid", "rrsd"):
         b = math.sqrt(2.0 * _E * math.log(2.0 / delta))
         c = _E * d * math.log(2.0 * n / delta)
         t = _quadratic_root_plus(-b, c)
         m_real = t * t
-        return SizingResult(model=model, bound="upper", n=n, d=d, delta=delta,
-                            m=math.ceil(m_real), m_real=m_real,
-                            lam=b / t, feasible=True)
+        return result(m=math.ceil(m_real), m_real=m_real, lam=b / t)
 
     if model == "rssd":
-        return _rssd_upper(n, d, delta)
+        return _rssd_upper(result, n, d, delta)
 
-    if q is None:
-        q = theory.utdq_q_star(d)[0]
-    DesignSpec("utdq", n, 0, q)  # checks q as a design would
-    q = int(q)
+    q = _utdq_alphabet(n, d, q)
+    result = partial(result, q=q)
     if exact_utdq:
-        return _utdq_upper_exact(n, d, delta, q)
+        return _utdq_upper_exact(result, n, d, delta, q)
     denom = -math.log1p(-((1.0 - 1.0 / q) ** d))
     m_real = q * math.log(n / delta) / denom
     m = q * math.ceil(m_real / q)
-    return SizingResult(model="utdq", bound="upper", n=n, d=d, delta=delta,
-                        m=m, m_real=m_real, lam=0.0, feasible=True,
-                        q=q, m_prime=m // q)
+    return result(m=m, m_real=m_real, lam=0.0, m_prime=m // q)
 
 
-def _rssd_upper(n: int, d: int, delta: float) -> SizingResult:
+def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
     if d < 2:
-        return _infeasible("rssd", "upper", n, d, delta,
-                           "column-weight sizing display is singular at d=1")
+        return result(reason="column-weight sizing display is singular at d=1")
     alpha, fmax = theory.rssd_alpha_star(d)
     beta = -math.expm1(d * math.log1p(-alpha))
     good = (1.0 - alpha) ** d  # chance a fixed row avoids all d defectives
@@ -514,20 +531,17 @@ def _rssd_upper(n: int, d: int, delta: float) -> SizingResult:
             break
         m = nxt
     lam = lam_at(m)
+    result = partial(result, lam=lam, alpha=alpha, m_prime=m_prime)
     if not converged:
-        return _infeasible("rssd", "upper", n, d, delta,
-                           "correction fixed point did not converge in 100 "
-                           "iterations", lam=lam, alpha=alpha, m_prime=m_prime)
+        return result(reason="correction fixed point did not converge in 100 "
+                             "iterations")
     if lam >= 1.0:
-        return _infeasible("rssd", "upper", n, d, delta,
-                           f"correction factor {lam:.3f} >= 1 at this scale",
-                           lam=lam, alpha=alpha, m_prime=m_prime)
-    return SizingResult(model="rssd", bound="upper", n=n, d=d, delta=delta,
-                        m=math.ceil(m), m_real=m, lam=lam, feasible=True,
-                        alpha=alpha, m_prime=m_prime)
+        return result(reason=f"correction factor {lam:.3f} >= 1 at this scale")
+    return result(m=math.ceil(m), m_real=m)
 
 
-def _utdq_upper_exact(n: int, d: int, delta: float, q: int) -> SizingResult:
+def _utdq_upper_exact(result, n: int, d: int, delta: float,
+                      q: int) -> SizingResult:
     lnp = theory._ln_p_any(q, d)
     m0 = q * math.log(2.0 * n / delta) / (-lnp)
     try:
@@ -538,16 +552,15 @@ def _utdq_upper_exact(n: int, d: int, delta: float, q: int) -> SizingResult:
     def lam_at(m):
         return math.sqrt(scale / m) if math.isfinite(scale) else math.inf
 
+    infeasible = partial(result, m_prime=m0 / q)
     m = m0
     converged = False
-    lam = lam_at(m)
     for _ in range(100):
         lam = lam_at(m)
         if lam >= 1.0:
-            return _infeasible("utdq", "upper", n, d, delta,
-                               f"correction factor {lam:.3f} >= 1; the exact "
-                               f"display needs m on the order of q^(d+1)",
-                               lam=lam, q=q, m_prime=m0 / q)
+            return infeasible(lam=lam, reason=(
+                f"correction factor {lam:.3f} >= 1; the exact display needs "
+                f"m on the order of q^(d+1)"))
         nxt = m0 / (1.0 - lam)
         if abs(nxt - m) < 0.5:
             m = nxt
@@ -555,13 +568,10 @@ def _utdq_upper_exact(n: int, d: int, delta: float, q: int) -> SizingResult:
             break
         m = nxt
     if not converged:
-        return _infeasible("utdq", "upper", n, d, delta,
-                           "correction fixed point did not converge in 100 "
-                           "iterations", lam=lam, q=q, m_prime=m0 / q)
+        return infeasible(lam=lam, reason="correction fixed point did not "
+                                          "converge in 100 iterations")
     m_int = q * math.ceil(m / q)
-    return SizingResult(model="utdq", bound="upper", n=n, d=d, delta=delta,
-                        m=m_int, m_real=m, lam=lam_at(m), feasible=True,
-                        q=q, m_prime=m_int // q)
+    return result(m=m_int, m_real=m, lam=lam_at(m), m_prime=m_int // q)
 
 
 # Fixed slack used when evaluating the rssd lower display (the bound
@@ -580,49 +590,36 @@ def lower_bound_m(model: str, n: int, d: int,
     infeasible result rather than a number.
     """
     _check_model(model)
-    _check_sizing_args(n, d, None)
+    _check_args(d, n)
+    result = partial(SizingResult, model=model, bound="lower", n=n, d=d,
+                     delta=None)
 
-    if model == "rid":
-        c = _E * d * math.log(n)
+    if model in ("rid", "rrsd"):
+        if model == "rrsd" and d >= math.sqrt(n) / math.log(n) ** 3:
+            return result(
+                reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
+                       f"threshold {math.sqrt(n) / math.log(n) ** 3:.3g})")
+        c = _E * d * math.log(n if model == "rid" else n / _E)
         t = _quadratic_root_plus(_RRSD_LOWER_B, c)
-        return SizingResult(model="rid", bound="lower", n=n, d=d, delta=None,
-                            m=math.ceil(t * t), m_real=t * t, lam=None,
-                            feasible=True)
-
-    if model == "rrsd":
-        if d >= math.sqrt(n) / math.log(n) ** 3:
-            return _infeasible(
-                "rrsd", "lower", n, d, None,
-                f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
-                f"threshold {math.sqrt(n) / math.log(n) ** 3:.3g})")
-        c = _E * d * math.log(n / _E)
-        t = _quadratic_root_plus(_RRSD_LOWER_B, c)
-        return SizingResult(model="rrsd", bound="lower", n=n, d=d, delta=None,
-                            m=math.ceil(t * t), m_real=t * t, lam=None,
-                            feasible=True)
+        return result(m=math.ceil(t * t), m_real=t * t)
 
     if model == "rssd":
         lam = _RSSD_LOWER_SLACK
         alpha, _ = theory.rssd_alpha_star(d)
         beta = 1.0 - (1.0 + lam) * (1.0 - alpha) ** d
+        result = partial(result, lam=lam, alpha=alpha)
         if beta <= alpha:
-            return _infeasible(
-                "rssd", "lower", n, d, None,
-                f"adjusted positive-test rate {beta:.3f} <= alpha at d={d}",
-                lam=lam, alpha=alpha)
+            return result(reason=f"adjusted positive-test rate {beta:.3f} "
+                                 f"<= alpha at d={d}")
         f = theory.entropy(alpha) - beta * theory.entropy(alpha / beta)
         m_real = (
             math.log(n) + math.log(2.0)
             + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
         ) / (f * math.log(2.0))
-        return SizingResult(model="rssd", bound="lower", n=n, d=d, delta=None,
-                            m=math.ceil(m_real), m_real=m_real, lam=lam,
-                            feasible=True, alpha=alpha)
+        return result(m=math.ceil(m_real), m_real=m_real)
 
-    if q is None:
-        q = theory.utdq_q_star(d)[0]
-    DesignSpec("utdq", n, 0, q)  # checks q as a design would
-    q = int(q)
+    q = _utdq_alphabet(n, d, q)
+    result = partial(result, q=q)
     lnp = theory._ln_p_any(q, d)
     m0 = q * math.log(8.0 * (n - d)) / (-lnp)
     try:
@@ -631,17 +628,12 @@ def lower_bound_m(model: str, n: int, d: int,
     except OverflowError:
         c_corr = math.inf
     if not math.isfinite(c_corr):
-        return _infeasible("utdq", "lower", n, d, None,
-                           "correction overflows at this q, d", q=q)
+        return result(reason="correction overflows at this q, d")
     t = _quadratic_root_plus(c_corr, m0)
     if t <= 0.0:
-        return _infeasible("utdq", "lower", n, d, None,
-                           "no positive root: n too small for this q, d", q=q)
+        return result(reason="no positive root: n too small for this q, d")
     m_real = t * t
     lam = c_corr / t
-    feasible = lam <= 1.0
-    return SizingResult(
-        model="utdq", bound="lower", n=n, d=d, delta=None,
-        m=math.ceil(m_real), m_real=m_real, lam=lam, feasible=feasible,
-        reason=None if feasible else
-        f"correction factor {lam:.3f} > 1 at this scale", q=q)
+    return result(m=math.ceil(m_real), m_real=m_real, lam=lam,
+                  reason=None if lam <= 1.0 else
+                  f"correction factor {lam:.3f} > 1 at this scale")

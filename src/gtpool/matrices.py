@@ -391,8 +391,8 @@ def write_matrix(path, matrix) -> None:
                 fh.write(matrix.row_string(t) + "\n")
         elif isinstance(matrix, QaryMatrix):
             fh.write(f"{matrix.m} {matrix.n} {matrix.q}\n")
-            for t in range(matrix.m):
-                fh.write(" ".join(str(int(v)) for v in matrix.entries[t]) + "\n")
+            for row in matrix.entries:
+                fh.write(" ".join(map(str, row.tolist())) + "\n")
         else:
             raise TypeError(f"cannot write {type(matrix).__name__}")
 

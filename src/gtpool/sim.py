@@ -33,13 +33,15 @@ import numpy as np
 from .decoding import decode_eliminate, good_row_count, is_disjunct
 from .designs import (
     DesignSpec,
+    _check_args,
+    _utdq_disjunct,
     gen_rssd,
     generate,
     optimal_param,
     trial_disjunct,
 )
 from .errors import InfeasibleError, ParameterError
-from .matrices import QaryMatrix, expand_qary, or_columns
+from .matrices import QaryMatrix, or_columns
 from .rng import check_seed, derive_seed, substream
 
 __all__ = [
@@ -114,22 +116,6 @@ class TrialReport:
         return asdict(self)
 
 
-def _check_run_args(d: int, *ns: int, trials: int = 1, target: float = 0.0,
-                    jobs: int = 1) -> None:
-    """Raise ParameterError for the first broken rule, in this order:
-    1 <= d < n for each n, trials >= 1, target in [0, 1), jobs >= 1.
-    The defaults pass, so a caller checks only what it passes."""
-    for n in ns:
-        if not 1 <= d < n:
-            raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    if not 0.0 <= target < 1.0:
-        raise ParameterError(f"target={target} outside [0, 1)")
-    if jobs < 1:
-        raise ParameterError(f"jobs={jobs} must be >= 1")
-
-
 def _count_chunk(args) -> int:
     spec, d, master_seed, start, stop = args
     return sum(trial_disjunct(spec, d, substream(master_seed, t))
@@ -153,7 +139,7 @@ def reference_trial(spec: DesignSpec, d: int, seed) -> tuple:
 def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
                jobs: int = 1, delta: float | None = None) -> TrialReport:
     """Draw matrices for one DesignSpec and count successes."""
-    _check_run_args(d, spec.n, trials=trials, jobs=jobs)
+    _check_args(d, spec.n, trials=trials, jobs=jobs)
     master_seed = check_seed(master_seed)
 
     if jobs == 1:
@@ -220,14 +206,14 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
 
     Success frequency is monotone in m for every model, so exponential
     bracketing followed by bisection applies; a probe at m passes when
-    its Wilson 95% lower bound reaches target - 0.03 (guard band against
-    Monte Carlo noise).  Both run in whole steps, m = k * step, where
-    step is q for utdq (its m counts binary rows, q per q-ary row) and 1
-    otherwise.  Probes at a given m always see the same seed, making the
+    its Wilson 95% lower bound reaches target - WILSON_GUARD (guard band
+    against Monte Carlo noise).  Both run in whole steps, m = k * step,
+    where step is q for utdq (its m counts binary rows, q per q-ary row)
+    and 1 otherwise.  Probes at a given m always see the same seed, making the
     result independent of the search path.  The arguments are checked
     before the first probe.
     """
-    _check_run_args(d, n, trials=trials, target=target, jobs=jobs)
+    _check_args(d, n, trials=trials, target=target, jobs=jobs)
     master_seed = check_seed(master_seed)
     step = int(optimal_param("utdq", n, d)) if model == "utdq" else 1
     probes = []
@@ -271,7 +257,7 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
         raise ParameterError("slope needs at least two distinct n")
-    _check_run_args(d, *n_list, trials=trials, target=target, jobs=jobs)
+    _check_args(d, *n_list, trials=trials, target=target, jobs=jobs)
     out = []
     for n in n_list:
         search = find_min_m(model, n, d, target, trials,
@@ -349,26 +335,23 @@ def transversal_prob_check(mq: QaryMatrix, n: int, d: int, trials: int,
 
         1 - (1 - prod_i |S_i| / q) ** (n - d).
     """
-    _check_run_args(d, n, trials=trials)
+    _check_args(d, n, trials=trials)
     if mq.n < d:
         raise ParameterError(f"fixed matrix has only {mq.n} columns, need {d}")
     seed = check_seed(seed)
     q = mq.q
-    fixed = np.array(mq.entries[:, :d])
+    entries = np.empty((mq.m, n), dtype=np.int64)
+    entries[:, :d] = mq.entries[:, :d]
     prod = 1.0
-    for i in range(mq.m):
-        prod *= len(set(int(v) for v in fixed[i])) / q
+    for row in entries[:, :d]:
+        prod *= len(set(row.tolist())) / q
     exact = 1.0 - (1.0 - prod) ** (n - d)
 
-    items = tuple(range(1, d + 1))
     hits = 0
     for t in range(trials):
-        rng = substream(seed, t)
-        entries = np.empty((mq.m, n), dtype=np.int64)
-        entries[:, :d] = fixed
-        entries[:, d:] = rng.integers(1, q + 1, size=(mq.m, n - d))
-        expanded = expand_qary(QaryMatrix(mq.m, n, q, entries))
-        hits += not is_disjunct(expanded, items)
+        entries[:, d:] = substream(seed, t).integers(1, q + 1,
+                                                     size=(mq.m, n - d))
+        hits += not _utdq_disjunct(entries, d)
     empirical = hits / trials
     stderr = math.sqrt(max(exact * (1.0 - exact), 1e-12) / trials)
     return TransversalCheck(exact=exact, empirical=empirical, trials=trials,

@@ -9,6 +9,8 @@ with an AttributeError.  Both files are loaded by path, as they are.
 ``run_trials`` report's ``as_record()``, ``disjunct_successes`` and
 ``trials``, and ``sweep_call``/``sweep_verify`` unpack ``run_sweep`` as
 ``(point, search)`` pairs and read ``n``, ``m_star`` and the probe keys.
+Its set-up sizes the mc designs and the ``check --separable`` matrix
+with ``upper_bound_m`` and reads ``m`` (and ``q`` for utdq).
 """
 
 import importlib.util
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import gtpool
 import gtpool.cli
-from gtpool.designs import DesignSpec
+from gtpool.designs import DesignSpec, upper_bound_m
 from gtpool.sim import run_sweep, run_trials
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -62,3 +64,16 @@ def test_sweep_surface():
         for probe in search.probe_records():
             assert set(probe) == {"m", "successes", "trials", "wilson_low",
                                   "accepted"}
+
+
+def test_sizing_surface(monkeypatch):
+    _load("spans", monkeypatch)
+    worker = _load("worker", monkeypatch)
+    sizings = [upper_bound_m(model, worker.MC_N, worker.MC_D, worker.MC_DELTA)
+               for model in worker.MODELS]
+    sizings += [upper_bound_m("rid", n, worker.CLI_D, worker.CLI_DELTA)
+                for n in worker.CLI_SEP_N.values()]
+    for sizing in sizings:
+        assert sizing.feasible is True, sizing
+        assert type(sizing.m) is int and sizing.m > 0, sizing
+    assert type(sizings[worker.MODELS.index("utdq")].q) is int
