@@ -29,6 +29,7 @@ from .errors import (
     InfeasibleError,
     MatrixParseError,
     ParameterError,
+    SizeGuardError,
 )
 from .matrices import (
     BitMatrix,
@@ -47,6 +48,11 @@ from .rng import check_seed
 __all__ = ["main"]
 
 _BOOL_TRUE = ("1", "true", "yes", "on")
+
+# Largest m * n that `design` draws and writes: the binary file takes a
+# byte per entry and the rssd draw a dense boolean matrix, so about 1 GiB
+# each.  The n = 10^5 designs of the benchmark take about 10^7 entries.
+DESIGN_CELL_BUDGET = 1 << 30
 
 
 def _load_config(path: str) -> dict:
@@ -185,6 +191,10 @@ def cmd_design(ns: dict) -> int:
     param = explicit if explicit is not None else designs.optimal_param(
         model, n, d, m_hint=m)
     spec = designs.DesignSpec(model, n, m, param)
+    if m * n > DESIGN_CELL_BUDGET:
+        raise SizeGuardError(
+            f"a {m} x {n} design has {m * n} entries, beyond the budget of "
+            f"{DESIGN_CELL_BUDGET}")
     qary_out = ns.get("qary_out")
     # all or nothing, and an unwritable target fails before the draw
     with _replace_on_success(*filter(None, (qary_out, ns["out"]))) as tmps:

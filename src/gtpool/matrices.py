@@ -280,6 +280,15 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # str.translate table that deletes the characters of a binary row
 _DELETE_01 = str.maketrans("", "", "01")
 
+# the bytes of a q-ary file that _qary_from_bytes reads
+_QARY_BYTES = b"0123456789 \n"
+
+# the longest entry _qary_from_bytes reads; 10**18 - 1 fits in an int64
+_QARY_DIGITS = 18
+
+# digits the q-ary writer formats at once: bounds its buffers, not its output
+_WRITE_BLOCK = 1 << 20
+
 
 def _undecodable(path, exc: UnicodeDecodeError) -> MatrixParseError:
     """The parse error for a whole-file read that met a byte outside the
@@ -288,19 +297,85 @@ def _undecodable(path, exc: UnicodeDecodeError) -> MatrixParseError:
     return MatrixParseError(path, line, f"not {exc.encoding} text")
 
 
-def _read_lines(path):
+def _read_bytes(path) -> bytes:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return fh.read().split("\n")
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise MatrixParseError(path, 0, f"cannot read: {exc}") from exc
+
+
+def _lines(path, data: bytes) -> list:
+    """The lines of an ASCII file as text mode reads them: CR LF and a
+    lone CR end a line, as LF does."""
+    try:
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise _undecodable(path, exc) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def read_matrix(path) -> BitMatrix | QaryMatrix:
     """Load a matrix file, dispatching on the header arity."""
-    lines = _read_lines(path)
+    data = _read_bytes(path)
+    matrix = _qary_from_bytes(data)
+    return matrix if matrix is not None else _matrix_from_lines(path, data)
+
+
+def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
+    """A well-formed q-ary file parsed as whole arrays, or None.
+
+    None means a file this path does not vouch for: a binary or
+    malformed header, a byte other than a digit, a space or LF, an
+    entry of more than _QARY_DIGITS digits, a row with the wrong count,
+    a missing row or an entry outside [1, q].  _matrix_from_lines then
+    reads it, or names its first bad line.  Lines after row m are
+    ignored, as there.
+    """
+    end = data.find(b"\n")
+    header = data[:end] if end >= 0 else data
+    try:
+        m, n, q = map(int, header.split())
+    except ValueError:  # not three numbers, or one too long for int()
+        return None
+    if n < 1 or q < 2 or data.translate(None, _QARY_BYTES):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)[len(header) + 1:]
+    breaks = np.flatnonzero(text == ord("\n"))
+    if m == 0:
+        text = text[:0]
+    elif m <= len(breaks):
+        text = text[:breaks[m - 1]]
+    # else row m is the last line and has no newline
+    digit = np.concatenate(([False], text >= ord("0"), [False]))
+    starts, stops = np.flatnonzero(digit[1:] != digit[:-1]).reshape(-1, 2).T
+    if (len(starts) != m * n or not np.array_equal(
+            np.searchsorted(starts, breaks[:max(m - 1, 0)]),
+            np.arange(n, m * n, n))):
+        return None
+    width = stops - starts
+    digits = int(width.max(initial=0))
+    if digits > _QARY_DIGITS:
+        return None
+    entries = text[stops - 1] - np.int64(ord("0"))
+    for k in range(1, digits):
+        # stops - 1 - k may wrap below 0, but only where width <= k
+        place = np.where(width > k, text[stops - 1 - k] - ord("0"), 0)
+        entries += place * np.int64(10 ** k)
+    if entries.min(initial=1) < 1 or entries.max(initial=1) > q:
+        return None
+    return QaryMatrix(m, n, q, entries.reshape(m, n))
+
+
+def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
+    """Parse a matrix file line by line, naming the first bad line.
+
+    It reads every file read_matrix accepts, so it is the oracle of
+    _qary_from_bytes, and it is the only reader of binary files.
+    """
+    lines = _lines(path, data)
     header = lines[0].split() if lines else []
     try:
         nums = [int(x) for x in header]
@@ -328,7 +403,7 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
     m, n, q = nums
     if m < 0 or n < 1 or q < 2:
         raise MatrixParseError(path, 1, f"bad dimensions {m} x {n} over q={q}")
-    entries = np.zeros((m, n), dtype=np.int64)
+    rows = []  # not m x n zeros: the header may promise more than the file
     for t in range(m):
         lineno = t + 2
         if lineno - 1 >= len(lines):
@@ -345,8 +420,8 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
             vals = None
         if vals is None or vals.min() < 1 or vals.max() > q:
             raise MatrixParseError(path, lineno, f"entries must lie in [1, {q}]")
-        entries[t] = vals
-    return QaryMatrix(m, n, q, entries)
+        rows.append(vals)
+    return QaryMatrix(m, n, q, np.array(rows, dtype=np.int64).reshape(m, n))
 
 
 @contextlib.contextmanager
@@ -382,23 +457,46 @@ def _replace_on_success(*paths):
         raise
 
 
+def _qary_blocks(entries):
+    """The rows of a q-ary matrix as file bytes, a block at a time.
+
+    Each entry becomes one byte per decimal place of the largest entry,
+    NUL where a shorter number has no digit, then a space, or a newline
+    after the last entry of a row.  Without the NULs that is
+    " ".join(map(str, row)) + "\\n" for each row.
+    """
+    m, n = entries.shape
+    width = len(str(entries.max(initial=1)))
+    scale = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    step = max(1, _WRITE_BLOCK // (n * width))
+    for lo in range(0, m, step):
+        block = entries[lo:lo + step, :, None]
+        cells = np.empty((*block.shape[:2], width + 1), dtype=np.uint8)
+        # entries are >= 1, so every number keeps its units digit
+        cells[..., :width] = np.where(block >= scale,
+                                      block // scale % 10 + ord("0"), 0)
+        cells[..., width] = ord(" ")
+        cells[:, -1, width] = ord("\n")
+        cells = cells.ravel()
+        yield cells[cells != 0]
+
+
 def write_matrix(path, matrix) -> None:
     with (_replace_on_success(path) as (tmp,),
-          open(tmp, "w", encoding="ascii") as fh):
+          open(tmp, "wb") as fh):
         if isinstance(matrix, BitMatrix):
-            fh.write(f"{matrix.m} {matrix.n}\n")
+            fh.write(f"{matrix.m} {matrix.n}\n".encode())
             for t in range(matrix.m):
-                fh.write(matrix.row_string(t) + "\n")
+                fh.write(f"{matrix.row_string(t)}\n".encode())
         elif isinstance(matrix, QaryMatrix):
-            fh.write(f"{matrix.m} {matrix.n} {matrix.q}\n")
-            for row in matrix.entries:
-                fh.write(" ".join(map(str, row.tolist())) + "\n")
+            fh.write(f"{matrix.m} {matrix.n} {matrix.q}\n".encode())
+            fh.writelines(_qary_blocks(matrix.entries))
         else:
             raise TypeError(f"cannot write {type(matrix).__name__}")
 
 
 def read_answers(path, expected_m: int | None = None) -> AnswerVector:
-    lines = _read_lines(path)
+    lines = _lines(path, _read_bytes(path))
     if not lines or not lines[0]:
         if expected_m == 0:
             return AnswerVector(0, 0)

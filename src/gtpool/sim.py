@@ -25,7 +25,6 @@ any worker count and any probe order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -145,6 +144,9 @@ def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
     if jobs == 1:
         disj = _count_chunk((spec, d, master_seed, 0, trials))
     else:
+        # imported here: it costs every CLI start about 20 ms otherwise
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = math.ceil(trials / jobs)
         work = [(spec, d, master_seed, lo, min(lo + chunk, trials))
                 for lo in range(0, trials, chunk)]

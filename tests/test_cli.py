@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from gtpool.cli import main
+from gtpool.cli import DESIGN_CELL_BUDGET, main
 from gtpool.matrices import (
     AnswerVector,
     BitMatrix,
@@ -114,6 +115,45 @@ class TestDesign:
         from gtpool.matrices import expand_qary
         assert expand_qary(read_matrix(qout)) == read_matrix(out)
         assert rec["m"] % rec["param"] == 0
+
+    @pytest.mark.parametrize("model", ["rid", "rssd", "utdq"])
+    def test_size_guard_before_any_draw(self, capsys, tmp_path, monkeypatch,
+                                        model):
+        # 10^12 columns: a draw or a file of that size could not finish
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a design beyond the budget")
+
+        monkeypatch.setattr("gtpool.designs.generate", no_draw)
+        monkeypatch.setattr("gtpool.designs.gen_utdq", no_draw)
+        out, qout = tmp_path / "bin.txt", tmp_path / "qary.txt"
+        qary = ["--qary-out", str(qout)] if model == "utdq" else []
+        tracemalloc.start()
+        try:
+            code, stdout, stderr = run(
+                capsys, "design", "--model", model, "--n", str(10**12),
+                "--d", "3", "--m", "60", "--seed", "1", "--out", str(out),
+                *qary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and stdout == ""
+        assert "budget" in stderr and "Traceback" not in stderr
+        assert peak < 1 << 20
+        assert list(tmp_path.iterdir()) == []
+
+    def test_size_guard_admits_the_budget(self, capsys, tmp_path,
+                                          monkeypatch):
+        drawn = []
+        monkeypatch.setattr("gtpool.designs.generate",
+                            lambda spec, seed: drawn.append(spec) or
+                            BitMatrix(0, 1, []))
+        m = 64
+        n = DESIGN_CELL_BUDGET // m
+        argv = ["design", "--model", "rid", "--d", "3", "--m", str(m),
+                "--seed", "1", "--out", str(tmp_path / "m.txt")]
+        assert run(capsys, *argv, "--n", str(n))[0] == 0
+        assert run(capsys, *argv, "--n", str(n + 1))[0] == 2
+        assert [(spec.m, spec.n) for spec in drawn] == [(m, n)]
 
     UTDQ = ("design", "--model", "utdq", "--n", "40", "--d", "2",
             "--delta", "0.2", "--seed", "1")
@@ -470,14 +510,27 @@ class TestConfigAndErrors:
         assert "Traceback" not in stderr
 
 
-def test_import_loads_no_scipy():
+def _modules_after_import(prefixes):
+    """The modules named in prefixes, or inside them, that a fresh
+    `import gtpool.cli` loads."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
     code = ("import sys, gtpool.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "print(sorted(m for m in sys.modules for p in "
+            f"{prefixes!r} if m == p or m.startswith(p + '.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    assert _modules_after_import(("scipy",)) == "[]"
+
+
+def test_import_loads_no_process_pool():
+    # run_trials imports the pool only when it runs with jobs > 1
+    loaded = _modules_after_import(("multiprocessing",
+                                    "concurrent.futures.process"))
+    assert loaded == "[]"

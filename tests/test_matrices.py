@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtpool import matrices
 from gtpool.errors import DimensionError, MatrixParseError
 from gtpool.matrices import (
     AnswerVector,
     BitMatrix,
     DefectiveSet,
     QaryMatrix,
+    _matrix_from_lines,
+    _qary_from_bytes,
     expand_qary,
     or_columns,
     read_answers,
@@ -24,6 +27,21 @@ def dense_matrices(max_m=6, max_n=8):
             lambda n: st.lists(
                 st.lists(st.integers(0, 1), min_size=n, max_size=n),
                 min_size=m, max_size=m)))
+
+
+# malformed matrix files and the 1-based line their error names
+PARSE_ERRORS = [
+    ("not a header\n", 1),
+    ("2 3\n101\n10\n", 3),          # short row
+    ("2 3\n101\n1x1\n", 3),         # bad character
+    ("1 2 3\n1 5\n", 2),            # q-ary entry out of range
+    ("1 2 3\n0 1\n", 2),            # q-ary entry of 0
+    ("1 2 3\n1 2.0\n", 2),          # q-ary entry not an integer
+    ("1 3 3\n1 99999999999999999999 x\n", 2),  # beyond int64, then junk
+    ("2 3\n101\n1_1\n", 3),        # int(s, 2) would accept it
+    ("2 3\n101\n+01\n", 3),        # int(s, 2) would accept it
+    ("2 3\n101\n", 3),              # missing row
+]
 
 
 class TestBitMatrix:
@@ -203,18 +221,7 @@ class TestFileIO:
         assert path.read_text() == "1\n"
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
-    @pytest.mark.parametrize("content,line", [
-        ("not a header\n", 1),
-        ("2 3\n101\n10\n", 3),          # short row
-        ("2 3\n101\n1x1\n", 3),         # bad character
-        ("1 2 3\n1 5\n", 2),            # q-ary entry out of range
-        ("1 2 3\n0 1\n", 2),            # q-ary entry of 0
-        ("1 2 3\n1 2.0\n", 2),          # q-ary entry not an integer
-        ("1 3 3\n1 99999999999999999999 x\n", 2),  # beyond int64, then junk
-        ("2 3\n101\n1_1\n", 3),        # int(s, 2) would accept it
-        ("2 3\n101\n+01\n", 3),        # int(s, 2) would accept it
-        ("2 3\n101\n", 3),              # missing row
-    ])
+    @pytest.mark.parametrize("content,line", PARSE_ERRORS)
     def test_parse_errors_carry_line_numbers(self, tmp_path, content, line):
         path = tmp_path / "bad.txt"
         path.write_text(content)
@@ -222,3 +229,154 @@ class TestFileIO:
             read_matrix(path)
         assert err.value.line == line
         assert str(path) in str(err.value)
+
+
+def _read_outcome(read, path):
+    """What a reader makes of a file: its matrix, or its error's line
+    and message."""
+    try:
+        return read(path)
+    except MatrixParseError as exc:
+        return exc.line, str(exc)
+
+
+def _read_by_lines(path):
+    return _matrix_from_lines(path, path.read_bytes())
+
+
+@st.composite
+def qary_files(draw):
+    """The bytes of a q-ary file read_matrix accepts, and its matrix."""
+    q = draw(st.integers(2, 300))
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(1, q), min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [f"{m} {n} {q}"]
+    for row in rows:
+        tokens = [draw(st.text("0", max_size=3)) + str(v) for v in row]
+        gaps = draw(st.lists(st.text(" ", min_size=1, max_size=3),
+                             min_size=n + 1, max_size=n + 1))
+        gaps[0], gaps[-1] = gaps[0][1:], gaps[-1][1:]  # margins may be empty
+        lines.append("".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1])
+    lines += draw(st.lists(st.text("0123456789 x", max_size=6), max_size=2))
+    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
+    return text.encode(), QaryMatrix(m, n, q, np.reshape(rows, (m, n)))
+
+
+# files for the whole-array reader's edges; each parses or fails the
+# same way as line by line
+QARY_EDGES = [
+    "2 3 7\n1 2 3\n4 5 6\n",
+    "2 3 7\n1 2 3\n4 5 6",                  # no final newline
+    "0 3 7\n",
+    "0 3 7",
+    "0 3 7\n\xff\n",                         # non-ASCII after row m
+    "1 3 7\n1 2 3\n\xff\n",
+    "1 3 7\n1 2 3\nx\n",                     # junk after row m
+    "1 2 5\n" + "0" * 17 + "5 1\n",          # 18 digits
+    "1 2 5\n" + "0" * 18 + "5 1\n",          # 19 digits
+    "1 2 5\n" + "0" * 30 + "5 1\n",          # 31 digits, in range
+    "1 2 5\n" + "9" * 19 + " 1\n",           # beyond int64
+    "1 2 5\n" + str(2**64 + 3) + " 1\n",     # 3 modulo 2**64
+    "1 2 5\n" + "9" * 18 + " 1\n",
+    "2 3 7\n1 2 3 4\n5 6 7\n",                # too many entries
+    "2 3 7\n1 2\n3 4 5 6\n",                  # right total, wrong rows
+    "2 3 7\n1 2 3\n",                        # missing row
+    "2 3 7\n1 2 3\n\n",                      # empty row
+    "2 3 7\n1 2 3\n4 5 8\n",                  # out of range
+    "1 3 7\n1\r2 3\n",                       # lone CR ends a line
+    "1 3 7\n1\t2 3\n",
+    "1 3 7\n1 +2 3\n",
+    "1 3 7\n1 2_0 3\n",
+    "1 3 7 \n 1 2 3 \n",
+    " 1 3 7\n1 2 3\n",
+    "1 3 1\n1 1 1\n",                        # q below 2
+    "1 0 7\n\n",                              # n below 1
+    "1 3\n101\n",                             # binary
+    "1 3 7 9\n1 2 3\n",
+    "\n1 2 3\n",
+    "",
+    "1" * 5000 + " 3 7\n1 2 3\n",             # too long for int()
+    "1000000000000 3 7\n1 2 3\n",             # promises more rows
+    "1 1000000000000 7\n1 2 3\n",
+]
+
+
+@pytest.fixture(scope="class")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle") / "q.txt"
+
+
+class TestQaryReaderOracle:
+    """The whole-array q-ary reader against the line-by-line one."""
+
+    @given(qary_files())
+    @settings(max_examples=300)
+    def test_valid_files(self, scratch_file, case):
+        data, want = case
+        path = scratch_file
+        path.write_bytes(data)
+        assert read_matrix(path) == want == _read_by_lines(path)
+        if not data.translate(None, b"0123456789 \n"):
+            assert _qary_from_bytes(data) == want
+
+    @pytest.mark.parametrize("content", [c for c, _ in PARSE_ERRORS]
+                             + QARY_EDGES)
+    def test_edge_files(self, tmp_path, content):
+        path = tmp_path / "q.txt"
+        path.write_bytes(content.encode("latin-1"))
+        assert (_read_outcome(read_matrix, path)
+                == _read_outcome(_read_by_lines, path))
+
+    @given(qary_files(), st.data())
+    @settings(max_examples=500)
+    def test_one_byte_mutations(self, scratch_file, case, data):
+        raw = bytearray(case[0])
+        at = data.draw(st.integers(0, len(raw)))
+        byte = data.draw(st.sampled_from(b"0123456789 \n\r\t+_x\x80")
+                         | st.integers(0, 255))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "insert":
+            raw.insert(at, byte)
+        elif at < len(raw):
+            if op == "replace":
+                raw[at] = byte
+            else:
+                del raw[at]
+        path = scratch_file
+        path.write_bytes(bytes(raw))
+        assert (_read_outcome(read_matrix, path)
+                == _read_outcome(_read_by_lines, path))
+
+
+@pytest.mark.parametrize("q", [2, 9, 10, 11, 99, 100, 101, 289])
+@pytest.mark.parametrize("block", [1, 50, matrices._WRITE_BLOCK])
+def test_qary_writer_bytes(tmp_path, monkeypatch, q, block):
+    # every symbol appears; the two small blocks split the rows
+    monkeypatch.setattr(matrices, "_WRITE_BLOCK", block)
+    n = 7
+    m = -(-q // n) + 3
+    rng = np.random.default_rng(q)
+    entries = rng.permutation(np.concatenate(
+        [np.arange(1, q + 1), rng.integers(1, q + 1, size=m * n - q)]))
+    entries = entries.reshape(m, n)
+    path = tmp_path / "q.txt"
+    write_matrix(path, QaryMatrix(m, n, q, entries))
+    old = f"{m} {n} {q}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                     for row in entries.tolist())
+    assert path.read_bytes() == old.encode()
+    if block < matrices._WRITE_BLOCK:
+        assert m > block // (n * len(str(q)))
+
+
+def test_qary_writer_wide_entries(tmp_path):
+    # 19-digit entries: no table of q + 1 symbols could be built here
+    q = 10**18
+    entries = [[1, q, 99], [10**17, 5, 123456789]]
+    path = tmp_path / "q.txt"
+    write_matrix(path, QaryMatrix(2, 3, q, entries))
+    old = f"2 3 {q}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                 for row in entries)
+    assert path.read_bytes() == old.encode()
+    assert read_matrix(path) == QaryMatrix(2, 3, q, entries)
