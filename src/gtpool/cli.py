@@ -216,8 +216,8 @@ def cmd_design(ns: dict) -> int:
 
 def cmd_check(ns: dict) -> int:
     _require(ns, "matrix", "defectives")
-    matrix = _binary_matrix(ns["matrix"])
     items = list(DefectiveSet(_parse_items(ns["defectives"])))
+    matrix = _binary_matrix(ns["matrix"])
     record = {
         "matrix": ns["matrix"],
         "defectives": items,
@@ -235,14 +235,16 @@ def cmd_check(ns: dict) -> int:
 
 def cmd_decode(ns: dict) -> int:
     _require(ns, "matrix")
-    matrix = _binary_matrix(ns["matrix"])
-    if (ns.get("answers") is None) == (ns.get("defectives") is None):
+    defectives = ns.get("defectives")
+    if (ns.get("answers") is None) == (defectives is None):
         raise ParameterError("pass exactly one of --answers or --defectives")
-    if ns.get("answers") is not None:
+    if defectives is not None:
+        defectives = DefectiveSet(_parse_items(defectives))
+    matrix = _binary_matrix(ns["matrix"])
+    if defectives is None:
         answers = read_answers(ns["answers"], expected_m=matrix.m)
     else:
-        answers = or_columns(matrix,
-                             DefectiveSet(_parse_items(ns["defectives"])))
+        answers = or_columns(matrix, defectives)
     candidates = sorted(decode_eliminate(matrix, answers))
     _emit({"matrix": ns["matrix"], "m": matrix.m, "n": matrix.n,
            "candidates": candidates})

@@ -275,10 +275,18 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # All errors name the 1-based offending line.  Writers fill a new file in
 # the same directory and rename it over the target, so a failed write
 # never leaves a truncated or partial file behind.
+#
+# read_matrix parses the files whose bytes _binary_from_bytes or
+# _qary_from_bytes can vouch for as whole numpy arrays; any other file
+# goes line by line (_matrix_from_lines), which names the first bad line
+# and is the oracle the whole-array readers are tested against.
 
 
 # str.translate table that deletes the characters of a binary row
 _DELETE_01 = str.maketrans("", "", "01")
+
+# the bytes of a header that _binary_from_bytes reads
+_BINARY_HEADER_BYTES = b"0123456789 "
 
 # the bytes of a q-ary file that _qary_from_bytes reads
 _QARY_BYTES = b"0123456789 \n"
@@ -320,8 +328,43 @@ def _lines(path, data: bytes) -> list:
 def read_matrix(path) -> BitMatrix | QaryMatrix:
     """Load a matrix file, dispatching on the header arity."""
     data = _read_bytes(path)
-    matrix = _qary_from_bytes(data)
-    return matrix if matrix is not None else _matrix_from_lines(path, data)
+    for parse in (_binary_from_bytes, _qary_from_bytes):
+        matrix = parse(data)
+        if matrix is not None:
+            return matrix
+    return _matrix_from_lines(path, data)
+
+
+def _binary_from_bytes(data: bytes) -> BitMatrix | None:
+    """A well-formed binary file parsed as whole arrays, or None.
+
+    None means a file this path does not vouch for: a header that is
+    not two numbers of digits and spaces ended by LF, or not m >= 0 and
+    n >= 1; fewer than m rows of n bytes 0 or 1, each ended by LF; or a
+    byte outside ASCII after row m.  _matrix_from_lines then reads it,
+    or names its first bad line.  Lines after row m are ignored, as
+    there.
+    """
+    end = data.find(b"\n")
+    header = data[:end]
+    if end < 0 or header.translate(None, _BINARY_HEADER_BYTES):
+        return None
+    try:
+        m, n = map(int, header.split())
+    except ValueError:  # not two numbers, or one too long for int()
+        return None
+    size = m * (n + 1)
+    if m < 0 or n < 1 or len(data) - end - 1 < size:
+        return None
+    if not data[end + 1 + size:].isascii():
+        return None
+    rows = np.frombuffer(data, dtype=np.uint8, count=size,
+                         offset=end + 1).reshape(m, n + 1)
+    # "0" and "1" become 0 and 1; any other byte wraps to 2 or more
+    bits = rows[:, :n] - np.uint8(ord("0"))
+    if m and (bits.max() > 1 or (rows[:, n] != ord("\n")).any()):
+        return None
+    return BitMatrix(m, n, _pack_rows(bits))
 
 
 def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
@@ -373,7 +416,8 @@ def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
     """Parse a matrix file line by line, naming the first bad line.
 
     It reads every file read_matrix accepts, so it is the oracle of
-    _qary_from_bytes, and it is the only reader of binary files.
+    _binary_from_bytes and _qary_from_bytes, and it reads every file
+    they do not vouch for.
     """
     lines = _lines(path, data)
     header = lines[0].split() if lines else []

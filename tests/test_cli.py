@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from gtpool.cli import DESIGN_CELL_BUDGET, main
+from gtpool.errors import MatrixParseError
 from gtpool.matrices import (
     AnswerVector,
     BitMatrix,
@@ -322,6 +323,28 @@ class TestDecode:
         rec = json.loads(stdout)
         assert rec["m"] == 6   # q rows per q-ary test
         assert 1 in rec["candidates"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--defectives", "1,zebra"),
+    ("check", "--defectives", "1,3,1", "--separable"),
+    ("check", "--defectives", "0,2"),
+    ("decode", "--defectives", ""),
+    ("decode", "--defectives", "2,2"),
+    ("decode",),
+    ("decode", "--defectives", "2", "--answers", "a.txt"),
+])
+def test_arguments_checked_before_the_matrix_is_read(capsys, monkeypatch,
+                                                     argv):
+    # a bad argument exits 2 even when the matrix file is bad too
+    def unreadable(path):
+        raise MatrixParseError(path, 1, "read before the arguments")
+
+    monkeypatch.setattr("gtpool.cli.read_matrix", unreadable)
+    code, stdout, stderr = run(capsys, argv[0], "--matrix", "m.txt",
+                               *argv[1:])
+    assert code == 2 and stdout == ""
+    assert "read before the arguments" not in stderr
 
 
 class TestMc:

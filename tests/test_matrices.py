@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpool import matrices
+from gtpool import designs, matrices
 from gtpool.errors import DimensionError, MatrixParseError
 from gtpool.matrices import (
     AnswerVector,
     BitMatrix,
     DefectiveSet,
     QaryMatrix,
+    _binary_from_bytes,
     _matrix_from_lines,
     _qary_from_bytes,
     expand_qary,
@@ -246,7 +247,8 @@ def _read_by_lines(path):
 
 @st.composite
 def qary_files(draw):
-    """The bytes of a q-ary file read_matrix accepts, and its matrix."""
+    """The bytes of a q-ary file read_matrix accepts, its matrix, and
+    whether the whole-array reader must take it."""
     q = draw(st.integers(2, 300))
     m, n = draw(st.integers(0, 4)), draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(st.integers(1, q), min_size=n, max_size=n),
@@ -260,8 +262,28 @@ def qary_files(draw):
         gaps[0], gaps[-1] = gaps[0][1:], gaps[-1][1:]  # margins may be empty
         lines.append("".join(g + t for g, t in zip(gaps, tokens)) + gaps[-1])
     lines += draw(st.lists(st.text("0123456789 x", max_size=6), max_size=2))
-    text = eol.join(lines) + draw(st.sampled_from([eol, ""]))
-    return text.encode(), QaryMatrix(m, n, q, np.reshape(rows, (m, n)))
+    data = (eol.join(lines) + draw(st.sampled_from([eol, ""]))).encode()
+    return (data, QaryMatrix(m, n, q, np.reshape(rows, (m, n))),
+            not data.translate(None, b"0123456789 \n"))
+
+
+@st.composite
+def binary_files(draw):
+    """The bytes of a binary file read_matrix accepts, its matrix, and
+    whether the whole-array reader must take it."""
+    m, n = draw(st.integers(0, 4)), draw(st.integers(1, 9))
+    rows = draw(st.lists(st.text("01", min_size=n, max_size=n),
+                         min_size=m, max_size=m))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    zeros = draw(st.lists(st.text("0", max_size=2), min_size=2, max_size=2))
+    gaps = draw(st.lists(st.text(" ", max_size=2), min_size=3, max_size=3))
+    header = f"{gaps[0]}{zeros[0]}{m} {gaps[1]}{zeros[1]}{n}{gaps[2]}"
+    junk = draw(st.lists(st.text("01 x\r\t", max_size=6), max_size=2))
+    last = draw(st.sampled_from([eol, ""]))
+    data = (eol.join([header, *rows, *junk]) + last).encode()
+    # only row m's line end decides: the bytes after it need only be ASCII
+    return (data, BitMatrix(m, n, [int(r, 2) for r in rows]),
+            eol == "\n" and bool(junk or last))
 
 
 # files for the whole-array reader's edges; each parses or fails the
@@ -303,51 +325,118 @@ QARY_EDGES = [
 ]
 
 
+# binary files for the whole-array reader's edges
+BINARY_EDGES = [
+    "2 3\n101\n010\n",
+    "2 3\n101\n010",                         # no final newline
+    "2 3\r\n101\r\n010\r\n",
+    "0 3\n",
+    "0 3",
+    "0 3\n\xff\n",                            # non-ASCII after row m
+    "1 3\n101\n\xff\n",
+    "1 3\n101\n\xff",
+    "1 3\n101\nx\r\t\n",                      # junk after row m
+    "1 3\n101\n1\n",
+    "2\r3\n101\n010\n",                       # lone CR in the header
+    "2 3\r101\n010\n",
+    "2 3\n1\r1\n010\n",                       # lone CR in a row
+    "2 3\n101\r010\n",
+    "2\t3\n101\n010\n",
+    "2\x0b3\n101\n010\n",
+    "2\x1c3\n101\n010\n",
+    "+2 3\n101\n010\n",
+    "2_0 3\n" + "101\n" * 20,
+    "2 -3\n101\n010\n",
+    "1 3\n1011\n",                           # long row
+    "2 3\n1010\n101\n",
+    "2 3\n10\n1010\n",                       # short row, right total
+    "1 3\n10\n",                             # short row
+    "1 3\n121\n",
+    "1 3\n1 1\n",
+    "1 3\n101",                              # row m without its newline
+    "1 3\n\n101\n",
+    "\n2 3\n101\n010\n",
+    "2 3 \n101\n010\n",
+    "1000000000000 3\n101\n",                # promises more rows
+    "1 0\n\n",                               # n below 1
+    "-1 3\n",
+    "1 2 3 4\n101\n",
+    "1" * 5000 + " 3\n101\n",                # too long for int()
+    "",
+]
+
+
 @pytest.fixture(scope="class")
 def scratch_file(tmp_path_factory):
-    return tmp_path_factory.mktemp("oracle") / "q.txt"
+    return tmp_path_factory.mktemp("oracle") / "m.txt"
 
 
-class TestQaryReaderOracle:
-    """The whole-array q-ary reader against the line-by-line one."""
+def _reader_oracle(files, fast, edges):
+    """Tests of the whole-array reader ``fast`` against the line-by-line
+    one, on the files the strategy ``files`` draws and on ``edges``."""
 
-    @given(qary_files())
-    @settings(max_examples=300)
-    def test_valid_files(self, scratch_file, case):
-        data, want = case
-        path = scratch_file
-        path.write_bytes(data)
-        assert read_matrix(path) == want == _read_by_lines(path)
-        if not data.translate(None, b"0123456789 \n"):
-            assert _qary_from_bytes(data) == want
+    class ReaderOracle:
+        @given(files)
+        @settings(max_examples=300)
+        def test_valid_files(self, scratch_file, case):
+            data, want, takes = case
+            path = scratch_file
+            path.write_bytes(data)
+            assert read_matrix(path) == want == _read_by_lines(path)
+            assert fast(data) == (want if takes else None)
 
-    @pytest.mark.parametrize("content", [c for c, _ in PARSE_ERRORS]
-                             + QARY_EDGES)
-    def test_edge_files(self, tmp_path, content):
-        path = tmp_path / "q.txt"
-        path.write_bytes(content.encode("latin-1"))
-        assert (_read_outcome(read_matrix, path)
-                == _read_outcome(_read_by_lines, path))
+        @pytest.mark.parametrize("content", edges)
+        def test_edge_files(self, tmp_path, content):
+            path = tmp_path / "m.txt"
+            path.write_bytes(content.encode("latin-1"))
+            assert (_read_outcome(read_matrix, path)
+                    == _read_outcome(_read_by_lines, path))
 
-    @given(qary_files(), st.data())
-    @settings(max_examples=500)
-    def test_one_byte_mutations(self, scratch_file, case, data):
-        raw = bytearray(case[0])
-        at = data.draw(st.integers(0, len(raw)))
-        byte = data.draw(st.sampled_from(b"0123456789 \n\r\t+_x\x80")
-                         | st.integers(0, 255))
-        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
-        if op == "insert":
-            raw.insert(at, byte)
-        elif at < len(raw):
-            if op == "replace":
-                raw[at] = byte
-            else:
-                del raw[at]
-        path = scratch_file
-        path.write_bytes(bytes(raw))
-        assert (_read_outcome(read_matrix, path)
-                == _read_outcome(_read_by_lines, path))
+        @given(files, st.data())
+        @settings(max_examples=500)
+        def test_one_byte_mutations(self, scratch_file, case, data):
+            raw = bytearray(case[0])
+            at = data.draw(st.integers(0, len(raw)))
+            byte = data.draw(st.sampled_from(b"0123456789 \n\r\t+_x\x80")
+                             | st.integers(0, 255))
+            op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+            if op == "insert":
+                raw.insert(at, byte)
+            elif at < len(raw):
+                if op == "replace":
+                    raw[at] = byte
+                else:
+                    del raw[at]
+            path = scratch_file
+            path.write_bytes(bytes(raw))
+            assert (_read_outcome(read_matrix, path)
+                    == _read_outcome(_read_by_lines, path))
+
+    return ReaderOracle
+
+
+TestQaryReaderOracle = _reader_oracle(
+    qary_files(), _qary_from_bytes, [c for c, _ in PARSE_ERRORS] + QARY_EDGES)
+TestBinaryReaderOracle = _reader_oracle(
+    binary_files(), _binary_from_bytes, BINARY_EDGES)
+
+
+@pytest.mark.parametrize("matrix", [
+    designs.generate(designs.DesignSpec("rid", 300, 40, 0.3), 1),
+    expand_qary(designs.gen_utdq(257, 6, 5, 2)),
+    BitMatrix(0, 5, []),
+    BitMatrix(3, 1, [1, 0, 1]),
+    BitMatrix.from_strings(["1" * 64, "0" * 64]),
+], ids=["rid", "utdq", "m=0", "n=1", "n=64"])
+def test_written_binary_files_take_the_whole_array_reader(
+        tmp_path, monkeypatch, matrix):
+    def by_lines(path, data):
+        raise AssertionError("read line by line")
+
+    monkeypatch.setattr(matrices, "_matrix_from_lines", by_lines)
+    path = tmp_path / "m.txt"
+    write_matrix(path, matrix)
+    assert read_matrix(path) == matrix
 
 
 @pytest.mark.parametrize("q", [2, 9, 10, 11, 99, 100, 101, 289])
