@@ -188,9 +188,7 @@ def cmd_design(ns: dict) -> int:
             return 3
         m, lam = sizing.m, sizing.lam
 
-    param = explicit if explicit is not None else designs.optimal_param(
-        model, n, d, m_hint=m)
-    spec = designs.DesignSpec(model, n, m, param)
+    spec = designs.spec_at(model, n, d, m, explicit)
     if m * n > DESIGN_CELL_BUDGET:
         raise SizeGuardError(
             f"a {m} x {n} design has {m * n} entries, beyond the budget of "
@@ -199,7 +197,8 @@ def cmd_design(ns: dict) -> int:
     # all or nothing, and an unwritable target fails before the draw
     with _replace_on_success(*filter(None, (qary_out, ns["out"]))) as tmps:
         if model == "utdq":
-            mq = designs.gen_utdq(n, m // int(param), int(param), seed)
+            q = int(spec.param)
+            mq = designs.gen_utdq(n, m // q, q, seed)
             if qary_out:
                 write_matrix(tmps[0], mq)
             matrix = expand_qary(mq)
@@ -208,7 +207,7 @@ def cmd_design(ns: dict) -> int:
         write_matrix(tmps[-1], matrix)
     _emit({
         "model": model, "n": n, "d": d, "delta": delta, "m": m,
-        "param": param, "lambda": lam, "feasible": True, "seed": seed,
+        "param": spec.param, "lambda": lam, "feasible": True, "seed": seed,
         "out": ns["out"],
     })
     return 0
@@ -256,10 +255,7 @@ def cmd_mc(ns: dict) -> int:
     model = ns["model"]
     n, d, m = ns["n"], ns["d"], ns["m"]
     seed = _resolve_seed(ns)
-    explicit = _explicit_param(ns, model)
-    param = explicit if explicit is not None else designs.optimal_param(
-        model, n, d, m_hint=m)
-    spec = designs.DesignSpec(model, n, m, param)
+    spec = designs.spec_at(model, n, d, m, _explicit_param(ns, model))
     report = sim.run_trials(spec, d, ns["trials"], seed,
                             jobs=_jobs(ns), delta=ns.get("delta"))
     if (ns.get("format") or "json") == "csv":

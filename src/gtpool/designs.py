@@ -40,6 +40,7 @@ __all__ = [
     "generate",
     "trial_disjunct",
     "optimal_param",
+    "spec_at",
     "upper_bound_m",
     "lower_bound_m",
 ]
@@ -123,8 +124,9 @@ class DesignSpec:
 # their kernels read.  Output does not depend on it: row-wise draws give
 # the same numbers for any split.  A chunk that stays in cache makes the
 # passes over it faster than over a larger block: the rrsd kernel at
-# n = 10^4, d = 3 and sized m takes 5.7 ms per trial against 19 ms with
-# 4*10^6-entry blocks (2-core x86 host, 4 MiB L2).
+# n = 10^4, d = 3 and sized m takes 8.6 ms per trial against 24 ms with
+# 4*10^6-entry blocks (2-core x86 host, 4 MiB L2; medians of 8 fresh
+# processes of 100 trials).
 _CHUNK_ENTRIES = 1 << 15
 
 # Entries per rssd column block of _column_blocks.  It fixes the rssd
@@ -252,20 +254,18 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             chunks; in longer ones each row's d head entries are drawn,
             a positive row's other n - d are skipped with advance(), and
             a good row's are drawn and OR'ed into the coverage.
-      rrsd  _row_chunks; a row's support is its r smallest keys.  The
-            row is good when its smallest defective key ranks >= r,
-            found by counting; only good rows go through the generator's
-            argpartition.
+      rrsd  _row_chunks; each chunk's rows go through the generator's
+            argpartition, so a row's support is the generator's, ties
+            included.  A row is good when no defective is in it.
       rssd  _column_blocks; a column's support is its s smallest keys.
             The defective columns' argpartition gives the good rows G,
             and column j is covered when fewer than s of its keys lie
-            below min(keys[G, j]).
+            below min(keys[G, j]).  Where that count meets a key tied at
+            the selection boundary, the generator's own argpartition
+            decides the column.
       utdq  _utdq_entries, the m/q x n integers in [1, q]; q-ary row i
             covers column j when entry (i, j) is not one of row i's
             defective symbols (its indicator row is then good).
-
-    Where a rank count meets a key tied at the selection boundary, the
-    generator's own argpartition decides that row or column.
     """
     n, m = spec.n, spec.m
     d = int(d)
@@ -308,38 +308,16 @@ def _trial_rid(n, m, p, d, rng) -> bool:
     return False
 
 
-def _tied(keys, pivot, count: int):
-    """Mask of the rows of keys where argpartition's tie-break decides.
-
-    Each row has more than count keys at or below its pivot.  Where
-    fewer than count lie strictly below it, keys equal to the pivot
-    straddle the boundary of the count smallest, and which of them are
-    selected depends on argpartition, not on the values alone.
-    """
-    return np.count_nonzero(keys < pivot, axis=-1) < count
-
-
 def _trial_rrsd(n, m, r, d, rng) -> bool:
     if r == 0 or r == n:
         return False  # no row holds anything, or every row every item
     covered = np.zeros(n, dtype=bool)
     covered[:d] = True
     for keys in _row_chunks(rng, m, n):
-        low = keys[:, :d].min(axis=1, keepdims=True)
-        # good iff the smallest defective key is not among the r smallest
-        at_most = np.count_nonzero(keys <= low, axis=1)
-        good = at_most > r
-        maybe = np.flatnonzero(good)
-        tied = maybe[_tied(keys[maybe], low[maybe], r)]
-        if tied.size:
-            idx = np.argpartition(keys[tied], r - 1, axis=1)[:, :r]
-            good[tied] = ~(idx < d).any(axis=1)
-        rows = np.flatnonzero(good)
-        if rows.size:
-            idx = np.argpartition(keys[rows], r - 1, axis=1)[:, :r]
-            covered[idx.ravel()] = True
-            if covered.all():
-                return True
+        idx = np.argpartition(keys, r - 1, axis=1)[:, :r]  # as gen_rrsd
+        covered[idx[~(idx < d).any(axis=1)]] = True  # the good rows' items
+        if covered.all():
+            return True
     return False
 
 
@@ -371,8 +349,9 @@ def _rssd_block_covered(keys, good, s: int) -> bool:
     left = np.flatnonzero(at_most > s)
     if not left.size:
         return True
-    cols = keys[:, left].T
-    tied = left[_tied(cols, low[left, None], s)]
+    # where fewer than s keys lie strictly below low, keys equal to it
+    # straddle the boundary and argpartition's tie-break decides
+    tied = left[np.count_nonzero(keys[:, left] < low[left], axis=0) < s]
     if tied.size < left.size:
         return False
     sel = np.argpartition(keys[:, tied], s - 1, axis=0)[:s, :]
@@ -419,6 +398,13 @@ def optimal_param(model: str, n: int, d: int, m_hint: int | None = None):
         alpha, _ = theory.rssd_alpha_star(d)
         return max(0, min(int(m_hint), int(round(alpha * m_hint))))
     return theory.utdq_q_star(d)[0]
+
+
+def spec_at(model: str, n: int, d: int, m: int, param=None) -> DesignSpec:
+    """Spec at size m with param, or else the model's rate-optimal one."""
+    if param is None:
+        param = optimal_param(model, n, d, m_hint=m)
+    return DesignSpec(model, n, m, param)
 
 
 # ---------------------------------------------------------------------

@@ -53,9 +53,8 @@ class BitMatrix:
         rows = tuple(rows)
         if len(rows) != m:
             raise DimensionError(f"expected {m} rows, got {len(rows)}")
-        limit = 1 << n
         for t, w in enumerate(rows):
-            if not 0 <= w < limit:
+            if w < 0 or w >> n:  # no 2^n int: n may be huge while m = 0
                 raise DimensionError(f"row {t} does not fit in {n} columns")
         self.m = m
         self.n = n

@@ -37,6 +37,7 @@ from .designs import (
     gen_rssd,
     generate,
     optimal_param,
+    spec_at,
     trial_disjunct,
 )
 from .errors import InfeasibleError, ParameterError
@@ -196,11 +197,6 @@ class SweepPoint:
     trials_per_probe: int
 
 
-def _spec_at(model: str, n: int, d: int, m: int) -> DesignSpec:
-    """Spec at size m with the model's rate-optimal parameter."""
-    return DesignSpec(model, n, m, optimal_param(model, n, d, m_hint=m))
-
-
 def find_min_m(model: str, n: int, d: int, target: float, trials: int,
                master_seed: int, jobs: int = 1,
                cap: int = SEARCH_CAP) -> SearchResult:
@@ -221,7 +217,7 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     probes = []
 
     def accept(m: int) -> bool:
-        rep = run_trials(_spec_at(model, n, d, m), d, trials,
+        rep = run_trials(spec_at(model, n, d, m), d, trials,
                          derive_seed(master_seed, m), jobs=jobs)
         ok = rep.wilson_low >= target - WILSON_GUARD
         probes.append(ProbeRecord(m=m, successes=rep.disjunct_successes,

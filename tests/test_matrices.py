@@ -179,6 +179,13 @@ class TestFileIO:
         write_matrix(path, m)
         assert read_matrix(path) == m
 
+    def test_empty_matrix_with_huge_n(self, tmp_path):
+        # the row range check must not build 1 << n, a 125 GB int here
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"0 1000000000000\n")
+        assert read_matrix(path) == _read_by_lines(path) == BitMatrix(
+            0, 10**12, [])
+
     def test_qary_round_trip(self, tmp_path):
         mq = QaryMatrix(2, 3, 4, [[1, 4, 2], [3, 3, 3]])
         path = tmp_path / "q.txt"
