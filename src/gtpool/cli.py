@@ -142,6 +142,11 @@ def _jobs(ns: dict) -> int:
 
 def _binary_matrix(path: str) -> BitMatrix:
     loaded = read_matrix(path)
+    # check and decode build n-bit masks: refuse an n no design could have
+    if loaded.n > DESIGN_CELL_BUDGET:
+        raise SizeGuardError(
+            f"a matrix of {loaded.n} columns is beyond the budget of "
+            f"{DESIGN_CELL_BUDGET}")
     if isinstance(loaded, QaryMatrix):
         return expand_qary(loaded)
     return loaded

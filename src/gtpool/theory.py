@@ -268,7 +268,11 @@ def rssd_alpha_star(d: int) -> tuple:
 
     Coarse 10^4-point grid, then golden-section refinement to 1e-9 by
     _golden_max (a port of SciPy 1.17's, bit for bit); at d = 1 the top is
-    flat, no bracket is valid and the grid point stands.
+    flat, no bracket is valid and the grid point stands.  The objective
+    rises, then falls, over the grid (the peak nears alpha = ln2/d as d
+    grows), so the scan stops at the first fall, as utdq_q_star's stops at
+    the first rise: it keeps the full scan's first maximum, and with it
+    the bracket and the bits.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
@@ -278,6 +282,8 @@ def rssd_alpha_star(d: int) -> tuple:
         v = rssd_objective(k / denom, d)
         if v > best_v:
             best_k, best_v = k, v
+        elif v < best_v:
+            break
     lo = max(best_k - 1, 1) / denom
     mid = best_k / denom
     hi = min(best_k + 1, _GRID_POINTS) / denom

@@ -347,6 +347,40 @@ def test_arguments_checked_before_the_matrix_is_read(capsys, monkeypatch,
     assert "read before the arguments" not in stderr
 
 
+@pytest.mark.parametrize("header", ["0 1000000000000", "0 1000000000000 5"])
+@pytest.mark.parametrize("argv", [
+    ("check", "--defectives", "1,2"),
+    ("check", "--defectives", "1,2", "--separable"),
+    ("decode", "--defectives", "1,2"),
+    ("decode", "--answers"),
+])
+def test_size_guard_before_any_mask(capsys, tmp_path, monkeypatch, header,
+                                    argv):
+    # 10^12 columns: a mask of n bits would be a 125 GB int
+    def no_mask(*args, **kwargs):
+        raise AssertionError("built n-bit masks beyond the budget")
+
+    for name in ("is_disjunct", "is_separable", "or_columns",
+                 "decode_eliminate", "expand_qary"):
+        monkeypatch.setattr(f"gtpool.cli.{name}", no_mask)
+    path = tmp_path / "m.txt"
+    path.write_text(header + "\n")
+    if argv[-1] == "--answers":
+        answers = tmp_path / "a.txt"
+        answers.write_text("")  # m = 0 answers
+        argv += (str(answers),)
+    tracemalloc.start()
+    try:
+        code, stdout, stderr = run(capsys, argv[0], "--matrix", str(path),
+                                   *argv[1:])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and stdout == ""
+    assert "budget" in stderr and "Traceback" not in stderr
+    assert peak < 1 << 20
+
+
 class TestMc:
     ARGS = ("mc", "--model", "rid", "--n", "60", "--d", "2", "--m", "40",
             "--trials", "30", "--seed", "3")

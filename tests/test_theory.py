@@ -182,6 +182,27 @@ class TestColumnWeightRate:
         # recorded from scipy's minimize_scalar(method="golden")
         assert rssd_alpha_star(d) == pin
 
+    @pytest.mark.parametrize("d", range(1, theory.CAPACITY_CAP + 1))
+    def test_grid_scan_matches_full_scan(self, d):
+        # the oracle scans the whole grid; rssd_alpha_star stops at the
+        # first fall
+        denom = theory._GRID_POINTS + 1
+        best_k, best_v = 1, -1.0
+        for k in range(1, theory._GRID_POINTS + 1):
+            v = rssd_objective(k / denom, d)
+            if v > best_v:
+                best_k, best_v = k, v
+        lo = max(best_k - 1, 1) / denom
+        mid = best_k / denom
+        hi = min(best_k + 1, theory._GRID_POINTS) / denom
+        want = mid, best_v
+        if lo < mid < hi:
+            res = theory._golden_max(lambda a: rssd_objective(a, d),
+                                     lo, mid, hi)
+            if res is not None and res[1] >= best_v:
+                want = res
+        assert rssd_alpha_star(d) == want
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_star_beats_neighbours(self, d):
         a, f = rssd_alpha_star(d)
