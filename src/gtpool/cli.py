@@ -12,38 +12,33 @@ output so the run can be replayed.
 
 A config file (--config PATH, lines of key=value, '#' comments) may
 supply any long flag's value; flags given on the command line win.
+
+Only theory, which needs nothing but math, is imported up front: the
+numpy-backed names (designs, sim, the decoders, the matrix file I/O,
+check_seed) are bound as module globals by _bind() when a command other
+than table1 runs, so table1 and --help start without importing numpy.
+Reading one of them from outside (to patch gtpool.cli.read_matrix, say)
+binds them first.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import os
 import sys
 
-from . import designs, sim, theory
-from .decoding import decode_eliminate, is_disjunct, is_separable
+from . import theory
 from .errors import (
     GroupTestError,
     InfeasibleError,
     MatrixParseError,
     ParameterError,
     SizeGuardError,
-)
-from .matrices import (
-    BitMatrix,
-    DefectiveSet,
-    QaryMatrix,
-    _replace_on_success,
     _undecodable,
-    expand_qary,
-    read_answers,
-    read_matrix,
-    or_columns,
-    write_matrix,
 )
-from .rng import check_seed
 
 __all__ = ["main"]
 
@@ -53,6 +48,35 @@ _BOOL_TRUE = ("1", "true", "yes", "on")
 # byte per entry and the rssd draw a dense boolean matrix, so about 1 GiB
 # each.  The n = 10^5 designs of the benchmark take about 10^7 entries.
 DESIGN_CELL_BUDGET = 1 << 30
+
+
+# module -> the names _bind() takes from it; a module's own name binds it
+_LATE = {
+    "designs": ("designs",),
+    "sim": ("sim",),
+    "decoding": ("decode_eliminate", "is_disjunct", "is_separable"),
+    "matrices": ("BitMatrix", "DefectiveSet", "QaryMatrix",
+                 "_replace_on_success", "expand_qary", "or_columns",
+                 "read_answers", "read_matrix", "write_matrix"),
+    "rng": ("check_seed",),
+}
+
+
+def _bind() -> None:
+    """Bind the numpy-backed names; a name already bound keeps its value."""
+    for module, names in _LATE.items():
+        mod = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            value = mod if name == module else getattr(mod, name)
+            globals().setdefault(name, value)
+
+
+def __getattr__(name):
+    # only the late names: `from .cli import main` probes __path__
+    if any(name in names for names in _LATE.values()):
+        _bind()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -312,7 +336,7 @@ def cmd_table1(ns: dict) -> int:
 
 def _add_common(p, *names):
     if "model" in names:
-        p.add_argument("--model", choices=list(designs.MODELS))
+        p.add_argument("--model", choices=list(theory.MODELS))
     if "seed" in names:
         p.add_argument("--seed", type=int)
         p.add_argument("--entropy", action="store_true", default=None,
@@ -399,6 +423,8 @@ def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     ns = vars(args)
+    if ns["command"] != "table1":
+        _bind()
     try:
         if ns.get("config"):
             _merge_config(ns, _load_config(ns["config"]),

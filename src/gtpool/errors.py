@@ -36,3 +36,10 @@ class MatrixParseError(GroupTestError):
         self.path = str(path)
         self.line = line
         super().__init__(f"{self.path}:{line}: {message}")
+
+
+def _undecodable(path, exc: UnicodeDecodeError) -> MatrixParseError:
+    """The parse error for a whole-file read that met a byte outside the
+    file's encoding, naming the 1-based line of that byte."""
+    line = exc.object.count(b"\n", 0, exc.start) + 1
+    return MatrixParseError(path, line, f"not {exc.encoding} text")

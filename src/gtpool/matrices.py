@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, MatrixParseError, ParameterError
+from .errors import (
+    DimensionError,
+    MatrixParseError,
+    ParameterError,
+    _undecodable,
+)
 
 __all__ = [
     "BitMatrix",
@@ -295,13 +300,6 @@ _QARY_DIGITS = 18
 
 # digits the q-ary writer formats at once: bounds its buffers, not its output
 _WRITE_BLOCK = 1 << 20
-
-
-def _undecodable(path, exc: UnicodeDecodeError) -> MatrixParseError:
-    """The parse error for a whole-file read that met a byte outside the
-    file's encoding, naming the 1-based line of that byte."""
-    line = exc.object.count(b"\n", 0, exc.start) + 1
-    return MatrixParseError(path, line, f"not {exc.encoding} text")
 
 
 def _read_bytes(path) -> bytes:

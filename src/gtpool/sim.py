@@ -151,7 +151,8 @@ def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
         chunk = math.ceil(trials / jobs)
         work = [(spec, d, master_seed, lo, min(lo + chunk, trials))
                 for lo in range(0, trials, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker up front: no more than there are chunks
+        with ProcessPoolExecutor(max_workers=len(work)) as pool:
             disj = sum(pool.map(_count_chunk, work))
 
     low, high = wilson_interval(disj, trials)

@@ -272,7 +272,9 @@ def rssd_alpha_star(d: int) -> tuple:
     rises, then falls, over the grid (the peak nears alpha = ln2/d as d
     grows), so the scan stops at the first fall, as utdq_q_star's stops at
     the first rise: it keeps the full scan's first maximum, and with it
-    the bracket and the bits.
+    the bracket and the bits.  When grid point 1 wins (from d = 4,813
+    on) the peak lies below the grid, and the bracket is taken around
+    ln2/d instead.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
@@ -284,14 +286,18 @@ def rssd_alpha_star(d: int) -> tuple:
             best_k, best_v = k, v
         elif v < best_v:
             break
-    lo = max(best_k - 1, 1) / denom
-    mid = best_k / denom
-    hi = min(best_k + 1, _GRID_POINTS) / denom
+    grid = best_k / denom
+    if best_k == 1:
+        # the peak, near ln2/d, may lie below the grid's first point
+        lo, mid, hi = (LN2 / d * t for t in (0.5, 1.0, 2.0))
+    else:
+        lo, mid, hi = ((best_k - 1) / denom, grid,
+                       min(best_k + 1, _GRID_POINTS) / denom)
     if lo < mid < hi:
         res = _golden_max(lambda a: rssd_objective(a, d), lo, mid, hi)
         if res is not None and res[1] >= best_v:
             return res
-    return mid, best_v
+    return grid, best_v
 
 
 def utdq_search_range(d: int) -> range:

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import gtpool
+import gtpool.cli
 from gtpool.cli import DESIGN_CELL_BUDGET, main
 from gtpool.errors import MatrixParseError
 from gtpool.matrices import (
@@ -155,6 +158,17 @@ class TestDesign:
         assert run(capsys, *argv, "--n", str(n))[0] == 0
         assert run(capsys, *argv, "--n", str(n + 1))[0] == 2
         assert [(spec.m, spec.n) for spec in drawn] == [(m, n)]
+
+    def test_rssd_sized_at_a_million_defectives(self, capsys, tmp_path):
+        # alpha* lies below the rssd grid here: the sizing succeeds, and
+        # the size guard refuses the draw
+        code, stdout, stderr = run(
+            capsys, "design", "--model", "rssd", "--n", "2000000",
+            "--d", "1000000", "--delta", "0.1", "--seed", "1",
+            "--out", str(tmp_path / "m.txt"))
+        assert code == 2 and stdout == ""
+        assert "budget" in stderr and "Traceback" not in stderr
+        assert list(tmp_path.iterdir()) == []
 
     UTDQ = ("design", "--model", "utdq", "--n", "40", "--d", "2",
             "--delta", "0.2", "--seed", "1")
@@ -567,27 +581,130 @@ class TestConfigAndErrors:
         assert "Traceback" not in stderr
 
 
-def _modules_after_import(prefixes):
-    """The modules named in prefixes, or inside them, that a fresh
-    `import gtpool.cli` loads."""
+def _python(code, *argv):
+    """A fresh interpreter running code, with this checkout's gtpool."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def _modules_after_import(prefixes, bind):
+    """The modules named in prefixes, or inside them, that a fresh
+    `import gtpool.cli` loads, and then its _bind() if bind is set."""
     code = ("import sys, gtpool.cli; "
-            "print(sorted(m for m in sys.modules for p in "
+            + ("gtpool.cli._bind(); " if bind else "")
+            + "print(sorted(m for m in sys.modules for p in "
             f"{prefixes!r} if m == p or m.startswith(p + '.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+    proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
-def test_import_loads_no_scipy():
-    assert _modules_after_import(("scipy",)) == "[]"
-
-
-def test_import_loads_no_process_pool():
+@pytest.mark.parametrize("prefixes, bind", [
+    (("scipy",), True),
     # run_trials imports the pool only when it runs with jobs > 1
-    loaded = _modules_after_import(("multiprocessing",
-                                    "concurrent.futures.process"))
-    assert loaded == "[]"
+    (("multiprocessing", "concurrent.futures.process"), True),
+    # the numpy-backed names are bound only for commands that use them
+    (("numpy",), False),
+], ids=["scipy", "process-pool", "numpy"])
+def test_import_loads_none_of(prefixes, bind):
+    assert _modules_after_import(prefixes, bind) == "[]"
+
+
+# runs `python -m gtpool ARGV...` in a process where importing numpy fails
+_NO_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None
+sys.argv = ["gtpool", *sys.argv[1:]]
+runpy.run_module("gtpool", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("argv, pin", [
+    (["table1"], "cli.table1"),
+    (["table1", "--dmax", "12", "--format", "json"], "cli.table1.dmax12.json"),
+], ids=["csv", "json"])
+def test_table1_runs_without_numpy(argv, pin):
+    pins = json.loads((Path(__file__).with_name("output_pins.json"))
+                      .read_text())
+    proc = _python(_NO_NUMPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == pins[pin]
+
+
+def test_help_runs_without_numpy():
+    proc = _python(_NO_NUMPY, "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: gtpool")
+
+
+def test_table1_config_error_without_numpy(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"dmax = 2\n\xff\n")
+    proc = _python(_NO_NUMPY, "table1", "--config", str(bad))
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert f"{bad}:2:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_patch_before_bind_is_kept(small_matrix):
+    # a name patched before any command runs survives the late binding,
+    # whether it was read first (as monkeypatch and perfbench do) or not
+    path, _ = small_matrix
+    code = """
+import sys
+import gtpool.cli as cli
+from gtpool import matrices
+
+argv = ["check", "--matrix", sys.argv[1], "--defectives", "1"]
+calls = []
+
+def spy(path):
+    calls.append(path)
+    return matrices.read_matrix(path)
+
+assert "read_matrix" not in vars(cli)
+cli.read_matrix = spy
+assert cli.main(argv) == 0 and calls == [sys.argv[1]]
+cli.read_matrix = matrices.read_matrix
+assert cli.main(argv) == 0 and len(calls) == 1
+
+saved = cli.read_matrix
+cli.read_matrix = spy
+assert cli.main(argv) == 0 and len(calls) == 2
+cli.read_matrix = saved
+assert cli.main(argv) == 0 and len(calls) == 2
+assert cli.read_matrix is matrices.read_matrix
+"""
+    proc = _python(code, path)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestPackageSurface:
+    def test_exports_are_the_module_objects(self):
+        assert len(gtpool.__all__) == 48
+        assert gtpool.__all__ == sorted(gtpool.__all__)
+        for module, names in gtpool._EXPORTS.items():
+            home = importlib.import_module(f"gtpool.{module}")
+            for name in names:
+                assert getattr(gtpool, name) is getattr(home, name), name
+        assert set(gtpool.__all__) <= set(dir(gtpool))
+
+    def test_star_import(self):
+        ns = {}
+        exec("from gtpool import *", ns)
+        assert set(ns) - {"__builtins__"} == set(gtpool.__all__)
+
+    def test_submodule_after_bare_import(self):
+        proc = _python("import gtpool; "
+                       "print(gtpool.sim.run_trials.__module__)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "gtpool.sim\n"
+
+    def test_unknown_attribute(self):
+        for module in (gtpool, gtpool.cli):
+            with pytest.raises(AttributeError, match="no_such_name"):
+                module.no_such_name

@@ -187,6 +187,12 @@ class TestUpperSizing:
         lam = 2 / math.sqrt(0.1 * good * res.m_real)
         assert abs(res.m_real - (1 + lam) * res.m_prime) < 0.5
 
+    def test_rssd_at_a_million_defectives(self):
+        # alpha* lies below the 10^4-point grid, near ln2/d
+        res = upper_bound_m("rssd", 2 * 10**6, 10**6, 0.1)
+        assert res.feasible
+        assert res.alpha * 10**6 == pytest.approx(math.log(2), rel=1e-2)
+
     def test_rssd_singular_at_d1(self):
         res = upper_bound_m("rssd", 1000, 1, 0.1)
         assert not res.feasible

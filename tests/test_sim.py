@@ -71,6 +71,30 @@ class TestRunTrials:
         team = run_trials(self.SPEC, 2, 40, 99, jobs=3)
         assert solo == team
 
+    def test_pool_gets_one_worker_per_chunk(self, monkeypatch):
+        # an in-process stand-in: fork would start all max_workers up front
+        seen = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InlinePool)
+        team = run_trials(self.SPEC, 2, 3, 99, jobs=64)
+        assert seen == [3]
+        assert team == run_trials(self.SPEC, 2, 3, 99, jobs=1)
+
     def test_record_keys_ordered(self):
         rec = run_trials(self.SPEC, 2, 10, 1).as_record()
         assert list(rec) == [

@@ -203,6 +203,15 @@ class TestColumnWeightRate:
                 want = res
         assert rssd_alpha_star(d) == want
 
+    @pytest.mark.parametrize("d", [5000, 10**4, 10**5, 4 * 10**5, 10**6,
+                                   10**9])
+    def test_alpha_star_below_the_grid(self, d):
+        # the peak, near ln2/d, lies below the grid's first point
+        alpha, _ = rssd_alpha_star(d)
+        assert alpha * d == pytest.approx(math.log(2), rel=1e-2)
+        assert c_constant("rssd", d) == pytest.approx(
+            ASYMPTOTIC_CONSTANT, abs=1e-3)
+
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_star_beats_neighbours(self, d):
         a, f = rssd_alpha_star(d)
