@@ -14,18 +14,17 @@ A config file (--config PATH, lines of key=value, '#' comments) may
 supply any long flag's value; flags given on the command line win.
 
 Only theory, which needs nothing but math, is imported up front: the
-numpy-backed names (designs, sim, the decoders, the matrix file I/O,
-check_seed) are bound as module globals by _bind() when a command other
-than table1 runs, so table1 and --help start without importing numpy.
-Reading one of them from outside (to patch gtpool.cli.read_matrix, say)
-binds them first.
+numpy-backed names in _LATE (designs, sim, the decoders, the matrix file
+I/O) are taken from the package's lazy exports and bound as module
+globals by _bind() when a command other than table1 runs, so table1 and
+--help start without importing numpy.  Reading one of them from outside
+(to patch gtpool.cli.read_matrix, say) binds them first.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib
 import json
 import os
 import sys
@@ -50,30 +49,24 @@ _BOOL_TRUE = ("1", "true", "yes", "on")
 DESIGN_CELL_BUDGET = 1 << 30
 
 
-# module -> the names _bind() takes from it; a module's own name binds it
-_LATE = {
-    "designs": ("designs",),
-    "sim": ("sim",),
-    "decoding": ("decode_eliminate", "is_disjunct", "is_separable"),
-    "matrices": ("BitMatrix", "DefectiveSet", "QaryMatrix",
-                 "_replace_on_success", "expand_qary", "or_columns",
-                 "read_answers", "read_matrix", "write_matrix"),
-    "rng": ("check_seed",),
-}
+# the numpy-backed names the commands use; gtpool's lazy exports say
+# where each one lives
+_LATE = ("designs", "sim", "matrices", "rng", "decode_eliminate",
+         "is_disjunct", "is_separable", "DefectiveSet", "QaryMatrix",
+         "expand_qary", "or_columns", "read_answers", "read_matrix",
+         "write_matrix")
 
 
 def _bind() -> None:
     """Bind the numpy-backed names; a name already bound keeps its value."""
-    for module, names in _LATE.items():
-        mod = importlib.import_module(f".{module}", __package__)
-        for name in names:
-            value = mod if name == module else getattr(mod, name)
-            globals().setdefault(name, value)
+    package = sys.modules[__package__]
+    for name in _LATE:
+        globals().setdefault(name, getattr(package, name))
 
 
 def __getattr__(name):
     # only the late names: `from .cli import main` probes __path__
-    if any(name in names for names in _LATE.values()):
+    if name in _LATE:
         _bind()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -130,7 +123,7 @@ def _require(ns: dict, *names: str) -> None:
 
 def _resolve_seed(ns: dict) -> int:
     if ns.get("seed") is not None:
-        return check_seed(ns["seed"])
+        return rng.check_seed(ns["seed"])
     if ns.get("entropy"):
         return int.from_bytes(os.urandom(8), "big")
     raise ParameterError(
@@ -164,7 +157,7 @@ def _jobs(ns: dict) -> int:
     return 1 if ns.get("jobs") is None else ns["jobs"]
 
 
-def _binary_matrix(path: str) -> BitMatrix:
+def _binary_matrix(path: str):
     loaded = read_matrix(path)
     # check and decode build n-bit masks: refuse an n no design could have
     if loaded.n > DESIGN_CELL_BUDGET:
@@ -224,7 +217,8 @@ def cmd_design(ns: dict) -> int:
             f"{DESIGN_CELL_BUDGET}")
     qary_out = ns.get("qary_out")
     # all or nothing, and an unwritable target fails before the draw
-    with _replace_on_success(*filter(None, (qary_out, ns["out"]))) as tmps:
+    targets = filter(None, (qary_out, ns["out"]))
+    with matrices._replace_on_success(*targets) as tmps:
         if model == "utdq":
             q = int(spec.param)
             mq = designs.gen_utdq(n, m // q, q, seed)

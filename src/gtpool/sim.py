@@ -199,8 +199,7 @@ class SweepPoint:
 
 
 def find_min_m(model: str, n: int, d: int, target: float, trials: int,
-               master_seed: int, jobs: int = 1,
-               cap: int = SEARCH_CAP) -> SearchResult:
+               master_seed: int, jobs: int = 1) -> SearchResult:
     """Smallest probed m whose success estimate clears the target.
 
     Success frequency is monotone in m for every model, so exponential
@@ -230,9 +229,9 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     while not accept(hi * step):
         lo = hi
         hi *= 2
-        if hi * step > cap:
+        if hi * step > SEARCH_CAP:
             raise InfeasibleError(
-                f"no m <= {cap} reached target {target} for {model} at "
+                f"no m <= {SEARCH_CAP} reached target {target} for {model} at "
                 f"n={n}, d={d} ({len(probes)} probes)")
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -270,11 +270,12 @@ def rssd_alpha_star(d: int) -> tuple:
     _golden_max (a port of SciPy 1.17's, bit for bit); at d = 1 the top is
     flat, no bracket is valid and the grid point stands.  The objective
     rises, then falls, over the grid (the peak nears alpha = ln2/d as d
-    grows), so the scan stops at the first fall, as utdq_q_star's stops at
-    the first rise: it keeps the full scan's first maximum, and with it
-    the bracket and the bits.  When grid point 1 wins (from d = 4,813
-    on) the peak lies below the grid, and the bracket is taken around
-    ln2/d instead.
+    grows), so the scan stops at the first point that does not rise, as
+    utdq_q_star's stops at the first rise: it keeps the full scan's first
+    maximum, and with it the bracket and the bits, and from d ~ 4 * 10^5,
+    where every grid value is 0.0, it stops at point 2.  When grid point 1
+    wins (from d = 4,813 on) the peak lies below the grid, and the bracket
+    is taken around ln2/d instead.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
@@ -284,7 +285,7 @@ def rssd_alpha_star(d: int) -> tuple:
         v = rssd_objective(k / denom, d)
         if v > best_v:
             best_k, best_v = k, v
-        elif v < best_v:
+        else:
             break
     grid = best_k / denom
     if best_k == 1:

@@ -361,6 +361,28 @@ def test_arguments_checked_before_the_matrix_is_read(capsys, monkeypatch,
     assert "read before the arguments" not in stderr
 
 
+@pytest.mark.parametrize("argv, missing", [
+    (("design", "--model", "rid", "--n", "50"), "--d, --out"),
+    (("check", "--separable"), "--matrix, --defectives"),
+    (("decode", "--defectives", "1"), "--matrix"),
+    (("mc", "--model", "rid", "--n", "50", "--seed", "1"),
+     "--d, --m, --trials"),
+    (("sweep", "--d", "2", "--trials", "40"), "--model, --n-list, --target"),
+], ids=["design", "check", "decode", "mc", "sweep"])
+def test_missing_required_flags(capsys, monkeypatch, argv, missing):
+    # every missing flag is named, before anything expensive starts
+    def expensive(*args, **kwargs):
+        raise AssertionError("started work with required flags missing")
+
+    for target in ("gtpool.designs.upper_bound_m", "gtpool.designs.generate",
+                   "gtpool.cli.read_matrix", "gtpool.sim.run_trials",
+                   "gtpool.sim.run_sweep"):
+        monkeypatch.setattr(target, expensive)
+    code, stdout, stderr = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: missing required flag(s): {missing}\n"
+
+
 @pytest.mark.parametrize("header", ["0 1000000000000", "0 1000000000000 5"])
 @pytest.mark.parametrize("argv", [
     ("check", "--defectives", "1,2"),
@@ -678,6 +700,12 @@ assert cli.main(argv) == 0 and len(calls) == 2
 cli.read_matrix = saved
 assert cli.main(argv) == 0 and len(calls) == 2
 assert cli.read_matrix is matrices.read_matrix
+
+# the package's lazy exports are the one record of where a name lives
+import gtpool
+cli._bind()
+for name in cli._LATE:
+    assert vars(cli)[name] is getattr(gtpool, name), name
 """
     proc = _python(code, path)
     assert proc.returncode == 0, proc.stderr
@@ -692,6 +720,9 @@ class TestPackageSurface:
             for name in names:
                 assert getattr(gtpool, name) is getattr(home, name), name
         assert set(gtpool.__all__) <= set(dir(gtpool))
+        # the CLI binds late only names the package exports or submodules
+        for name in gtpool.cli._LATE:
+            assert name in gtpool.__all__ or name in gtpool._SUBMODULES, name
 
     def test_star_import(self):
         ns = {}

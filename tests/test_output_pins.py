@@ -40,6 +40,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -236,11 +237,18 @@ def pinned_outputs() -> dict:
             generate(DesignSpec(model, n, m, param), SEED))
     for name, flags in DESIGN_RUNS.items():
         out[f"cli.design.{name}"] = _design_digests(flags)
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        for name, flags in MATRIX_DESIGNS.items():
-            _stdout(["design", *flags, "--out", name])
-        for command in MATRIX_RUNS:
-            out[f"cli.{command}"] = _stdout(command.split(), seeded=False)
+    # relative matrix names, as the pinned stdout shows them (by hand:
+    # contextlib.chdir needs Python 3.11)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, flags in MATRIX_DESIGNS.items():
+                _stdout(["design", *flags, "--out", name])
+            for command in MATRIX_RUNS:
+                out[f"cli.{command}"] = _stdout(command.split(), seeded=False)
+        finally:
+            os.chdir(cwd)
     return out
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtpool import designs
+from gtpool import designs, sim
 from gtpool.designs import DesignSpec, gen_utdq, optimal_param, trial_disjunct
 from gtpool.errors import InfeasibleError, ParameterError
 from gtpool.rng import derive_seed, substream
@@ -217,10 +217,11 @@ class TestFindMinM:
         assert res.m_star % q == 0
         assert all(p.m % q == 0 for p in res.probes)
 
-    def test_unreachable_target_is_infeasible(self):
+    def test_unreachable_target_is_infeasible(self, monkeypatch):
         # 40 trials can never push the lower Wilson bound to 0.969
+        monkeypatch.setattr(sim, "SEARCH_CAP", 64)
         with pytest.raises(InfeasibleError):
-            find_min_m("rid", 30, 2, 0.999, 40, 11, cap=64)
+            find_min_m("rid", 30, 2, 0.999, 40, 11)
 
     def test_target_validated(self):
         with pytest.raises(ParameterError):

@@ -182,20 +182,25 @@ class TestColumnWeightRate:
         # recorded from scipy's minimize_scalar(method="golden")
         assert rssd_alpha_star(d) == pin
 
-    @pytest.mark.parametrize("d", range(1, theory.CAPACITY_CAP + 1))
+    @pytest.mark.parametrize("d", [*range(1, theory.CAPACITY_CAP + 1),
+                                   5000, 10**5, 4 * 10**5, 10**6])
     def test_grid_scan_matches_full_scan(self, d):
         # the oracle scans the whole grid; rssd_alpha_star stops at the
-        # first fall
+        # first point that does not rise
         denom = theory._GRID_POINTS + 1
         best_k, best_v = 1, -1.0
         for k in range(1, theory._GRID_POINTS + 1):
             v = rssd_objective(k / denom, d)
             if v > best_v:
                 best_k, best_v = k, v
-        lo = max(best_k - 1, 1) / denom
-        mid = best_k / denom
-        hi = min(best_k + 1, theory._GRID_POINTS) / denom
-        want = mid, best_v
+        grid = best_k / denom
+        if best_k == 1:
+            # the peak may lie below the grid: bracket ln2/d instead
+            lo, mid, hi = (math.log(2) / d * t for t in (0.5, 1.0, 2.0))
+        else:
+            lo, mid, hi = ((best_k - 1) / denom, grid,
+                           min(best_k + 1, theory._GRID_POINTS) / denom)
+        want = grid, best_v
         if lo < mid < hi:
             res = theory._golden_max(lambda a: rssd_objective(a, d),
                                      lo, mid, hi)
@@ -211,6 +216,20 @@ class TestColumnWeightRate:
         assert alpha * d == pytest.approx(math.log(2), rel=1e-2)
         assert c_constant("rssd", d) == pytest.approx(
             ASYMPTOTIC_CONSTANT, abs=1e-3)
+
+    def test_flat_grid_stops_early(self, monkeypatch):
+        # from d ~ 4 * 10^5 every grid value is 0.0; a cold call must not
+        # walk all 10^4 points of it
+        calls = []
+
+        def counted(alpha, d):
+            calls.append(alpha)
+            return rssd_objective(alpha, d)
+
+        monkeypatch.setattr(theory, "rssd_objective", counted)
+        alpha, _ = rssd_alpha_star.__wrapped__(10**6)
+        assert alpha * 10**6 == pytest.approx(math.log(2), rel=1e-2)
+        assert len(calls) < 200
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_star_beats_neighbours(self, d):
