@@ -41,7 +41,9 @@ from .errors import (
 
 __all__ = ["main"]
 
-_BOOL_TRUE = ("1", "true", "yes", "on")
+# the values a config file may give a flag that takes none
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 # Largest m * n that `design` draws and writes: the binary file takes a
 # byte per entry and the rssd draw a dense boolean matrix, so about 1 GiB
@@ -102,7 +104,10 @@ def _merge_config(ns: dict, config: dict, parser) -> None:
         if ns[key] is not None:
             continue
         if action.nargs == 0:  # store_true flag
-            ns[key] = raw.lower() in _BOOL_TRUE
+            ns[key] = _BOOL_WORDS.get(raw.lower())
+            if ns[key] is None:
+                raise ParameterError(
+                    f"config {key}: {raw!r} is not one of {list(_BOOL_WORDS)}")
             continue
         conv = action.type or str
         try:

@@ -258,11 +258,11 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             argpartition, so a row's support is the generator's, ties
             included.  A row is good when no defective is in it.
       rssd  _column_blocks; a column's support is its s smallest keys.
-            The defective columns' argpartition gives the good rows G,
-            and column j is covered when fewer than s of its keys lie
-            below min(keys[G, j]).  Where that count meets a key tied at
-            the selection boundary, the generator's own argpartition
-            decides the column.
+            The defective columns' argpartition gives the good rows G.
+            Column j is covered when at most s of its keys are <=
+            min(keys[G, j]); every other column goes through the
+            generator's own argpartition, ties included, and is covered
+            when it selects a row of G.
       utdq  _utdq_entries, the m/q x n integers in [1, q]; q-ary row i
             covers column j when entry (i, j) is not one of row i's
             defective symbols (its indicator row is then good).
@@ -281,7 +281,7 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     if spec.model == "rssd":
         return _trial_rssd(n, m, int(spec.param), d, rng)
     q = int(spec.param)
-    return _trial_utdq(n, m // q, q, d, rng)
+    return _utdq_disjunct(_utdq_entries(rng, m // q, n, q), d)
 
 
 def _trial_rid(n, m, p, d, rng) -> bool:
@@ -324,42 +324,21 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
 def _trial_rssd(n, m, s, d, rng) -> bool:
     if s == 0 or s == m:
         return False  # no row holds anything, or every row every item
-    defective = np.zeros(m, dtype=bool)
-    good = None
+    good = np.ones(m, dtype=bool)  # the rows that hold no defective
     for start, keys in _column_blocks(rng, m, n):
-        if good is None:  # the block holds defective columns
-            rows = np.argpartition(keys[:, :d - start], s - 1, axis=0)[:s, :]
-            defective[rows.ravel()] = True
-            if start + keys.shape[1] < d:
-                continue  # a block narrower than d: all of it defective
-            good = np.flatnonzero(~defective)
-            if not good.size:
+        if start < d:  # the block holds defective columns
+            good[np.argpartition(keys[:, :d - start], s - 1, axis=0)[:s]] = False
+            if not good.any():
                 return False
             keys = keys[:, d - start:]
-        if not _rssd_block_covered(keys, good, s):
+        # a column is covered when at most s of its keys reach its least
+        # good key; any other goes through the generator's argpartition
+        low = keys[good].min(axis=0)
+        left = np.flatnonzero(np.count_nonzero(keys <= low, axis=0) > s)
+        sel = np.argpartition(keys[:, left], s - 1, axis=0)[:s]
+        if not good[sel].any(axis=0).all():
             return False
     return True
-
-
-def _rssd_block_covered(keys, good, s: int) -> bool:
-    """Every column of keys has one of its s smallest keys in a good row."""
-    low = keys[good].min(axis=0)
-    # covered iff a good row's key is among the column's s smallest
-    at_most = np.count_nonzero(keys <= low, axis=0)
-    left = np.flatnonzero(at_most > s)
-    if not left.size:
-        return True
-    # where fewer than s keys lie strictly below low, keys equal to it
-    # straddle the boundary and argpartition's tie-break decides
-    tied = left[np.count_nonzero(keys[:, left] < low[left], axis=0) < s]
-    if tied.size < left.size:
-        return False
-    sel = np.argpartition(keys[:, tied], s - 1, axis=0)[:s, :]
-    return bool(np.isin(sel, good).any(axis=0).all())
-
-
-def _trial_utdq(n, m_prime, q, d, rng) -> bool:
-    return _utdq_disjunct(_utdq_entries(rng, m_prime, n, q), d)
 
 
 def _utdq_disjunct(entries, d: int) -> bool:

@@ -404,9 +404,10 @@ def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
         # stops - 1 - k may wrap below 0, but only where width <= k
         place = np.where(width > k, text[stops - 1 - k] - ord("0"), 0)
         entries += place * np.int64(10 ** k)
-    if entries.min(initial=1) < 1 or entries.max(initial=1) > q:
+    try:
+        return QaryMatrix(m, n, q, entries.reshape(m, n))
+    except DimensionError:  # an entry outside [1, q]
         return None
-    return QaryMatrix(m, n, q, entries.reshape(m, n))
 
 
 def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:

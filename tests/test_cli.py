@@ -566,6 +566,24 @@ class TestConfigAndErrors:
         assert code == 0
         assert json.loads(stdout)["separable"] is False  # as in test_verdicts
 
+    def test_config_boolean_must_be_a_boolean_word(self, capsys,
+                                                   small_matrix, tmp_path):
+        # a misspelled word must not read as "unset" and skip the check
+        path, _ = small_matrix
+        cfg = tmp_path / "run.cfg"
+        for word, separable in [("ON", False), ("Off", None), ("0", None)]:
+            cfg.write_text(f"matrix = {path}\ndefectives = 1,3\n"
+                           f"separable = {word}\n")
+            code, stdout, _ = run(capsys, "check", "--config", str(cfg))
+            assert code == 0, word
+            assert json.loads(stdout)["separable"] is separable, word
+        for word in ("ture", "", "2", "y"):
+            cfg.write_text(f"matrix = {path}\ndefectives = 1,3\n"
+                           f"separable = {word}\n")
+            code, stdout, stderr = run(capsys, "check", "--config", str(cfg))
+            assert code == 2 and stdout == "", word
+            assert "config separable:" in stderr and repr(word) in stderr
+
     def test_missing_matrix_file_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "decode", "--matrix",
                          str(tmp_path / "nope.txt"), "--defectives", "1")

@@ -313,6 +313,9 @@ QARY_EDGES = [
     "2 3 7\n1 2\n3 4 5 6\n",                  # right total, wrong rows
     "2 3 7\n1 2 3\n",                        # missing row
     "2 3 7\n1 2 3\n\n",                      # empty row
+    "2 2 7\n1 2 3 4\n\n",                    # blank row m, right total
+    "2 2 7\n1 2 3 4\n   \n5 6\n",             # all-space row m
+    "1 2 7\n   \n",
     "2 3 7\n1 2 3\n4 5 8\n",                  # out of range
     "1 3 7\n1\r2 3\n",                       # lone CR ends a line
     "1 3 7\n1\t2 3\n",
