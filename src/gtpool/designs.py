@@ -11,9 +11,10 @@ Four models, all row-i.i.d. or column-i.i.d.:
 Sizing solves the number of tests m that makes a design disjunct for d
 defectives among n items with probability 1 - delta.  The guarantees
 carry a square-root correction in m, so the displays are implicit; the
-two row-i.i.d. models reduce to a quadratic in sqrt(m), the others use
-a short fixed-point iteration whose convergence (and the validity bound
-on the correction factor) decides feasibility.
+two row-i.i.d. models and utdq's exact display reduce to a quadratic in
+sqrt(m), rssd's to a cubic solved by fixed-point iteration.  The bound on
+the correction factor decides feasibility, and m is the least count (for
+utdq the least multiple of q) that meets the display.
 """
 
 from __future__ import annotations
@@ -486,20 +487,18 @@ def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
     def lam_at(m):
         return 2.0 / math.sqrt(delta * good * m)
 
+    # m = (1 + lam(m)) m_prime is a cubic in sqrt(m); the map contracts
+    # by lam / (2 (1 + lam)) < 1/2 at its root, so iterate to float precision
     m = m_prime
-    converged = False
     for _ in range(100):
-        nxt = (1.0 + lam_at(m)) * m_prime
-        if abs(nxt - m) < 0.5:
-            m = nxt
-            converged = True
+        m, prev = (1.0 + lam_at(m)) * m_prime, m
+        if abs(m - prev) <= 1e-12 * prev:
             break
-        m = nxt
+    else:
+        return result(alpha=alpha, m_prime=m_prime, reason=(
+            "correction fixed point did not converge in 100 iterations"))
     lam = lam_at(m)
     result = partial(result, lam=lam, alpha=alpha, m_prime=m_prime)
-    if not converged:
-        return result(reason="correction fixed point did not converge in 100 "
-                             "iterations")
     if lam >= 1.0:
         return result(reason=f"correction factor {lam:.3f} >= 1 at this scale")
     return result(m=math.ceil(m), m_real=m)
@@ -513,30 +512,16 @@ def _utdq_upper_exact(result, n: int, d: int, delta: float,
         scale = 2.0 * float(q) ** (d + 1) * math.log(2.0 * float(q) ** d / delta)
     except OverflowError:
         scale = math.inf
-
-    def lam_at(m):
-        return math.sqrt(scale / m) if math.isfinite(scale) else math.inf
-
-    infeasible = partial(result, m_prime=m0 / q)
-    m = m0
-    converged = False
-    for _ in range(100):
-        lam = lam_at(m)
-        if lam >= 1.0:
-            return infeasible(lam=lam, reason=(
-                f"correction factor {lam:.3f} >= 1; the exact display needs "
-                f"m on the order of q^(d+1)"))
-        nxt = m0 / (1.0 - lam)
-        if abs(nxt - m) < 0.5:
-            m = nxt
-            converged = True
-            break
-        m = nxt
-    if not converged:
-        return infeasible(lam=lam, reason="correction fixed point did not "
-                                          "converge in 100 iterations")
-    m_int = q * math.ceil(m / q)
-    return result(m=m_int, m_real=m, lam=lam_at(m), m_prime=m_int // q)
+    # the display m - sqrt(scale * m) >= m0 is a quadratic in t = sqrt(m)
+    lam = math.sqrt(scale / m0) if math.isfinite(scale) else math.inf
+    if lam >= 1.0:
+        return result(m_prime=m0 / q, lam=lam, reason=(
+            f"correction factor {lam:.3f} >= 1; the exact display needs "
+            f"m on the order of q^(d+1)"))
+    t = _quadratic_root_plus(-math.sqrt(scale), m0)
+    m = q * math.ceil(t * t / q)
+    return result(m=m, m_real=t * t, lam=math.sqrt(scale) / t,
+                  m_prime=m // q)
 
 
 # Fixed slack used when evaluating the rssd lower display (the bound

@@ -176,8 +176,8 @@ class TestUpperSizing:
     def test_rssd_frozen(self):
         res = upper_bound_m("rssd", 10**4, 3, 0.1)
         assert res.m == 133
-        assert res.m_real == pytest.approx(132.88262784035223, abs=1e-6)
-        assert res.lam == pytest.approx(0.7707599187223444, abs=1e-9)
+        assert res.m_real == pytest.approx(132.84314812796939, abs=1e-6)
+        assert res.lam == pytest.approx(0.7708744414502453, abs=1e-9)
         assert res.alpha == pytest.approx(0.2027683846412477, abs=1e-9)
         assert res.feasible
 
