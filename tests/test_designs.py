@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpool import designs
+from gtpool import designs, theory
 from gtpool.designs import (
     DesignSpec,
     gen_rid,
@@ -262,3 +262,42 @@ class TestLowerSizing:
         rec = upper_bound_m("rid", 1000, 1, 0.1).as_record()
         assert set(rec) >= {"model", "bound", "n", "d", "delta", "m",
                             "m_real", "lambda", "feasible"}
+
+
+def _rssd_display(res, m):
+    good = (1 - res.alpha) ** res.d
+    return m >= (1 + 2 / math.sqrt(res.delta * good * m)) * res.m_prime
+
+
+def _utdq_exact_display(res, m):
+    q, d = res.q, res.d
+    m0 = q * math.log(2.0 * res.n / res.delta) / -theory._ln_p_any(q, d)
+    scale = 2.0 * q ** (d + 1) * math.log(2.0 * q ** d / res.delta)
+    return m - math.sqrt(scale * m) >= m0
+
+
+# (display, keyword arguments of upper_bound_m) over n = 10^3, 10^5, ...,
+# 10^299: every feasible m meets its display and m - 1 (for utdq m - q)
+# does not
+SIZING_GRIDS = {
+    "rssd": (_rssd_display,
+             [{"d": d, "delta": delta} for d in range(2, 12)
+              for delta in (0.01, 0.05, 0.1, 0.2)]),
+    "utdq": (_utdq_exact_display,
+             [{"d": d, "delta": 0.1, "q": q, "exact_utdq": True}
+              for d in (1, 2, 3) for q in (2, 3, 4, 5, 7)]),
+}
+
+
+@pytest.mark.parametrize("model", sorted(SIZING_GRIDS))
+def test_sized_m_is_the_least_that_meets_its_display(model):
+    display, grid = SIZING_GRIDS[model]
+    feasible = 0
+    for kw in grid:
+        for exponent in range(3, 300, 2):
+            res = upper_bound_m(model, 10**exponent, **kw)
+            if res.feasible:
+                feasible += 1
+                assert display(res, res.m), res
+                assert not display(res, res.m - (res.q or 1)), res
+    assert feasible > 1000
