@@ -192,18 +192,16 @@ def _emit_csv(records) -> None:
 def cmd_design(ns: dict) -> int:
     _require(ns, "model", "n", "d", "out")
     model = ns["model"]
-    n, d = ns["n"], ns["d"]
+    n, d, delta = ns["n"], ns["d"], ns.get("delta")
+    designs._check_args(d, n, delta=delta)
     seed = _resolve_seed(ns)
     explicit = _explicit_param(ns, model)
     if ns.get("qary_out") is not None and model != "utdq":
         raise ParameterError(
             f"--qary-out does not apply to model {model!r} (utdq only)")
-    delta = ns.get("delta")
 
-    if ns.get("m") is not None:
-        m = ns["m"]
-        lam = None
-    else:
+    m, lam = ns.get("m"), None
+    if m is None:
         if delta is None:
             raise ParameterError("auto-sizing needs --delta (or pass --m)")
         sizing = designs.upper_bound_m(

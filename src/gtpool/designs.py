@@ -12,9 +12,8 @@ Sizing solves the number of tests m that makes a design disjunct for d
 defectives among n items with probability 1 - delta.  The guarantees
 carry a square-root correction in m, so the displays are implicit; the
 two row-i.i.d. models and utdq's exact display reduce to a quadratic in
-sqrt(m), rssd's to a cubic solved by fixed-point iteration.  The bound on
-the correction factor decides feasibility, and m is the least count (for
-utdq the least multiple of q) that meets the display.
+sqrt(m), rssd's to a cubic solved by fixed-point iteration; the bound on
+the correction factor decides feasibility.
 """
 
 from __future__ import annotations
@@ -395,11 +394,12 @@ def spec_at(model: str, n: int, d: int, m: int, param=None) -> DesignSpec:
 class SizingResult:
     """Outcome of a test-count bound.
 
-    m is the rounded-up integer count, m_real the pre-rounding root.
-    lam is the model's square-root correction factor at the returned m
-    (None where the display has no such factor).  A result with a reason
-    is infeasible; its m and m_real stay 0 unless the display has a root
-    to report (utdq's lower bound past its correction factor's range).
+    m is the least count that meets the display (for utdq the least
+    multiple of q), m_real the display's root before rounding, and lam the
+    model's square-root correction factor at m_real (None where the
+    display has no such factor).  A result with a reason is infeasible;
+    its m and m_real stay 0 unless the display has a root to report
+    (utdq's lower bound past its correction factor's range).
     """
 
     model: str
@@ -432,6 +432,18 @@ def _quadratic_root_plus(b: float, c: float) -> float:
     return 0.5 * (-b + math.sqrt(b * b + 4.0 * c))
 
 
+def _log_quotient(factors, divisor: float = 1.0) -> float:
+    """ln(prod(factors) / divisor): the log of the float quotient where it
+    is finite, so those results keep their bits; else a sum of logs."""
+    try:
+        quotient = math.prod(factors) / divisor
+        if quotient < math.inf:
+            return math.log(quotient)
+    except OverflowError:  # an int factor beyond float range
+        pass
+    return sum(map(math.log, factors)) - math.log(divisor)
+
+
 def _utdq_alphabet(n: int, d: int, q) -> int:
     """q, or utdq_q_star(d)'s when None, checked as a design's alphabet."""
     if q is None:
@@ -454,8 +466,8 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
                      delta=delta)
 
     if model in ("rid", "rrsd"):
-        b = math.sqrt(2.0 * _E * math.log(2.0 / delta))
-        c = _E * d * math.log(2.0 * n / delta)
+        b = math.sqrt(2.0 * _E * _log_quotient((2.0,), delta))
+        c = _E * d * _log_quotient((2.0, n), delta)
         t = _quadratic_root_plus(-b, c)
         m_real = t * t
         return result(m=math.ceil(m_real), m_real=m_real, lam=b / t)
@@ -468,7 +480,7 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     if exact_utdq:
         return _utdq_upper_exact(result, n, d, delta, q)
     denom = -math.log1p(-((1.0 - 1.0 / q) ** d))
-    m_real = q * math.log(n / delta) / denom
+    m_real = q * _log_quotient((n,), delta) / denom
     m = q * math.ceil(m_real / q)
     return result(m=m, m_real=m_real, lam=0.0, m_prime=m // q)
 
@@ -480,23 +492,21 @@ def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
     beta = -math.expm1(d * math.log1p(-alpha))
     good = (1.0 - alpha) ** d  # chance a fixed row avoids all d defectives
     m_prime = (
-        math.log(n) + math.log(3.0 / delta)
+        math.log(n) + _log_quotient((3.0,), delta)
         + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
     ) / (math.log(2.0) * fmax)
 
     def lam_at(m):
         return 2.0 / math.sqrt(delta * good * m)
 
-    # m = (1 + lam(m)) m_prime is a cubic in sqrt(m); the map contracts
-    # by lam / (2 (1 + lam)) < 1/2 at its root, so iterate to float precision
+    # m = (1 + lam(m)) m_prime is a cubic in sqrt(m); the map contracts by
+    # lam / (2 (1 + lam)) < 1/2 at its root, so iterate to float precision
+    # (at most 50 steps for any float delta and n up to 10^1000)
     m = m_prime
     for _ in range(100):
         m, prev = (1.0 + lam_at(m)) * m_prime, m
         if abs(m - prev) <= 1e-12 * prev:
             break
-    else:
-        return result(alpha=alpha, m_prime=m_prime, reason=(
-            "correction fixed point did not converge in 100 iterations"))
     lam = lam_at(m)
     result = partial(result, lam=lam, alpha=alpha, m_prime=m_prime)
     if lam >= 1.0:
@@ -507,9 +517,10 @@ def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
 def _utdq_upper_exact(result, n: int, d: int, delta: float,
                       q: int) -> SizingResult:
     lnp = theory._ln_p_any(q, d)
-    m0 = q * math.log(2.0 * n / delta) / (-lnp)
+    m0 = q * _log_quotient((2.0, n), delta) / (-lnp)
     try:
-        scale = 2.0 * float(q) ** (d + 1) * math.log(2.0 * float(q) ** d / delta)
+        scale = (2.0 * float(q) ** (d + 1)
+                 * _log_quotient((2.0, float(q) ** d), delta))
     except OverflowError:
         scale = math.inf
     # the display m - sqrt(scale * m) >= m0 is a quadratic in t = sqrt(m)
@@ -571,7 +582,7 @@ def lower_bound_m(model: str, n: int, d: int,
     q = _utdq_alphabet(n, d, q)
     result = partial(result, q=q)
     lnp = theory._ln_p_any(q, d)
-    m0 = q * math.log(8.0 * (n - d)) / (-lnp)
+    m0 = q * _log_quotient((8.0, n - d)) / (-lnp)
     try:
         c_corr = math.sqrt(3.0 * float(q) ** (d + 1)
                            * math.log(16.0 * float(q) ** d))

@@ -139,7 +139,7 @@ def reference_trial(spec: DesignSpec, d: int, seed) -> tuple:
 def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
                jobs: int = 1, delta: float | None = None) -> TrialReport:
     """Draw matrices for one DesignSpec and count successes."""
-    _check_args(d, spec.n, trials=trials, jobs=jobs)
+    _check_args(d, spec.n, trials=trials, jobs=jobs, delta=delta)
     master_seed = check_seed(master_seed)
 
     if jobs == 1:
@@ -208,11 +208,14 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     against Monte Carlo noise).  Both run in whole steps, m = k * step,
     where step is q for utdq (its m counts binary rows, q per q-ary row)
     and 1 otherwise.  Probes at a given m always see the same seed, making the
-    result independent of the search path.  The arguments are checked
-    before the first probe.
+    result independent of the search path.  The arguments, and whether
+    a probe that wins every trial would pass, are checked first.
     """
     _check_args(d, n, trials=trials, target=target, jobs=jobs)
     master_seed = check_seed(master_seed)
+    if wilson_interval(trials, trials)[0] < target - WILSON_GUARD:
+        raise InfeasibleError(f"target {target} is out of reach with "
+                              f"{trials} trials per probe, even if all succeed")
     step = int(optimal_param("utdq", n, d)) if model == "utdq" else 1
     probes = []
 

@@ -417,6 +417,46 @@ def test_size_guard_before_any_mask(capsys, tmp_path, monkeypatch, header,
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("flags", [
+    *[("--d", "2", "--delta", delta) for delta in ("0", "1", "7", "nan", "inf")],
+    ("--d", "50"),
+    ("--d", "100"),
+], ids=["delta0", "delta1", "delta7", "nan", "inf", "d=n", "d>n"])
+@pytest.mark.parametrize("command", ["design", "mc"])
+def test_run_arguments_checked_without_sizing(capsys, tmp_path, command,
+                                              flags):
+    # design --m skips sizing and mc never sizes; both still need
+    # d < n and delta in (0, 1)
+    out = tmp_path / "m.txt"
+    extra = ("--out", str(out)) if command == "design" else ("--trials", "5")
+    code, stdout, stderr = run(capsys, command, "--model", "rid", "--n", "50",
+                               "--m", "20", "--seed", "1", *extra, *flags)
+    assert (code, stdout) == (2, "")
+    want = ("delta=" if "--delta" in flags else "need 1 <= d < n")
+    assert stderr.startswith("error: " + want)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, want", [
+    (("--model", "rid", "--n", "50", "--delta", "1e-308"), 0),
+    (("--model", "rrsd", "--n", "50", "--delta", "5e-324"), 0),
+    (("--model", "utdq", "--n", "50", "--delta", "1e-308"), 0),
+    (("--model", "rssd", "--n", "50", "--delta", "5e-324"), 3),
+    (("--model", "utdq", "--n", "10000000000", "--delta", "1e-300",
+      "--exact-utdq-sizing"), 3),
+], ids=["rid", "rrsd", "utdq", "rssd", "utdq-exact"])
+def test_design_sized_where_the_quotients_overflow(capsys, tmp_path, flags,
+                                                   want):
+    # n / delta leaves the float range: a finite size or a refusal
+    code, stdout, stderr = run(capsys, "design", *flags, "--d", "2",
+                               "--seed", "1", "--out", str(tmp_path / "m.txt"))
+    assert code == want
+    if want == 0:
+        assert json.loads(stdout)["m"] > 0
+    else:
+        assert stdout == "" and stderr.startswith("infeasible sizing: ")
+
+
 class TestMc:
     ARGS = ("mc", "--model", "rid", "--n", "60", "--d", "2", "--m", "40",
             "--trials", "30", "--seed", "3")
@@ -495,6 +535,21 @@ class TestSweep:
         assert code == 2
         assert stdout == ""
         assert stderr.startswith("error: ")
+
+
+def test_sweep_refuses_a_target_its_trials_cannot_reach(capsys,
+                                                        monkeypatch):
+    # 40 trials cap the Wilson lower bound at 0.912 < 0.99 - 0.03
+    def no_probe(*args, **kwargs):
+        raise AssertionError("probed a target no probe can pass")
+
+    monkeypatch.setattr("gtpool.sim.run_trials", no_probe)
+    code, stdout, stderr = run(capsys, "sweep", "--model", "utdq", "--d", "2",
+                               "--n-list", "50,100", "--target", "0.99",
+                               "--trials", "40", "--seed", "1")
+    assert (code, stdout) == (3, "")
+    assert stderr.startswith("infeasible: target 0.99 is out of reach with "
+                             "40 trials per probe")
 
 
 class TestTable:
@@ -583,6 +638,45 @@ class TestConfigAndErrors:
             code, stdout, stderr = run(capsys, "check", "--config", str(cfg))
             assert code == 2 and stdout == "", word
             assert "config separable:" in stderr and repr(word) in stderr
+
+    def test_unreadable_config_exits_4(self, capsys, tmp_path):
+        code, stdout, stderr = run(capsys, "table1", "--config",
+                                   str(tmp_path))
+        assert (code, stdout) == (4, "")
+        assert stderr.startswith(f"error: {tmp_path}:0: cannot read config: ")
+
+    def test_config_line_without_equals_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# defaults\ndmax 3\n")
+        code, stdout, stderr = run(capsys, "table1", "--config", str(cfg))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {cfg}:2: config lines are key=value\n"
+
+    def test_design_auto_sizing_needs_delta(self, capsys, tmp_path):
+        code, stdout, stderr = run(capsys, "design", "--model", "rid",
+                                   "--n", "50", "--d", "2", "--seed", "1",
+                                   "--out", str(tmp_path / "m.txt"))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: auto-sizing needs --delta (or pass --m)\n"
+
+    @pytest.mark.parametrize("header, answers, message", [
+        ("3 5", "", "empty answer line"),
+        ("3 5", "1x0\n", "characters must be 0 or 1"),
+        ("0 5", "", None),
+    ])
+    def test_answer_file_edges(self, capsys, tmp_path, header, answers,
+                               message):
+        matrix, answer_file = tmp_path / "m.txt", tmp_path / "a.txt"
+        matrix.write_text(header + "\n" + "10110\n" * int(header[0]))
+        answer_file.write_text(answers)
+        code, stdout, stderr = run(capsys, "decode", "--matrix", str(matrix),
+                                   "--answers", str(answer_file))
+        if message is None:  # no tests: every item stays a candidate
+            assert code == 0
+            assert json.loads(stdout)["candidates"] == [1, 2, 3, 4, 5]
+        else:
+            assert (code, stdout) == (4, "")
+            assert stderr == f"error: {answer_file}:1: {message}\n"
 
     def test_missing_matrix_file_exits_4(self, capsys, tmp_path):
         code, _, _ = run(capsys, "decode", "--matrix",

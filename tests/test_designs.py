@@ -230,6 +230,26 @@ class TestUpperSizing:
                 lower_bound_m("utdq", 100, 2, q=q)
 
 
+@pytest.mark.parametrize("bound, model, n, delta, kw", [
+    ("upper", "rid", 10**10, 1e-300, {}),
+    ("upper", "rid", 10**307, 0.1, {}),
+    ("upper", "rrsd", 50, 5e-324, {}),
+    ("upper", "rssd", 50, 5e-324, {}),
+    ("upper", "utdq", 10**10, 1e-300, {}),
+    ("upper", "utdq", 10**10, 1e-300, {"exact_utdq": True}),
+    ("upper", "utdq", 50, 1e-308, {"exact_utdq": True}),  # 2 q^d / delta
+    ("lower", "utdq", 10**308, None, {}),
+], ids=["rid", "rid-n1e307", "rrsd", "rssd", "utdq", "utdq-exact",
+        "utdq-exact-scale", "lower-utdq-n1e308"])
+def test_quotients_beyond_the_float_range(bound, model, n, delta, kw):
+    # n / delta (or 8 (n - d)) overflows a float; its log does not
+    res = (upper_bound_m(model, n, 2, delta, **kw) if bound == "upper"
+           else lower_bound_m(model, n, 2, **kw))
+    values = (res.m_real, res.lam, res.m_prime)
+    assert all(math.isfinite(v) for v in values if v is not None), res
+    assert res.feasible == (res.m >= res.m_real > 0)
+
+
 class TestLowerSizing:
     def test_rid_frozen(self):
         res = lower_bound_m("rid", 10**6, 2)

@@ -223,6 +223,12 @@ class TestFindMinM:
         with pytest.raises(InfeasibleError):
             find_min_m("rid", 30, 2, 0.999, 40, 11)
 
+    def test_search_stops_at_the_cap(self, monkeypatch):
+        # 40 trials can reach 0.9, but not with m <= 4 tests
+        monkeypatch.setattr(sim, "SEARCH_CAP", 4)
+        with pytest.raises(InfeasibleError, match=r"no m <= 4 .* \(3 probes\)"):
+            find_min_m("rid", 30, 2, 0.9, 40, 11)
+
     def test_target_validated(self):
         with pytest.raises(ParameterError):
             find_min_m("rid", 30, 2, 1.0, 40, 11)
