@@ -174,6 +174,14 @@ def _binary_matrix(path: str):
     return loaded
 
 
+def _cell_guard(m: int, n: int) -> None:
+    """Refuse an m x n design beyond the budget before it is built."""
+    if m * n > DESIGN_CELL_BUDGET:
+        raise SizeGuardError(
+            f"a {m} x {n} design has {m * n} entries, beyond the budget of "
+            f"{DESIGN_CELL_BUDGET}")
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
@@ -213,11 +221,8 @@ def cmd_design(ns: dict) -> int:
             return 3
         m, lam = sizing.m, sizing.lam
 
+    _cell_guard(m, n)
     spec = designs.spec_at(model, n, d, m, explicit)
-    if m * n > DESIGN_CELL_BUDGET:
-        raise SizeGuardError(
-            f"a {m} x {n} design has {m * n} entries, beyond the budget of "
-            f"{DESIGN_CELL_BUDGET}")
     qary_out = ns.get("qary_out")
     # all or nothing, and an unwritable target fails before the draw
     targets = filter(None, (qary_out, ns["out"]))
@@ -281,6 +286,7 @@ def cmd_mc(ns: dict) -> int:
     model = ns["model"]
     n, d, m = ns["n"], ns["d"], ns["m"]
     seed = _resolve_seed(ns)
+    _cell_guard(m, n)
     spec = designs.spec_at(model, n, d, m, _explicit_param(ns, model))
     report = sim.run_trials(spec, d, ns["trials"], seed,
                             jobs=_jobs(ns), delta=ns.get("delta"))
@@ -297,6 +303,8 @@ def cmd_sweep(ns: dict) -> int:
     d = ns["d"]
     n_list = _parse_items(ns["n_list"])
     seed = _resolve_seed(ns)
+    for n in n_list:  # a search's first probe is at m >= 1
+        _cell_guard(1, n)
     results = sim.run_sweep(model, d, n_list, ns["target"], ns["trials"],
                             seed, jobs=_jobs(ns))
     points = [point for point, _ in results]

@@ -542,6 +542,17 @@ _RSSD_LOWER_SLACK = 0.05
 _RRSD_LOWER_B = _E**3 * math.sqrt(3.0)
 
 
+def _rrsd_lower_threshold(n: int) -> float:
+    """sqrt(n) / ln^3(n), through logs where n is beyond float range."""
+    try:
+        return math.sqrt(n) / math.log(n) ** 3
+    except OverflowError:
+        try:
+            return math.exp(0.5 * math.log(n) - 3.0 * math.log(math.log(n)))
+        except OverflowError:
+            return math.inf
+
+
 def lower_bound_m(model: str, n: int, d: int,
                   q: int | None = None) -> SizingResult:
     """Tests below which the model fails with constant probability.
@@ -556,11 +567,14 @@ def lower_bound_m(model: str, n: int, d: int,
                      delta=None)
 
     if model in ("rid", "rrsd"):
-        if model == "rrsd" and d >= math.sqrt(n) / math.log(n) ** 3:
-            return result(
-                reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
-                       f"threshold {math.sqrt(n) / math.log(n) ** 3:.3g})")
-        c = _E * d * math.log(n if model == "rid" else n / _E)
+        if model == "rrsd":
+            threshold = _rrsd_lower_threshold(n)
+            if d >= threshold:
+                return result(
+                    reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
+                           f"threshold {threshold:.3g})")
+        c = _E * d * (math.log(n) if model == "rid"
+                      else _log_quotient((n,), _E))
         t = _quadratic_root_plus(_RRSD_LOWER_B, c)
         return result(m=math.ceil(t * t), m_real=t * t)
 

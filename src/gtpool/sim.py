@@ -20,11 +20,19 @@ Determinism contract: trial t of a run draws from the substream
 (master_seed, t), and a probe of the search at matrix size m derives
 its seed from (master_seed, m).  Results are therefore identical for
 any worker count and any probe order.
+
+At jobs > 1, run_trials maps its chunks onto a process pool of one
+worker per chunk.  A search (find_min_m, run_sweep) starts that pool
+once and holds it open for every probe it makes; run_trials called
+outside a search starts its own.  At jobs = 1 no pool is imported or
+started.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -116,6 +124,38 @@ class TrialReport:
         return asdict(self)
 
 
+# the pools the searches of this thread hold open, by worker count
+_held = threading.local()
+
+
+@contextmanager
+def _pool(trials: int, jobs: int):
+    """A pool of one worker per chunk of trials, or None at jobs = 1.
+
+    Yields the pool a search on this thread already holds for that worker
+    count, or else starts one for the block and holds it for the calls
+    made inside it.
+    """
+    if jobs == 1:
+        yield None
+        return
+    workers = math.ceil(trials / math.ceil(trials / jobs))
+    held = vars(_held).setdefault("pools", {})
+    if workers in held:
+        yield held[workers]
+        return
+    # imported here: it costs every CLI start about 20 ms otherwise
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork starts every worker up front: no more than there are chunks
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        held[workers] = pool
+        try:
+            yield pool
+        finally:
+            del held[workers]
+
+
 def _count_chunk(args) -> int:
     spec, d, master_seed, start, stop = args
     return sum(trial_disjunct(spec, d, substream(master_seed, t))
@@ -138,22 +178,20 @@ def reference_trial(spec: DesignSpec, d: int, seed) -> tuple:
 
 def run_trials(spec: DesignSpec, d: int, trials: int, master_seed: int,
                jobs: int = 1, delta: float | None = None) -> TrialReport:
-    """Draw matrices for one DesignSpec and count successes."""
+    """Draw matrices for one DesignSpec and count successes.
+
+    At jobs > 1 the trials are split into chunks of ceil(trials / jobs),
+    one per worker, on the pool of the enclosing search if there is one.
+    """
     _check_args(d, spec.n, trials=trials, jobs=jobs, delta=delta)
     master_seed = check_seed(master_seed)
 
-    if jobs == 1:
-        disj = _count_chunk((spec, d, master_seed, 0, trials))
-    else:
-        # imported here: it costs every CLI start about 20 ms otherwise
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = math.ceil(trials / jobs)
-        work = [(spec, d, master_seed, lo, min(lo + chunk, trials))
-                for lo in range(0, trials, chunk)]
-        # fork starts every worker up front: no more than there are chunks
-        with ProcessPoolExecutor(max_workers=len(work)) as pool:
-            disj = sum(pool.map(_count_chunk, work))
+    chunk = math.ceil(trials / jobs)
+    work = [(spec, d, master_seed, lo, min(lo + chunk, trials))
+            for lo in range(0, trials, chunk)]
+    with _pool(trials, jobs) as pool:
+        disj = (_count_chunk(work[0]) if pool is None
+                else sum(pool.map(_count_chunk, work)))
 
     low, high = wilson_interval(disj, trials)
     return TrialReport(
@@ -198,6 +236,13 @@ class SweepPoint:
     trials_per_probe: int
 
 
+def _check_reach(target: float, trials: int) -> None:
+    """Refuse a target that a probe winning every trial would not pass."""
+    if wilson_interval(trials, trials)[0] < target - WILSON_GUARD:
+        raise InfeasibleError(f"target {target} is out of reach with "
+                              f"{trials} trials per probe, even if all succeed")
+
+
 def find_min_m(model: str, n: int, d: int, target: float, trials: int,
                master_seed: int, jobs: int = 1) -> SearchResult:
     """Smallest probed m whose success estimate clears the target.
@@ -209,13 +254,13 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     where step is q for utdq (its m counts binary rows, q per q-ary row)
     and 1 otherwise.  Probes at a given m always see the same seed, making the
     result independent of the search path.  The arguments, and whether
-    a probe that wins every trial would pass, are checked first.
+    a probe that wins every trial would pass, are checked first.  At
+    jobs > 1 every probe runs on one worker pool, started for this
+    search unless an enclosing run_sweep holds one.
     """
     _check_args(d, n, trials=trials, target=target, jobs=jobs)
     master_seed = check_seed(master_seed)
-    if wilson_interval(trials, trials)[0] < target - WILSON_GUARD:
-        raise InfeasibleError(f"target {target} is out of reach with "
-                              f"{trials} trials per probe, even if all succeed")
+    _check_reach(target, trials)
     step = int(optimal_param("utdq", n, d)) if model == "utdq" else 1
     probes = []
 
@@ -229,19 +274,20 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
         return ok
 
     lo, hi = 0, 1  # in steps; m = 0 never succeeds for n > d
-    while not accept(hi * step):
-        lo = hi
-        hi *= 2
-        if hi * step > SEARCH_CAP:
-            raise InfeasibleError(
-                f"no m <= {SEARCH_CAP} reached target {target} for {model} at "
-                f"n={n}, d={d} ({len(probes)} probes)")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if accept(mid * step):
-            hi = mid
-        else:
-            lo = mid
+    with _pool(trials, jobs):
+        while not accept(hi * step):
+            lo = hi
+            hi *= 2
+            if hi * step > SEARCH_CAP:
+                raise InfeasibleError(
+                    f"no m <= {SEARCH_CAP} reached target {target} for "
+                    f"{model} at n={n}, d={d} ({len(probes)} probes)")
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if accept(mid * step):
+                hi = mid
+            else:
+                lo = mid
     return SearchResult(model=model, n=n, d=d, target=target,
                         trials_per_probe=trials, m_star=hi * step,
                         probes=tuple(probes))
@@ -253,18 +299,22 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
 
     The arguments are checked before the first search: at least two
     distinct n (the slope fit needs them), every n > d >= 1, trials >= 1,
-    target in [0, 1) and jobs >= 1.
+    target in [0, 1), jobs >= 1, and a target that trials per probe can
+    reach.  At jobs > 1 one worker pool then serves every probe of every
+    search.
     """
     n_list = [int(n) for n in n_list]
     if len(set(n_list)) < 2:
         raise ParameterError("slope needs at least two distinct n")
     _check_args(d, *n_list, trials=trials, target=target, jobs=jobs)
+    _check_reach(target, trials)
     out = []
-    for n in n_list:
-        search = find_min_m(model, n, d, target, trials,
-                            derive_seed(master_seed, n), jobs=jobs)
-        out.append((SweepPoint(n=n, m_star=search.m_star, target=target,
-                               trials_per_probe=trials), search))
+    with _pool(trials, jobs):
+        for n in n_list:
+            search = find_min_m(model, n, d, target, trials,
+                                derive_seed(master_seed, n), jobs=jobs)
+            out.append((SweepPoint(n=n, m_star=search.m_star, target=target,
+                                   trials_per_probe=trials), search))
     return out
 
 

@@ -457,6 +457,30 @@ def test_design_sized_where_the_quotients_overflow(capsys, tmp_path, flags,
         assert stdout == "" and stderr.startswith("infeasible sizing: ")
 
 
+@pytest.mark.parametrize("n", [10**20, 10**309], ids=["n1e20", "n1e309"])
+@pytest.mark.parametrize("model", ["rid", "rrsd", "rssd", "utdq"])
+def test_size_guard_before_any_spec(capsys, tmp_path, monkeypatch, model, n):
+    # refused before a spec is built, a trial drawn or a search begun
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked on a size beyond the budget")
+
+    # sim first: importing it binds designs.spec_at as it finds it
+    for target in ("sim.run_trials", "sim.find_min_m", "designs.spec_at"):
+        monkeypatch.setattr(f"gtpool.{target}", no_work)
+    for argv in (
+        ("design", "--model", model, "--n", str(n), "--d", "2",
+         "--delta", "0.1", "--seed", "1", "--out", str(tmp_path / "m.txt")),
+        ("mc", "--model", model, "--n", str(n), "--d", "2", "--m", "8",
+         "--trials", "1", "--seed", "1"),
+        ("sweep", "--model", model, "--d", "2", "--n-list", f"100,{n}",
+         "--target", "0.9", "--trials", "40", "--seed", "1"),
+    ):
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert stderr.startswith("error: ") and "budget" in stderr, argv
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestMc:
     ARGS = ("mc", "--model", "rid", "--n", "60", "--d", "2", "--m", "40",
             "--trials", "30", "--seed", "3")
@@ -507,6 +531,11 @@ class TestSweep:
         lines = stdout.splitlines()
         assert lines[0] == "n,m_star,target,trials_per_probe"
         assert len(lines) == 3
+
+    def test_jobs_invariant(self, capsys):
+        _, solo, _ = run(capsys, *self.ARGS, "--jobs", "1")
+        _, team, _ = run(capsys, *self.ARGS, "--jobs", "3")
+        assert solo == team
 
     @pytest.mark.parametrize("flags", [
         ("--n-list", "400,400", "--d", "2", "--target", "0.9",

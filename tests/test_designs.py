@@ -250,6 +250,19 @@ def test_quotients_beyond_the_float_range(bound, model, n, delta, kw):
     assert res.feasible == (res.m >= res.m_real > 0)
 
 
+@pytest.mark.parametrize("n", [10**20, 10**309], ids=["n1e20", "n1e309"])
+@pytest.mark.parametrize("model", designs.MODELS)
+def test_sizing_at_any_n(model, n):
+    # 10^309 does not convert to a float: each bound still gives a record
+    for res in (upper_bound_m(model, n, 2, 0.1), lower_bound_m(model, n, 2)):
+        values = (res.m_real, res.lam, res.m_prime)
+        assert all(math.isfinite(v) for v in values if v is not None), res
+        assert res.m >= res.m_real > 0 or not res.feasible, res
+    if model == "rrsd":
+        below = lower_bound_m(model, n // 10, 2)
+        assert res.feasible and res.m >= below.m > 0
+
+
 class TestLowerSizing:
     def test_rid_frozen(self):
         res = lower_bound_m("rid", 10**6, 2)

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,30 @@ class TestWilson:
             assert list(wilson_interval(k, n)) == pin, key
 
 
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Swap the process pool for an in-process stand-in (fork would start
+    all max_workers up front); returns each started pool's max_workers."""
+    seen = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    import concurrent.futures
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
 class TestRunTrials:
     SPEC = DesignSpec("rid", 60, 45, math.exp(-0.5))
 
@@ -71,29 +96,11 @@ class TestRunTrials:
         team = run_trials(self.SPEC, 2, 40, 99, jobs=3)
         assert solo == team
 
-    def test_pool_gets_one_worker_per_chunk(self, monkeypatch):
-        # an in-process stand-in: fork would start all max_workers up front
-        seen = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, work):
-                return map(fn, work)
-
-        import concurrent.futures
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                            InlinePool)
-        team = run_trials(self.SPEC, 2, 3, 99, jobs=64)
-        assert seen == [3]
-        assert team == run_trials(self.SPEC, 2, 3, 99, jobs=1)
+    def test_pool_gets_one_worker_per_chunk(self, inline_pool):
+        # outside a search each call starts a pool of its own
+        teams = [run_trials(self.SPEC, 2, 3, 99, jobs=64) for _ in range(2)]
+        assert inline_pool == [3, 3]
+        assert teams == [run_trials(self.SPEC, 2, 3, 99, jobs=1)] * 2
 
     def test_record_keys_ordered(self):
         rec = run_trials(self.SPEC, 2, 10, 1).as_record()
@@ -233,6 +240,22 @@ class TestFindMinM:
         with pytest.raises(ParameterError):
             find_min_m("rid", 30, 2, 1.0, 40, 11)
 
+    def test_search_starts_one_pool(self, inline_pool):
+        res = find_min_m("rid", 40, 1, 0.8, 50, 31337, jobs=3)
+        assert len(res.probes) > 1
+        assert inline_pool == [3]
+        assert res == find_min_m("rid", 40, 1, 0.8, 50, 31337)
+
+    def test_nothing_left_running_after_a_search_raises(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(sim, "SEARCH_CAP", 4)
+            with pytest.raises(InfeasibleError, match=r"\(3 probes\)"):
+                find_min_m("rid", 30, 2, 0.9, 40, 11, jobs=2)
+        assert multiprocessing.active_children() == []
+        # a pool left registered would be shut down: this sweep would fail
+        assert (run_sweep("rid", 1, [30, 90], 0.75, 40, 12, jobs=2)
+                == run_sweep("rid", 1, [30, 90], 0.75, 40, 12))
+
 
 class TestSweep:
     def test_sweep_points_and_slope(self):
@@ -244,6 +267,14 @@ class TestSweep:
         two_point = (results[1][0].m_star - results[0][0].m_star) / (
             math.log(120) - math.log(30))
         assert slope == pytest.approx(two_point, rel=1e-9)
+
+    @pytest.mark.parametrize("model", ["rid", "utdq"])
+    def test_sweep_starts_one_pool(self, inline_pool, model):
+        # 40 trials at jobs=3 make chunks of 14, 14 and 12
+        team = run_sweep(model, 2, [30, 90], 0.75, 40, 12, jobs=3)
+        assert inline_pool == [3]
+        assert sum(len(search.probes) for _, search in team) > 2
+        assert team == run_sweep(model, 2, [30, 90], 0.75, 40, 12)
 
     def test_slope_fit_synthetic_line(self):
         d = 2
