@@ -13,12 +13,16 @@ output so the run can be replayed.
 A config file (--config PATH, lines of key=value, '#' comments) may
 supply any long flag's value; flags given on the command line win.
 
-Only theory, which needs nothing but math, is imported up front: the
-numpy-backed names in _LATE (designs, sim, the decoders, the matrix file
-I/O) are taken from the package's lazy exports and bound as module
-globals by _bind() when a command other than table1 runs, so table1 and
---help start without importing numpy.  Reading one of them from outside
-(to patch gtpool.cli.read_matrix, say) binds them first.
+Each command loads only what it runs.  theory, which needs nothing but
+math, is imported up front.  The matrix and decoder names in _LATE are
+taken from the package's lazy exports and bound as module globals by
+_bind() when a command other than table1 runs; reading one of them from
+outside (to patch gtpool.cli.read_matrix, say) binds them first.  Those
+modules import numpy only where a q-ary matrix or a dense view needs
+it, so table1, check and a binary decode start without numpy.  design,
+mc and sweep import designs, sim and rng, which draw with numpy, when
+they run.  The parser registers every subcommand with its help, but
+adds arguments only to the one named on the command line.
 """
 
 from __future__ import annotations
@@ -51,16 +55,15 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 DESIGN_CELL_BUDGET = 1 << 30
 
 
-# the numpy-backed names the commands use; gtpool's lazy exports say
-# where each one lives
-_LATE = ("designs", "sim", "matrices", "rng", "decode_eliminate",
-         "is_disjunct", "is_separable", "DefectiveSet", "QaryMatrix",
-         "expand_qary", "or_columns", "read_answers", "read_matrix",
-         "write_matrix")
+# the matrix and decoder names the commands use; gtpool's lazy exports
+# say where each one lives
+_LATE = ("matrices", "decode_eliminate", "is_disjunct", "is_separable",
+         "DefectiveSet", "QaryMatrix", "expand_qary", "or_columns",
+         "read_answers", "read_matrix", "write_matrix")
 
 
 def _bind() -> None:
-    """Bind the numpy-backed names; a name already bound keeps its value."""
+    """Bind the late names; a name already bound keeps its value."""
     package = sys.modules[__package__]
     for name in _LATE:
         globals().setdefault(name, getattr(package, name))
@@ -127,6 +130,8 @@ def _require(ns: dict, *names: str) -> None:
 
 
 def _resolve_seed(ns: dict) -> int:
+    from . import rng
+
     if ns.get("seed") is not None:
         return rng.check_seed(ns["seed"])
     if ns.get("entropy"):
@@ -198,6 +203,8 @@ def _emit_csv(records) -> None:
 
 
 def cmd_design(ns: dict) -> int:
+    from . import designs
+
     _require(ns, "model", "n", "d", "out")
     model = ns["model"]
     n, d, delta = ns["n"], ns["d"], ns.get("delta")
@@ -212,6 +219,7 @@ def cmd_design(ns: dict) -> int:
     if m is None:
         if delta is None:
             raise ParameterError("auto-sizing needs --delta (or pass --m)")
+        _cell_guard(1, n)  # no m fits an n beyond the budget
         sizing = designs.upper_bound_m(
             model, n, d, delta,
             q=explicit if model == "utdq" else None,
@@ -282,6 +290,8 @@ def cmd_decode(ns: dict) -> int:
 
 
 def cmd_mc(ns: dict) -> int:
+    from . import designs, sim
+
     _require(ns, "model", "n", "d", "m", "trials")
     model = ns["model"]
     n, d, m = ns["n"], ns["d"], ns["m"]
@@ -298,6 +308,8 @@ def cmd_mc(ns: dict) -> int:
 
 
 def cmd_sweep(ns: dict) -> int:
+    from . import sim
+
     _require(ns, "model", "d", "n_list", "target", "trials")
     model = ns["model"]
     d = ns["d"]
@@ -357,13 +369,7 @@ def _add_common(p, *names):
     p.add_argument("--config", help="key=value file supplying defaults")
 
 
-def _build_parser() -> tuple:
-    parser = argparse.ArgumentParser(
-        prog="gtpool",
-        description="Randomized pool designs for non-adaptive group testing")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("design", help="size and write a test matrix")
+def _design_arguments(p):
     _add_common(p, "model", "seed", "params")
     p.add_argument("--n", type=int, help="number of items")
     p.add_argument("--d", type=int, help="defective budget")
@@ -376,26 +382,26 @@ def _build_parser() -> tuple:
     p.add_argument("--out", help="matrix file to write")
     p.add_argument("--qary-out", dest="qary_out",
                    help="also write the q-ary pre-image (utdq only)")
-    p.set_defaults(func=cmd_design)
 
-    p = sub.add_parser("check", help="disjunct / separable verdicts")
+
+def _check_arguments(p):
     _add_common(p)
     p.add_argument("--matrix", help="matrix file")
     p.add_argument("--defectives", help="comma-separated 1-based items")
     p.add_argument("--separable", action="store_true", default=None)
     p.add_argument("--d", type=int, help="candidate-set size budget for "
                                          "--separable (default: set size)")
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("decode", help="run the elimination decoder")
+
+def _decode_arguments(p):
     _add_common(p)
     p.add_argument("--matrix", help="matrix file")
     p.add_argument("--answers", help="answer vector file")
     p.add_argument("--defectives",
                    help="simulate answers for these 1-based items")
-    p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("mc", help="Monte Carlo success-rate estimate")
+
+def _mc_arguments(p):
     _add_common(p, "model", "seed", "params", "jobs")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
@@ -403,9 +409,9 @@ def _build_parser() -> tuple:
     p.add_argument("--trials", type=int)
     p.add_argument("--delta", type=float, help="recorded for context only")
     p.add_argument("--format", choices=["json", "csv"])
-    p.set_defaults(func=cmd_mc)
 
-    p = sub.add_parser("sweep", help="minimal test count across several n")
+
+def _sweep_arguments(p):
     _add_common(p, "model", "seed", "jobs")
     p.add_argument("--d", type=int)
     p.add_argument("--n-list", dest="n_list",
@@ -413,19 +419,54 @@ def _build_parser() -> tuple:
     p.add_argument("--target", type=float, help="success probability to reach")
     p.add_argument("--trials", type=int, help="trials per probe")
     p.add_argument("--format", choices=["json", "csv"])
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("table1", help="per-model rate constants table")
+
+def _table1_arguments(p):
     _add_common(p)
     p.add_argument("--dmax", type=int, help="largest d row (default 10)")
     p.add_argument("--format", choices=["csv", "json"])
-    p.set_defaults(func=cmd_table1)
 
+
+# each subcommand: its help line, the function that adds its arguments,
+# and the function that runs it
+_COMMANDS = {
+    "design": ("size and write a test matrix", _design_arguments, cmd_design),
+    "check": ("disjunct / separable verdicts", _check_arguments, cmd_check),
+    "decode": ("run the elimination decoder", _decode_arguments, cmd_decode),
+    "mc": ("Monte Carlo success-rate estimate", _mc_arguments, cmd_mc),
+    "sweep": ("minimal test count across several n", _sweep_arguments,
+              cmd_sweep),
+    "table1": ("per-model rate constants table", _table1_arguments,
+               cmd_table1),
+}
+
+
+def _build_parser(argv) -> tuple:
+    """The parser, with arguments added only to the subcommands whose
+    names appear in argv.
+
+    argparse hands argv to the subparser whose name is an argument of
+    its own, so no other subparser parses or prints anything.  Every
+    subcommand is still registered with its help line, for the usage,
+    the top-level help and the choices.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gtpool",
+        description="Randomized pool designs for non-adaptive group testing")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv)
+    for name, (help_line, add_arguments, func) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name in named:
+            add_arguments(p)
+            p.set_defaults(func=func)
     return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     ns = vars(args)
     if ns["command"] != "table1":

@@ -432,6 +432,12 @@ def _quadratic_root_plus(b: float, c: float) -> float:
     return 0.5 * (-b + math.sqrt(b * b + 4.0 * c))
 
 
+# the reason of a rid, rrsd or rssd record whose float arithmetic
+# overflows, which it does only where d is near or beyond the float
+# range: their m grows at least like d, so it has no float value there
+_BEYOND_FLOAT = "test count beyond float range at this d"
+
+
 def _log_quotient(factors, divisor: float = 1.0) -> float:
     """ln(prod(factors) / divisor): the log of the float quotient where it
     is finite, so those results keep their bits; else a sum of logs."""
@@ -465,15 +471,13 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     result = partial(SizingResult, model=model, bound="upper", n=n, d=d,
                      delta=delta)
 
-    if model in ("rid", "rrsd"):
-        b = math.sqrt(2.0 * _E * _log_quotient((2.0,), delta))
-        c = _E * d * _log_quotient((2.0, n), delta)
-        t = _quadratic_root_plus(-b, c)
-        m_real = t * t
-        return result(m=math.ceil(m_real), m_real=m_real, lam=b / t)
-
-    if model == "rssd":
-        return _rssd_upper(result, n, d, delta)
+    if model in ("rid", "rrsd", "rssd"):
+        try:
+            if model == "rssd":
+                return _rssd_upper(result, n, d, delta)
+            return _row_upper(result, n, d, delta)
+        except OverflowError:
+            return result(reason=_BEYOND_FLOAT)
 
     q = _utdq_alphabet(n, d, q)
     result = partial(result, q=q)
@@ -483,6 +487,14 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     m_real = q * _log_quotient((n,), delta) / denom
     m = q * math.ceil(m_real / q)
     return result(m=m, m_real=m_real, lam=0.0, m_prime=m // q)
+
+
+def _row_upper(result, n: int, d: int, delta: float) -> SizingResult:
+    b = math.sqrt(2.0 * _E * _log_quotient((2.0,), delta))
+    c = _E * d * _log_quotient((2.0, n), delta)
+    t = _quadratic_root_plus(-b, c)
+    m_real = t * t
+    return result(m=math.ceil(m_real), m_real=m_real, lam=b / t)
 
 
 def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
@@ -553,6 +565,34 @@ def _rrsd_lower_threshold(n: int) -> float:
             return math.inf
 
 
+def _row_lower(result, model: str, n: int, d: int) -> SizingResult:
+    if model == "rrsd":
+        threshold = _rrsd_lower_threshold(n)
+        if d >= threshold:
+            return result(
+                reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
+                       f"threshold {threshold:.3g})")
+    c = _E * d * (math.log(n) if model == "rid" else _log_quotient((n,), _E))
+    t = _quadratic_root_plus(_RRSD_LOWER_B, c)
+    return result(m=math.ceil(t * t), m_real=t * t)
+
+
+def _rssd_lower(result, n: int, d: int) -> SizingResult:
+    lam = _RSSD_LOWER_SLACK
+    alpha, _ = theory.rssd_alpha_star(d)
+    beta = 1.0 - (1.0 + lam) * (1.0 - alpha) ** d
+    result = partial(result, lam=lam, alpha=alpha)
+    if beta <= alpha:
+        return result(reason=f"adjusted positive-test rate {beta:.3f} "
+                             f"<= alpha at d={d}")
+    f = theory.entropy(alpha) - beta * theory.entropy(alpha / beta)
+    m_real = (
+        math.log(n) + math.log(2.0)
+        + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
+    ) / (f * math.log(2.0))
+    return result(m=math.ceil(m_real), m_real=m_real)
+
+
 def lower_bound_m(model: str, n: int, d: int,
                   q: int | None = None) -> SizingResult:
     """Tests below which the model fails with constant probability.
@@ -566,32 +606,13 @@ def lower_bound_m(model: str, n: int, d: int,
     result = partial(SizingResult, model=model, bound="lower", n=n, d=d,
                      delta=None)
 
-    if model in ("rid", "rrsd"):
-        if model == "rrsd":
-            threshold = _rrsd_lower_threshold(n)
-            if d >= threshold:
-                return result(
-                    reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
-                           f"threshold {threshold:.3g})")
-        c = _E * d * (math.log(n) if model == "rid"
-                      else _log_quotient((n,), _E))
-        t = _quadratic_root_plus(_RRSD_LOWER_B, c)
-        return result(m=math.ceil(t * t), m_real=t * t)
-
-    if model == "rssd":
-        lam = _RSSD_LOWER_SLACK
-        alpha, _ = theory.rssd_alpha_star(d)
-        beta = 1.0 - (1.0 + lam) * (1.0 - alpha) ** d
-        result = partial(result, lam=lam, alpha=alpha)
-        if beta <= alpha:
-            return result(reason=f"adjusted positive-test rate {beta:.3f} "
-                                 f"<= alpha at d={d}")
-        f = theory.entropy(alpha) - beta * theory.entropy(alpha / beta)
-        m_real = (
-            math.log(n) + math.log(2.0)
-            + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
-        ) / (f * math.log(2.0))
-        return result(m=math.ceil(m_real), m_real=m_real)
+    if model in ("rid", "rrsd", "rssd"):
+        try:
+            if model == "rssd":
+                return _rssd_lower(result, n, d)
+            return _row_lower(result, model, n, d)
+        except OverflowError:
+            return result(reason=_BEYOND_FLOAT)
 
     q = _utdq_alphabet(n, d, q)
     result = partial(result, q=q)

@@ -4,8 +4,11 @@ A test matrix has one row per pooled test and one column per item.
 Rows are stored packed, each row being a single arbitrary-precision int
 with bit (n-1-j) holding column j (0-based); whole-row set algebra
 (the elimination decoder, the disjunctness check) then runs as big-int
-AND/OR at machine word speed.  Dense numpy views exist only at the
-boundaries (generation and file I/O).
+AND/OR at machine word speed.  numpy is imported only inside the
+functions that need it: the dense views (``from_dense``, ``to_dense``,
+row packing for generation), q-ary matrices and their expansion, and
+the q-ary file reader and writer.  A binary matrix file is read with
+bytes operations, so reading and checking one never imports numpy.
 
 Items are 1-based everywhere in the public API, matching the on-disk
 formats; row/column accessors on the raw matrices are 0-based.
@@ -16,8 +19,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     DimensionError,
@@ -25,6 +27,9 @@ from .errors import (
     ParameterError,
     _undecodable,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "BitMatrix",
@@ -70,6 +75,8 @@ class BitMatrix:
     @classmethod
     def from_dense(cls, arr) -> "BitMatrix":
         """Build from any 2-D 0/1 array-like."""
+        import numpy as np
+
         a = np.asarray(arr)
         if a.ndim != 2:
             raise DimensionError("dense input must be 2-D")
@@ -108,6 +115,8 @@ class BitMatrix:
         return sum(1 for w in self.rows if w & mask)
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((self.m, self.n), dtype=np.uint8)
         pad = (-self.n) % 8
         nbytes = (self.n + 7) // 8
@@ -144,6 +153,8 @@ class QaryMatrix:
             raise ParameterError("alphabet size q must be >= 2")
         if n < 1:
             raise DimensionError("matrix needs at least one column")
+        import numpy as np
+
         a = np.array(entries, dtype=np.int64, copy=True)
         if a.shape != (m, n):
             raise DimensionError(f"expected shape {(m, n)}, got {a.shape}")
@@ -158,7 +169,7 @@ class QaryMatrix:
     def __eq__(self, other):
         return (isinstance(other, QaryMatrix)
                 and (self.m, self.n, self.q) == (other.m, other.n, other.q)
-                and bool(np.array_equal(self.entries, other.entries)))
+                and bool((self.entries == other.entries).all()))
 
     def __repr__(self):
         return f"QaryMatrix(m={self.m}, n={self.n}, q={self.q})"
@@ -225,6 +236,8 @@ class DefectiveSet:
 
 def _pack_rows(bits2d) -> list:
     """One packed int per row of a 2-D 0/1 array, column 0 the high bit."""
+    import numpy as np
+
     pad = (-bits2d.shape[1]) % 8
     return [int.from_bytes(r.tobytes(), "big") >> pad
             for r in np.packbits(bits2d, axis=1)]
@@ -261,6 +274,8 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
     has a 1 exactly in the columns where row i equals s.  Each group of
     q rows therefore partitions the items.
     """
+    import numpy as np
+
     symbols = np.arange(1, mq.q + 1)[:, None]
     rows = []
     for row in mq.entries:
@@ -281,9 +296,10 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # never leaves a truncated or partial file behind.
 #
 # read_matrix parses the files whose bytes _binary_from_bytes or
-# _qary_from_bytes can vouch for as whole numpy arrays; any other file
-# goes line by line (_matrix_from_lines), which names the first bad line
-# and is the oracle the whole-array readers are tested against.
+# _qary_from_bytes can vouch for whole: a binary file with bytes
+# operations, a q-ary one as numpy arrays.  Any other file goes line by
+# line (_matrix_from_lines), which names the first bad line and is the
+# oracle the whole-file readers are tested against.
 
 
 # str.translate table that deletes the characters of a binary row
@@ -291,6 +307,9 @@ _DELETE_01 = str.maketrans("", "", "01")
 
 # the bytes of a header that _binary_from_bytes reads
 _BINARY_HEADER_BYTES = b"0123456789 "
+
+# the bytes of a row that _binary_from_bytes reads, but for its LF
+_BINARY_ROW_BYTES = b"01"
 
 # the bytes of a q-ary file that _qary_from_bytes reads
 _QARY_BYTES = b"0123456789 \n"
@@ -333,7 +352,7 @@ def read_matrix(path) -> BitMatrix | QaryMatrix:
 
 
 def _binary_from_bytes(data: bytes) -> BitMatrix | None:
-    """A well-formed binary file parsed as whole arrays, or None.
+    """A well-formed binary file parsed whole, or None.
 
     None means a file this path does not vouch for: a header that is
     not two numbers of digits and spaces ended by LF, or not m >= 0 and
@@ -355,17 +374,17 @@ def _binary_from_bytes(data: bytes) -> BitMatrix | None:
         return None
     if not data[end + 1 + size:].isascii():
         return None
-    rows = np.frombuffer(data, dtype=np.uint8, count=size,
-                         offset=end + 1).reshape(m, n + 1)
-    # "0" and "1" become 0 and 1; any other byte wraps to 2 or more
-    bits = rows[:, :n] - np.uint8(ord("0"))
-    if m and (bits.max() > 1 or (rows[:, n] != ord("\n")).any()):
+    body = data[end + 1:end + 1 + size]
+    # 0 or 1 everywhere but for exactly m LFs, one at each row end
+    if (body.translate(None, _BINARY_ROW_BYTES) != b"\n" * m
+            or body[n::n + 1] != b"\n" * m):
         return None
-    return BitMatrix(m, n, _pack_rows(bits))
+    return BitMatrix(m, n, [int(body[k:k + n], 2)
+                            for k in range(0, size, n + 1)])
 
 
 def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
-    """A well-formed q-ary file parsed as whole arrays, or None.
+    """A well-formed q-ary file parsed as whole numpy arrays, or None.
 
     None means a file this path does not vouch for: a binary or
     malformed header, a byte other than a digit, a space or LF, an
@@ -382,6 +401,8 @@ def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
         return None
     if n < 1 or q < 2 or data.translate(None, _QARY_BYTES):
         return None
+    import numpy as np
+
     text = np.frombuffer(data, dtype=np.uint8)[len(header) + 1:]
     breaks = np.flatnonzero(text == ord("\n"))
     if m == 0:
@@ -445,6 +466,8 @@ def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
     m, n, q = nums
     if m < 0 or n < 1 or q < 2:
         raise MatrixParseError(path, 1, f"bad dimensions {m} x {n} over q={q}")
+    import numpy as np
+
     rows = []  # not m x n zeros: the header may promise more than the file
     for t in range(m):
         lineno = t + 2
@@ -507,6 +530,8 @@ def _qary_blocks(entries):
     after the last entry of a row.  Without the NULs that is
     " ".join(map(str, row)) + "\\n" for each row.
     """
+    import numpy as np
+
     m, n = entries.shape
     width = len(str(entries.max(initial=1)))
     scale = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)

@@ -442,12 +442,13 @@ def test_run_arguments_checked_without_sizing(capsys, tmp_path, command,
     (("--model", "rrsd", "--n", "50", "--delta", "5e-324"), 0),
     (("--model", "utdq", "--n", "50", "--delta", "1e-308"), 0),
     (("--model", "rssd", "--n", "50", "--delta", "5e-324"), 3),
-    (("--model", "utdq", "--n", "10000000000", "--delta", "1e-300",
+    (("--model", "utdq", "--n", "1000000000", "--delta", "1e-300",
       "--exact-utdq-sizing"), 3),
 ], ids=["rid", "rrsd", "utdq", "rssd", "utdq-exact"])
 def test_design_sized_where_the_quotients_overflow(capsys, tmp_path, flags,
                                                    want):
-    # n / delta leaves the float range: a finite size or a refusal
+    # n / delta leaves the float range: a finite size or a refusal (n
+    # stays within DESIGN_CELL_BUDGET, past which design refuses to size)
     code, stdout, stderr = run(capsys, "design", *flags, "--d", "2",
                                "--seed", "1", "--out", str(tmp_path / "m.txt"))
     assert code == want
@@ -478,6 +479,22 @@ def test_size_guard_before_any_spec(capsys, tmp_path, monkeypatch, model, n):
         code, stdout, stderr = run(capsys, *argv)
         assert (code, stdout) == (2, ""), argv
         assert stderr.startswith("error: ") and "budget" in stderr, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_design_refuses_n_beyond_the_budget_before_sizing(capsys, tmp_path,
+                                                          monkeypatch):
+    # d = 10^340 does not convert to a float: sizing it would overflow
+    def no_sizing(*args, **kwargs):
+        raise AssertionError("sized an n beyond the budget")
+
+    monkeypatch.setattr("gtpool.designs.upper_bound_m", no_sizing)
+    code, stdout, stderr = run(
+        capsys, "design", "--model", "rid", "--delta", "0.1",
+        "--n", str(10**700), "--d", str(10**340), "--seed", "1",
+        "--out", str(tmp_path / "m.txt"))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: a 1 x 1000") and "budget" in stderr
     assert list(tmp_path.iterdir()) == []
 
 
@@ -770,8 +787,9 @@ def _modules_after_import(prefixes, bind):
     (("scipy",), True),
     # run_trials imports the pool only when it runs with jobs > 1
     (("multiprocessing", "concurrent.futures.process"), True),
-    # the numpy-backed names are bound only for commands that use them
-    (("numpy",), False),
+    # the late names (gtpool.matrices and gtpool.decoding) import numpy
+    # only where a q-ary matrix or a dense view needs it
+    (("numpy",), True),
 ], ids=["scipy", "process-pool", "numpy"])
 def test_import_loads_none_of(prefixes, bind):
     assert _modules_after_import(prefixes, bind) == "[]"
@@ -802,6 +820,31 @@ def test_help_runs_without_numpy():
     proc = _python(_NO_NUMPY, "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: gtpool")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--defectives", "3,17"],
+    ["check", "--defectives", "3,17", "--separable"],
+    ["check", "--defectives", "3,17", "--separable", "--d", "3"],
+    ["decode", "--defectives", "3,17"],
+    ["decode", "--answers", "answers.txt"],
+], ids=["check", "separable", "separable-d3", "decode", "decode-answers"])
+def test_binary_commands_run_without_numpy(capsys, tmp_path, argv):
+    # check and decode of a binary file: big-int algebra from bytes
+    from gtpool import designs
+
+    matrix = designs.generate(designs.DesignSpec("rid", 120, 40, 0.7), 5)
+    path = tmp_path / "m.txt"
+    write_matrix(path, matrix)
+    write_answers(tmp_path / "answers.txt", or_columns(matrix, [3, 17]))
+    argv = [argv[0], "--matrix", str(path),
+            *(str(tmp_path / arg) if arg.endswith(".txt") else arg
+              for arg in argv[1:])]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    proc = _python(_NO_NUMPY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == want
 
 
 def test_table1_config_error_without_numpy(tmp_path):

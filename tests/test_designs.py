@@ -263,6 +263,24 @@ def test_sizing_at_any_n(model, n):
         assert res.feasible and res.m >= below.m > 0
 
 
+@pytest.mark.parametrize("d", [10**300, 10**306, 10**340],
+                         ids=["d1e300", "d1e306", "d1e340"])
+@pytest.mark.parametrize("model", ["rid", "rrsd", "rssd"])
+def test_sizing_at_any_d(model, d):
+    # past about 10^306 the display leaves the float range, and 10^340
+    # does not convert to a float: a finite record or a refusal
+    n = 10**700
+    for res in (upper_bound_m(model, n, d, 0.1), lower_bound_m(model, n, d)):
+        values = (res.m_real, res.lam, res.m_prime)
+        assert all(math.isfinite(v) for v in values if v is not None), res
+        assert res.m >= res.m_real > 0 if res.feasible else res.reason, res
+        if d == 10**340:
+            assert (res.m, res.m_real) == (0, 0.0), res
+            assert res.reason == "test count beyond float range at this d"
+    if d == 10**300 and model != "rssd":
+        assert upper_bound_m(model, n, d, 0.1).feasible
+
+
 class TestLowerSizing:
     def test_rid_frozen(self):
         res = lower_bound_m("rid", 10**6, 2)

@@ -360,6 +360,11 @@ BINARY_EDGES = [
     "1 3\n1011\n",                           # long row
     "2 3\n1010\n101\n",
     "2 3\n10\n1010\n",                       # short row, right total
+    "2 3\n1\n01010\n",                      # m LFs, one inside a row
+    "2 3\n1\n1\n010\n",                      # an LF inside a row, right total
+    "2 3\n1\x001\n010\n",                    # NUL inside a row
+    "2 3\n101\n0\x800\n",                    # bytes >= 0x80 inside a row
+    "2 3\n101\n0\xff0\n",
     "1 3\n10\n",                             # short row
     "1 3\n121\n",
     "1 3\n1 1\n",

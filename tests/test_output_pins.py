@@ -29,6 +29,14 @@ records on all four models, infeasible ones among them, recorded while
 those records were still written out key by key.  The sizing records
 are pinned as JSON strings, so their key order is pinned too.
 
+It also holds the exit code, stdout and stderr of the parser's own
+output (``gtpool`` bare and with ``--help``, each command's ``--help``,
+an unknown command, an unknown flag and a ``--config`` key of another
+command) at COLUMNS=80, recorded while ``main`` still added every
+command's arguments on each call.  argparse words its text differently
+across Python versions, so the pins carry the version they were
+recorded under.
+
 Regenerate only for a change that is meant to alter output bytes, and
 say so in CHANGES.md:
 
@@ -41,9 +49,14 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+import pytest
+
+from gtpool import cli
 from gtpool.cli import main
 from gtpool.designs import (
     DesignSpec,
@@ -163,6 +176,19 @@ SIZINGS = {
     "lower.utdq.overflow": ("lower", "utdq", 1000, 240, None, {"q": 20}),
     "lower.utdq.noroot": ("lower", "utdq", 1000, 200, None, {"q": 20}),
 }
+# calls whose exit code, stdout and stderr come from the parser, or from
+# the config check; table1.cfg holds `dmax = 3`, a flag of table1 alone
+PARSER_RUNS = [
+    "",
+    "--help",
+    *(f"{command} --help"
+      for command in ("design", "check", "decode", "mc", "sweep", "table1")),
+    "frobnicate",
+    "check --frobnicate",
+    "check --d x",
+    "check --config table1.cfg",
+]
+PARSER_PYTHON = "parser.python"
 DESIGN_RUNS = {
     "rid": ["--model", "rid", "--n", "3000", "--d", "3", "--delta", "0.1"],
     "utdq": ["--model", "utdq", "--n", "3000", "--d", "3", "--delta", "0.1"],
@@ -200,6 +226,30 @@ def _stdout(argv, seeded=True) -> str:
         code = main(argv + (["--seed", str(SEED)] if seeded else []))
     assert code == 0
     return buf.getvalue()
+
+
+def _outcome(argv) -> dict:
+    """Exit code, stdout and stderr of main(argv) at COLUMNS=80."""
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def parser_outputs() -> dict:
+    out = {PARSER_PYTHON: "%d.%d" % sys.version_info[:2]}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp, "table1.cfg")
+        cfg.write_text("dmax = 3\n")
+        for call in PARSER_RUNS:
+            argv = [str(cfg) if arg == cfg.name else arg
+                    for arg in call.split()]
+            out[f"parser.gtpool {call}".rstrip()] = _outcome(argv)
+    return out
 
 
 def pinned_outputs() -> dict:
@@ -252,13 +302,40 @@ def pinned_outputs() -> dict:
     return out
 
 
+def _pins(parser: bool) -> dict:
+    pins = json.loads(PIN_FILE.read_text())
+    return {key: value for key, value in pins.items()
+            if key.startswith("parser.") == parser}
+
+
 def test_outputs_match_the_pins():
-    want = json.loads(PIN_FILE.read_text())
+    want = _pins(parser=False)
     got = json.loads(json.dumps(pinned_outputs()))
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
 
 
+def test_parser_output_matches_the_pins():
+    want = _pins(parser=True)
+    if want[PARSER_PYTHON] != "%d.%d" % sys.version_info[:2]:
+        pytest.skip(f"parser text pinned under Python {want[PARSER_PYTHON]}")
+    got = parser_outputs()
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_lazy_parser_matches_the_full_one(monkeypatch):
+    # on any Python: the parser built for the one command named prints
+    # what a parser with every command's arguments prints
+    lazy = parser_outputs()
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser",
+                        lambda argv: build(list(cli._COMMANDS)))
+    assert parser_outputs() == lazy
+
+
 if __name__ == "__main__":
-    print(json.dumps(pinned_outputs(), indent=1, sort_keys=True))
+    print(json.dumps({**pinned_outputs(), **parser_outputs()}, indent=1,
+                     sort_keys=True))
