@@ -31,11 +31,11 @@ are pinned as JSON strings, so their key order is pinned too.
 
 It also holds the exit code, stdout and stderr of the parser's own
 output (``gtpool`` bare and with ``--help``, each command's ``--help``,
-an unknown command, an unknown flag and a ``--config`` key of another
-command) at COLUMNS=80, recorded while ``main`` still added every
-command's arguments on each call.  argparse words its text differently
-across Python versions, so the pins carry the version they were
-recorded under.
+an unknown command, an unknown flag, a bad flag value and a ``--config``
+key of another command) at COLUMNS=80, recorded while ``main`` still
+added every command's arguments on each call.  argparse words its text
+differently across Python versions, so the pins carry the version they
+were recorded under.
 
 Regenerate only for a change that is meant to alter output bytes, and
 say so in CHANGES.md:
