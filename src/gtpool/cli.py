@@ -456,7 +456,8 @@ def _build_parser(argv) -> tuple:
     sub = parser.add_subparsers(dest="command", required=True)
     named = set(argv)
     for name, (help_line, add_arguments, func) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
+        # a subparser that never parses needs no -h either
+        p = sub.add_parser(name, help=help_line, add_help=name in named)
         if name in named:
             add_arguments(p)
             p.set_defaults(func=func)

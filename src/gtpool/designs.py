@@ -432,9 +432,10 @@ def _quadratic_root_plus(b: float, c: float) -> float:
     return 0.5 * (-b + math.sqrt(b * b + 4.0 * c))
 
 
-# the reason of a rid, rrsd or rssd record whose float arithmetic
-# overflows, which it does only where d is near or beyond the float
-# range: their m grows at least like d, so it has no float value there
+# the reason of a record whose m has no float value: rid, rrsd and rssd
+# overflow only where d is near or beyond the float range (their m grows
+# like d), utdq's transversal bound where (1 - 1/q)^d underflows (its m
+# grows like (q / (q - 1))^d)
 _BEYOND_FLOAT = "test count beyond float range at this d"
 
 
@@ -483,9 +484,12 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     result = partial(result, q=q)
     if exact_utdq:
         return _utdq_upper_exact(result, n, d, delta, q)
-    denom = -math.log1p(-((1.0 - 1.0 / q) ** d))
-    m_real = q * _log_quotient((n,), delta) / denom
-    m = q * math.ceil(m_real / q)
+    try:
+        denom = -math.log1p(-((1.0 - 1.0 / q) ** d))
+        m_real = q * _log_quotient((n,), delta) / denom
+        m = q * math.ceil(m_real / q)
+    except (OverflowError, ZeroDivisionError):  # (1 - 1/q)^d underflows
+        return result(reason=_BEYOND_FLOAT)
     return result(m=m, m_real=m_real, lam=0.0, m_prime=m // q)
 
 

@@ -498,6 +498,18 @@ def test_design_refuses_n_beyond_the_budget_before_sizing(capsys, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+def test_design_refuses_sizing_beyond_the_float_range(capsys, tmp_path):
+    # at q = 3 the transversal bound's m grows like 1.5^d
+    code, stdout, stderr = run(
+        capsys, "design", "--model", "utdq", "--q", "3", "--n", "100000",
+        "--d", "10000", "--delta", "0.1", "--seed", "1",
+        "--out", str(tmp_path / "m.txt"))
+    assert (code, stdout) == (3, "")
+    assert stderr == ("infeasible sizing: test count beyond float range "
+                      "at this d\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestMc:
     ARGS = ("mc", "--model", "rid", "--n", "60", "--d", "2", "--m", "40",
             "--trials", "30", "--seed", "3")

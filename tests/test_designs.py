@@ -281,6 +281,19 @@ def test_sizing_at_any_d(model, d):
         assert upper_bound_m(model, n, d, 0.1).feasible
 
 
+@pytest.mark.parametrize("d", [10**3, 10**4, 10**340],
+                         ids=["d1e3", "d1e4", "d1e340"])
+def test_utdq_transversal_sizing_at_any_d(d):
+    # m grows like 1.5^d at q = 3: by d = 10^4 it has no float value
+    res = upper_bound_m("utdq", 10**700, d, 0.1, q=3)
+    if d == 10**3:
+        assert res.feasible and res.m >= res.m_real > 0, res
+        assert math.isfinite(res.m_real)
+    else:
+        assert (res.m, res.m_real, res.q) == (0, 0.0, 3), res
+        assert res.reason == "test count beyond float range at this d"
+
+
 class TestLowerSizing:
     def test_rid_frozen(self):
         res = lower_bound_m("rid", 10**6, 2)
