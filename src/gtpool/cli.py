@@ -465,8 +465,7 @@ def _build_parser(argv) -> tuple:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     ns = vars(args)
