@@ -269,6 +269,14 @@ def pinned_outputs() -> dict:
             DesignSpec(model, n, m, param), d, 12, SEED).as_record()
     short = DesignSpec("rid", 150, 40, math.exp(-1.0 / 3))
     out["run_trials.rid.n150"] = run_trials(short, 3, 50, SEED).as_record()
+    # the mc benchmark's rid shape, at its sized m and two thirds of it:
+    # rows long enough that the kernel's late good rows leave a few dozen
+    # columns to read
+    sized = upper_bound_m("rid", 10 ** 4, 3, 0.1).m
+    for name, m in (("n1e4", sized), ("n1e4.short_m", sized * 2 // 3)):
+        spec = DesignSpec("rid", 10 ** 4, m, math.exp(-1.0 / 3))
+        out[f"run_trials.rid.{name}"] = run_trials(spec, 3, 40,
+                                                   SEED).as_record()
     out["find_min_m.rid"] = find_min_m("rid", 1000, 2, 0.9, 100,
                                        SEED).probe_records()
     # q = 4 at d = 2: bracketing, then three bisection steps of q
