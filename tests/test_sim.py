@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from gtpool import designs, sim
-from gtpool.designs import DesignSpec, gen_utdq, optimal_param, trial_disjunct
+from gtpool.designs import (
+    DesignSpec,
+    gen_utdq,
+    generate,
+    optimal_param,
+    trial_disjunct,
+)
 from gtpool.errors import InfeasibleError, ParameterError
 from gtpool.rng import derive_seed, substream
 from gtpool.sim import (
@@ -199,6 +205,86 @@ class TestTrialKernel:
         for d in (0, 6):
             with pytest.raises(ParameterError):
                 trial_disjunct(spec, d, 0)
+
+
+# rid at n = 10^4: the sized m at d = 2 and 3, and two thirds of the
+# latter, where trials fail
+RID_LONG = [(10 ** 4, 2, 70), (10 ** 4, 3, 149), (10 ** 4, 3, 99)]
+# a failing rid trial (spec, d, substream path) whose good rows after the
+# default switch read up to column n, so no advance ends them
+RID_LAST_COLUMN = (DesignSpec("rid", 1037, 60, math.exp(-0.5)), 2,
+                   (1037, 1234))
+
+
+def _rid_cases():
+    """(spec, d, substream path) on both rid row-length paths."""
+    for c, (spec, d) in enumerate(_kernel_cases("rid")):
+        for t in range(3):
+            yield spec, d, (c, t)
+    for n, d, m in RID_LONG:
+        for t in range(4):
+            yield DesignSpec("rid", n, m, math.exp(-1.0 / d)), d, (n + m, t)
+    yield RID_LAST_COLUMN
+
+
+def _reads_last_column(spec, d, seed, ratio) -> bool:
+    """Whether a good row after the switch at ratio finds column n still
+    uncovered, read off the full matrix."""
+    n = spec.n
+    covered = np.zeros(n, dtype=bool)
+    covered[:d] = True
+    sparse = False
+    for row in generate(spec, seed).to_dense().astype(bool):
+        if row[:d].any():
+            continue
+        if sparse and not covered[-1]:
+            return True
+        covered |= row
+        sparse = (n - np.count_nonzero(covered)) * ratio <= n
+    return False
+
+
+class TestRidSparsePhase:
+    """The rid kernel's late good rows, which read only the columns still
+    uncovered, with the switch to them at its default, forced at the
+    first good row or never made."""
+
+    @pytest.fixture(params=[None, 1, math.inf],
+                    ids=["default", "first-good-row", "never"])
+    def ratio(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(designs, "_RID_SPARSE_RATIO", request.param)
+        return designs._RID_SPARSE_RATIO
+
+    def test_matches_full_matrix_path(self, ratio):
+        outcomes = set()
+        for spec, d, path in _rid_cases():
+            disjunct, _ = reference_trial(spec, d, substream(*path))
+            assert trial_disjunct(spec, d, substream(*path)) == disjunct, (
+                spec, d, path)
+            outcomes.add(disjunct)
+        assert outcomes == {True, False}
+
+    def test_failing_trial_ends_at_row_m(self, ratio):
+        # the generator stands where the full matrix's m*n draws leave it
+        failed = 0
+        for spec, d, path in _rid_cases():
+            rng = substream(*path)
+            if trial_disjunct(spec, d, rng):
+                continue
+            fresh = substream(*path)
+            fresh.bit_generator.advance(spec.m * spec.n)
+            assert rng.bit_generator.state == fresh.bit_generator.state, (
+                spec, d, path)
+            failed += 1
+        assert failed > 100
+
+    def test_last_column_case(self):
+        spec, d, path = RID_LAST_COLUMN
+        assert spec.n >= designs._RID_SKIP_MIN_N
+        assert _reads_last_column(spec, d, substream(*path),
+                                  designs._RID_SPARSE_RATIO)
+        assert not reference_trial(spec, d, substream(*path))[0]
 
 
 class TestFindMinM:
