@@ -8,7 +8,10 @@ with exact recovery by the elimination decoder.
 A trial is computed by designs.trial_disjunct, which draws the same
 random numbers as the full matrix but reads only what decides the
 verdict: the defective entries of each row and the good rows (the
-negative tests, whose items elimination strikes).  reference_trial
+negative tests, whose items elimination strikes).  On long rid rows it
+reads less still: it skips the rest of a row once a defective entry is
+1, and once few columns are left uncovered, it reads a good row's
+entries for those columns alone.  reference_trial
 keeps the full-matrix path, generate + is_disjunct + decode_eliminate;
 tests/test_sim.py checks trial by trial that the decoder agrees with
 disjunctness there and that the kernel agrees with both.  The oracle

@@ -251,12 +251,11 @@ class TestRidSparsePhase:
 
     @pytest.fixture(params=[None, 1, math.inf],
                     ids=["default", "first-good-row", "never"])
-    def ratio(self, request, monkeypatch):
+    def switch(self, request, monkeypatch):
         if request.param is not None:
             monkeypatch.setattr(designs, "_RID_SPARSE_RATIO", request.param)
-        return designs._RID_SPARSE_RATIO
 
-    def test_matches_full_matrix_path(self, ratio):
+    def test_matches_full_matrix_path(self, switch):
         outcomes = set()
         for spec, d, path in _rid_cases():
             disjunct, _ = reference_trial(spec, d, substream(*path))
@@ -265,7 +264,7 @@ class TestRidSparsePhase:
             outcomes.add(disjunct)
         assert outcomes == {True, False}
 
-    def test_failing_trial_ends_at_row_m(self, ratio):
+    def test_failing_trial_ends_at_row_m(self, switch):
         # the generator stands where the full matrix's m*n draws leave it
         failed = 0
         for spec, d, path in _rid_cases():
