@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -351,6 +352,32 @@ SIZING_GRIDS = {
              [{"d": d, "delta": 0.1, "q": q, "exact_utdq": True}
               for d in (1, 2, 3) for q in (2, 3, 4, 5, 7)]),
 }
+
+
+def _sizing_grid():
+    """34,700 upper and lower records: n = 10^2, 10^5, ..., 10^299, d up
+    to 50 and delta from 0.3 to 1e-300, utdq with its default q.  The
+    utdq lower display stops at d = 8: past it the records have m = 0
+    with "no positive root" (the root cancels to 0), not a size."""
+    ds = (1, 2, 3, 5, 8, 13, 21, 34, 50)
+    deltas = (0.3, 0.1, 1e-2, 1e-5, 1e-20, 1e-100, 1e-300)
+    for n in (10**e for e in range(2, 300, 3)):
+        for d in ds:
+            for delta in deltas:
+                for model in designs.MODELS:
+                    yield upper_bound_m(model, n, d, delta)
+                yield upper_bound_m("utdq", n, d, delta, exact_utdq=True)
+            for model in designs.MODELS:
+                if model != "utdq" or d <= 8:
+                    yield lower_bound_m(model, n, d)
+
+
+def test_integer_sizes_pinned():
+    # every integer m and feasibility over the grid, as one sha256
+    sizes = [(res.m, res.feasible) for res in _sizing_grid()]
+    assert len(sizes) == 34_700
+    assert hashlib.sha256(repr(sizes).encode()).hexdigest() == (
+        "e5b39cf4a4f99395addbc48c43d6083ced9dbd46c9a992e49ec53756cbabdb29")
 
 
 @pytest.mark.parametrize("model", sorted(SIZING_GRIDS))
