@@ -13,12 +13,17 @@ defectives among n items with probability 1 - delta.  The guarantees
 carry a square-root correction in m, so the displays are implicit; the
 two row-i.i.d. models and utdq's exact display reduce to a quadratic in
 sqrt(m), rssd's to a cubic solved by fixed-point iteration; the bound on
-the correction factor decides feasibility.
+the correction factor decides feasibility.  Every display is evaluated
+from ln n, ln delta, ln d and ln q, with log1p and expm1 where a
+quantity is near 0 or 1, so n and delta need no float value; where m
+itself has none the record is a refusal.  Reasons print their numbers
+to 4 significant digits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -483,29 +488,30 @@ class SizingResult:
 
 
 def _quadratic_root_plus(b: float, c: float) -> float:
-    """Positive root t of t^2 + b t - c = 0 (returns 0 when c <= 0)."""
+    """Positive root t of t^2 + b t - c = 0 (returns 0 when c <= 0).
+
+    Formed as sqrt(c) times the root of the quadratic scaled by c, so
+    b^2 and 4c are never formed and c = inf gives inf; for b > 0 it is
+    2c / (b + sqrt(b^2 + 4c)), which does not cancel where b^2 dwarfs c.
+    """
     if c <= 0.0:
         return 0.0
-    return 0.5 * (-b + math.sqrt(b * b + 4.0 * c))
+    s = math.sqrt(c)
+    beta = b / s
+    h = math.hypot(beta, 2.0)
+    return s * (2.0 / (beta + h) if beta > 0.0 else 0.5 * (h - beta))
 
 
 # the reason of a record whose m has no float value: rid, rrsd and rssd
 # overflow only where d is near or beyond the float range (their m grows
 # like d), utdq's transversal bound where (1 - 1/q)^d underflows (its m
-# grows like (q / (q - 1))^d)
+# grows like (q / (q - 1))^d) and its exact display where q^(d+1) leaves
+# the float range.  Each shows as an ArithmeticError: a float or an int
+# beyond the range, or a divisor that underflowed to 0.
 _BEYOND_FLOAT = "test count beyond float range at this d"
 
-
-def _log_quotient(factors, divisor: float = 1.0) -> float:
-    """ln(prod(factors) / divisor): the log of the float quotient where it
-    is finite, so those results keep their bits; else a sum of logs."""
-    try:
-        quotient = math.prod(factors) / divisor
-        if quotient < math.inf:
-            return math.log(quotient)
-    except OverflowError:  # an int factor beyond float range
-        pass
-    return sum(map(math.log, factors)) - math.log(divisor)
+_LN2 = math.log(2.0)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _utdq_alphabet(n: int, d: int, q) -> int:
@@ -528,32 +534,24 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     _check_args(d, n, delta=delta)
     result = partial(SizingResult, model=model, bound="upper", n=n, d=d,
                      delta=delta)
-
-    if model in ("rid", "rrsd", "rssd"):
-        try:
-            if model == "rssd":
-                return _rssd_upper(result, n, d, delta)
-            return _row_upper(result, n, d, delta)
-        except OverflowError:
-            return result(reason=_BEYOND_FLOAT)
-
-    q = _utdq_alphabet(n, d, q)
-    result = partial(result, q=q)
-    if exact_utdq:
-        return _utdq_upper_exact(result, n, d, delta, q)
+    if model == "utdq":
+        q = _utdq_alphabet(n, d, q)
+        result = partial(result, q=q)
     try:
-        denom = -math.log1p(-((1.0 - 1.0 / q) ** d))
-        m_real = q * _log_quotient((n,), delta) / denom
-        m = q * math.ceil(m_real / q)
-    except (OverflowError, ZeroDivisionError):  # (1 - 1/q)^d underflows
+        if model == "rssd":
+            return _rssd_upper(result, n, d, delta)
+        if model == "utdq":
+            display = _utdq_upper_exact if exact_utdq else _utdq_upper
+            return display(result, n, d, delta, q)
+        return _row_upper(result, n, d, delta)
+    except ArithmeticError:
         return result(reason=_BEYOND_FLOAT)
-    return result(m=m, m_real=m_real, lam=0.0, m_prime=m // q)
 
 
 def _row_upper(result, n: int, d: int, delta: float) -> SizingResult:
-    b = math.sqrt(2.0 * _E * _log_quotient((2.0,), delta))
-    c = _E * d * _log_quotient((2.0, n), delta)
-    t = _quadratic_root_plus(-b, c)
+    ln_2_delta = _LN2 - math.log(delta)
+    b = math.sqrt(2.0 * _E * ln_2_delta)
+    t = _quadratic_root_plus(-b, _E * d * (ln_2_delta + math.log(n)))
     m_real = t * t
     return result(m=math.ceil(m_real), m_real=m_real, lam=b / t)
 
@@ -562,15 +560,17 @@ def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
     if d < 2:
         return result(reason="column-weight sizing display is singular at d=1")
     alpha, fmax = theory.rssd_alpha_star(d)
-    beta = -math.expm1(d * math.log1p(-alpha))
-    good = (1.0 - alpha) ** d  # chance a fixed row avoids all d defectives
+    # ln of the chance a fixed row avoids all d defectives
+    ln_good = d * math.log1p(-alpha)
+    beta = -math.expm1(ln_good)
+    ln_delta = math.log(delta)
     m_prime = (
-        math.log(n) + _log_quotient((3.0,), delta)
+        math.log(n) + math.log(3.0) - ln_delta
         + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
-    ) / (math.log(2.0) * fmax)
+    ) / (_LN2 * fmax)
 
-    def lam_at(m):
-        return 2.0 / math.sqrt(delta * good * m)
+    def lam_at(m):  # 2 / sqrt(delta * good * m)
+        return 2.0 * math.exp(-0.5 * (ln_delta + ln_good + math.log(m)))
 
     # m = (1 + lam(m)) m_prime is a cubic in sqrt(m); the map contracts by
     # lam / (2 (1 + lam)) < 1/2 at its root, so iterate to float precision
@@ -583,29 +583,34 @@ def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
     lam = lam_at(m)
     result = partial(result, lam=lam, alpha=alpha, m_prime=m_prime)
     if lam >= 1.0:
-        return result(reason=f"correction factor {lam:.3f} >= 1 at this scale")
+        return result(reason=f"correction factor {lam:.4g} >= 1 at this scale")
     return result(m=math.ceil(m), m_real=m)
+
+
+def _utdq_upper(result, n: int, d: int, delta: float, q: int) -> SizingResult:
+    # -ln(1 - (1 - 1/q)^d): 0 once (1 - 1/q)^d underflows
+    denom = -math.log1p(-math.exp(d * math.log1p(-1.0 / q)))
+    m_real = q * (math.log(n) - math.log(delta)) / denom
+    m = q * math.ceil(m_real / q)
+    return result(m=m, m_real=m_real, lam=0.0, m_prime=m // q)
 
 
 def _utdq_upper_exact(result, n: int, d: int, delta: float,
                       q: int) -> SizingResult:
-    lnp = theory._ln_p_any(q, d)
-    m0 = q * _log_quotient((2.0, n), delta) / (-lnp)
-    try:
-        scale = (2.0 * float(q) ** (d + 1)
-                 * _log_quotient((2.0, float(q) ** d), delta))
-    except OverflowError:
-        scale = math.inf
-    # the display m - sqrt(scale * m) >= m0 is a quadratic in t = sqrt(m)
-    lam = math.sqrt(scale / m0) if math.isfinite(scale) else math.inf
+    ln_q, ln_2_delta = math.log(q), _LN2 - math.log(delta)
+    m0 = q * (ln_2_delta + math.log(n)) / -theory._ln_p_any(q, d)
+    # the display m - sqrt(scale * m) >= m0, with scale = 2 q^(d+1)
+    # ln(2 q^d / delta), is a quadratic in t = sqrt(m)
+    root_scale = math.exp(0.5 * (_LN2 + (d + 1) * ln_q
+                                 + math.log(ln_2_delta + d * ln_q)))
+    lam = root_scale / math.sqrt(m0)
     if lam >= 1.0:
         return result(m_prime=m0 / q, lam=lam, reason=(
-            f"correction factor {lam:.3f} >= 1; the exact display needs "
+            f"correction factor {lam:.4g} >= 1; the exact display needs "
             f"m on the order of q^(d+1)"))
-    t = _quadratic_root_plus(-math.sqrt(scale), m0)
+    t = _quadratic_root_plus(-root_scale, m0)
     m = q * math.ceil(t * t / q)
-    return result(m=m, m_real=t * t, lam=math.sqrt(scale) / t,
-                  m_prime=m // q)
+    return result(m=m, m_real=t * t, lam=root_scale / t, m_prime=m // q)
 
 
 # Fixed slack used when evaluating the rssd lower display (the bound
@@ -613,45 +618,6 @@ def _utdq_upper_exact(result, n: int, d: int, delta: float,
 _RSSD_LOWER_SLACK = 0.05
 
 _RRSD_LOWER_B = _E**3 * math.sqrt(3.0)
-
-
-def _rrsd_lower_threshold(n: int) -> float:
-    """sqrt(n) / ln^3(n), through logs where n is beyond float range."""
-    try:
-        return math.sqrt(n) / math.log(n) ** 3
-    except OverflowError:
-        try:
-            return math.exp(0.5 * math.log(n) - 3.0 * math.log(math.log(n)))
-        except OverflowError:
-            return math.inf
-
-
-def _row_lower(result, model: str, n: int, d: int) -> SizingResult:
-    if model == "rrsd":
-        threshold = _rrsd_lower_threshold(n)
-        if d >= threshold:
-            return result(
-                reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
-                       f"threshold {threshold:.3g})")
-    c = _E * d * (math.log(n) if model == "rid" else _log_quotient((n,), _E))
-    t = _quadratic_root_plus(_RRSD_LOWER_B, c)
-    return result(m=math.ceil(t * t), m_real=t * t)
-
-
-def _rssd_lower(result, n: int, d: int) -> SizingResult:
-    lam = _RSSD_LOWER_SLACK
-    alpha, _ = theory.rssd_alpha_star(d)
-    beta = 1.0 - (1.0 + lam) * (1.0 - alpha) ** d
-    result = partial(result, lam=lam, alpha=alpha)
-    if beta <= alpha:
-        return result(reason=f"adjusted positive-test rate {beta:.3f} "
-                             f"<= alpha at d={d}")
-    f = theory.entropy(alpha) - beta * theory.entropy(alpha / beta)
-    m_real = (
-        math.log(n) + math.log(2.0)
-        + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
-    ) / (f * math.log(2.0))
-    return result(m=math.ceil(m_real), m_real=m_real)
 
 
 def lower_bound_m(model: str, n: int, d: int,
@@ -666,31 +632,61 @@ def lower_bound_m(model: str, n: int, d: int,
     _check_args(d, n)
     result = partial(SizingResult, model=model, bound="lower", n=n, d=d,
                      delta=None)
-
-    if model in ("rid", "rrsd", "rssd"):
-        try:
-            if model == "rssd":
-                return _rssd_lower(result, n, d)
-            return _row_lower(result, model, n, d)
-        except OverflowError:
-            return result(reason=_BEYOND_FLOAT)
-
-    q = _utdq_alphabet(n, d, q)
-    result = partial(result, q=q)
-    lnp = theory._ln_p_any(q, d)
-    m0 = q * _log_quotient((8.0, n - d)) / (-lnp)
+    if model == "utdq":
+        q = _utdq_alphabet(n, d, q)
+        result = partial(result, q=q)
     try:
-        c_corr = math.sqrt(3.0 * float(q) ** (d + 1)
-                           * math.log(16.0 * float(q) ** d))
-    except OverflowError:
-        c_corr = math.inf
-    if not math.isfinite(c_corr):
+        if model == "rssd":
+            return _rssd_lower(result, n, d)
+        if model == "utdq":
+            return _utdq_lower(result, n, d, q)
+        return _row_lower(result, model, n, d)
+    except ArithmeticError:
+        return result(reason=_BEYOND_FLOAT)
+
+
+def _row_lower(result, model: str, n: int, d: int) -> SizingResult:
+    ln_n = math.log(n)
+    if model == "rrsd":
+        ln_threshold = 0.5 * ln_n - 3.0 * math.log(ln_n)
+        if math.log(d) >= ln_threshold:
+            return result(
+                reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
+                       f"threshold {math.exp(ln_threshold):.4g})")
+        ln_n -= 1.0  # the rrsd display has ln(n / e)
+    t = _quadratic_root_plus(_RRSD_LOWER_B, _E * d * ln_n)
+    return result(m=math.ceil(t * t), m_real=t * t)
+
+
+def _rssd_lower(result, n: int, d: int) -> SizingResult:
+    lam = _RSSD_LOWER_SLACK
+    alpha, _ = theory.rssd_alpha_star(d)
+    # 1 - (1 + lam) (1 - alpha)^d, with alpha near ln2/d
+    beta = -math.expm1(math.log1p(lam) + d * math.log1p(-alpha))
+    result = partial(result, lam=lam, alpha=alpha)
+    if beta <= alpha:
+        return result(reason=f"adjusted positive-test rate {beta:.4g} "
+                             f"<= alpha at d={d}")
+    f = theory.entropy(alpha) - beta * theory.entropy(alpha / beta)
+    m_real = (
+        math.log(n) + _LN2
+        + 0.5 * math.log(beta * (1.0 - alpha) / (beta - alpha))
+    ) / (f * _LN2)
+    return result(m=math.ceil(m_real), m_real=m_real)
+
+
+def _utdq_lower(result, n: int, d: int, q: int) -> SizingResult:
+    ln_q = math.log(q)
+    m0 = q * (math.log(8.0) + math.log(n - d)) / -theory._ln_p_any(q, d)
+    # the correction sqrt(3 q^(d+1) ln(16 q^d)), and lam = c_corr / t,
+    # which is at least c_corr^2 / m0
+    ln_corr = 0.5 * (math.log(3.0) + (d + 1) * ln_q
+                     + math.log(math.log(16.0) + d * ln_q))
+    if 2.0 * ln_corr - math.log(m0) >= _LN_FLOAT_MAX:
         return result(reason="correction overflows at this q, d")
+    c_corr = math.exp(ln_corr)
     t = _quadratic_root_plus(c_corr, m0)
-    if t <= 0.0:
-        return result(reason="no positive root: n too small for this q, d")
-    m_real = t * t
     lam = c_corr / t
-    return result(m=math.ceil(m_real), m_real=m_real, lam=lam,
+    return result(m=math.ceil(t * t), m_real=t * t, lam=lam,
                   reason=None if lam <= 1.0 else
-                  f"correction factor {lam:.3f} > 1 at this scale")
+                  f"correction factor {lam:.4g} > 1 at this scale")
