@@ -211,9 +211,12 @@ def cmd_design(ns: dict) -> int:
     designs._check_args(d, n, delta=delta)
     seed = _resolve_seed(ns)
     explicit = _explicit_param(ns, model)
-    if ns.get("qary_out") is not None and model != "utdq":
+    qary_out = ns.get("qary_out")
+    if qary_out is not None and model != "utdq":
         raise ParameterError(
             f"--qary-out does not apply to model {model!r} (utdq only)")
+    if qary_out and os.path.realpath(qary_out) == os.path.realpath(ns["out"]):
+        raise ParameterError("--qary-out and --out name the same file")
 
     m, lam = ns.get("m"), None
     if m is None:
@@ -231,7 +234,6 @@ def cmd_design(ns: dict) -> int:
 
     _cell_guard(m, n)
     spec = designs.spec_at(model, n, d, m, explicit)
-    qary_out = ns.get("qary_out")
     # all or nothing, and an unwritable target fails before the draw
     targets = filter(None, (qary_out, ns["out"]))
     with matrices._replace_on_success(*targets) as tmps:

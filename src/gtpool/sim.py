@@ -40,6 +40,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import designs
 from .decoding import decode_eliminate, good_row_count, is_disjunct
 from .designs import (
     DesignSpec,
@@ -47,8 +48,6 @@ from .designs import (
     _utdq_disjunct,
     gen_rssd,
     generate,
-    optimal_param,
-    spec_at,
     trial_disjunct,
 )
 from .errors import InfeasibleError, ParameterError
@@ -264,11 +263,11 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     _check_args(d, n, trials=trials, target=target, jobs=jobs)
     master_seed = check_seed(master_seed)
     _check_reach(target, trials)
-    step = int(optimal_param("utdq", n, d)) if model == "utdq" else 1
+    step = int(designs.optimal_param("utdq", n, d)) if model == "utdq" else 1
     probes = []
 
     def accept(m: int) -> bool:
-        rep = run_trials(spec_at(model, n, d, m), d, trials,
+        rep = run_trials(designs.spec_at(model, n, d, m), d, trials,
                          derive_seed(master_seed, m), jobs=jobs)
         ok = rep.wilson_low >= target - WILSON_GUARD
         probes.append(ProbeRecord(m=m, successes=rep.disjunct_successes,

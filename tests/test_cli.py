@@ -101,6 +101,26 @@ class TestDesign:
         assert "--qary-out" in stderr
         assert not qout.exists()
 
+    @pytest.mark.parametrize("alias", ["same", "dot"])
+    def test_qary_out_and_out_name_one_file(self, capsys, tmp_path,
+                                            monkeypatch, alias):
+        # the q-ary file would be written, then replaced by the binary one
+        def no_work(*args, **kwargs):
+            raise AssertionError("sized or drew before the refusal")
+
+        for target in ("upper_bound_m", "gen_utdq", "generate"):
+            monkeypatch.setattr(f"gtpool.designs.{target}", no_work)
+        monkeypatch.chdir(tmp_path)
+        qout = "m.txt" if alias == "same" else "./sub/../m.txt"
+        (tmp_path / "sub").mkdir()
+        code, stdout, stderr = run(capsys, "design", "--model", "utdq",
+                                   "--n", "50", "--d", "2", "--delta", "0.1",
+                                   "--seed", "1", "--out", "m.txt",
+                                   "--qary-out", qout)
+        assert (code, stdout) == (2, "")
+        assert "same file" in stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
     def test_infeasible_sizing_exits_3(self, capsys, tmp_path):
         code, _, stderr = run(capsys, "design", "--model", "rssd",
                               "--n", "100", "--d", "1", "--delta", "0.1",
@@ -465,7 +485,6 @@ def test_size_guard_before_any_spec(capsys, tmp_path, monkeypatch, model, n):
     def no_work(*args, **kwargs):
         raise AssertionError("worked on a size beyond the budget")
 
-    # sim first: importing it binds designs.spec_at as it finds it
     for target in ("sim.run_trials", "sim.find_min_m", "designs.spec_at"):
         monkeypatch.setattr(f"gtpool.{target}", no_work)
     for argv in (
@@ -480,6 +499,38 @@ def test_size_guard_before_any_spec(capsys, tmp_path, monkeypatch, model, n):
         assert (code, stdout) == (2, ""), argv
         assert stderr.startswith("error: ") and "budget" in stderr, argv
     assert list(tmp_path.iterdir()) == []
+
+
+def test_search_reads_spec_at_and_optimal_param_at_call_time():
+    # in a fresh process: a patch of designs made before sim is first
+    # imported must end when it is undone, and one made after must reach
+    # the search
+    code = """
+from gtpool import designs
+names = ("spec_at", "optimal_param")
+real = {name: getattr(designs, name) for name in names}
+calls = []
+def patch():
+    for name in names:
+        def spy(*args, fn=real[name], **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        setattr(designs, name, spy)
+def search():
+    calls.clear()
+    sim.find_min_m("utdq", 50, 2, 0.5, 20, 1)
+    return sorted(set(calls))
+patch()
+from gtpool import sim
+for name in names:
+    setattr(designs, name, real[name])
+print(search())
+patch()
+print(search())
+"""
+    proc = _python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['optimal_param', 'spec_at']"]
 
 
 def test_design_refuses_n_beyond_the_budget_before_sizing(capsys, tmp_path,
