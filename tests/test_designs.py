@@ -384,8 +384,9 @@ SIZING_GRIDS = {
 def _sizing_grid():
     """34,700 upper and lower records: n = 10^2, 10^5, ..., 10^299, d up
     to 50 and delta from 0.3 to 1e-300, utdq with its default q.  The
-    utdq lower display stops at d = 8: past it the records have m = 0
-    with "no positive root" (the root cancels to 0), not a size."""
+    utdq lower display stops at d = 8: past it its correction factor is
+    above 10^16 and m is 1, the range that
+    test_utdq_lower_has_a_root_where_the_correction_dwarfs_it covers."""
     ds = (1, 2, 3, 5, 8, 13, 21, 34, 50)
     deltas = (0.3, 0.1, 1e-2, 1e-5, 1e-20, 1e-100, 1e-300)
     for n in (10**e for e in range(2, 300, 3)):
