@@ -490,9 +490,10 @@ class SizingResult:
 def _quadratic_root_plus(b: float, c: float) -> float:
     """Positive root t of t^2 + b t - c = 0 (returns 0 when c <= 0).
 
-    Formed as sqrt(c) times the root of the quadratic scaled by c, so
-    b^2 and 4c are never formed and c = inf gives inf; for b > 0 it is
-    2c / (b + sqrt(b^2 + 4c)), which does not cancel where b^2 dwarfs c.
+    t = sqrt(c) u, with u the positive root of u^2 + beta u - 1 = 0 and
+    beta = b / sqrt(c): b^2 and 4c are never formed, and c = inf gives
+    inf.  For beta > 0, u = 2 / (beta + sqrt(beta^2 + 4)), which does not
+    cancel where b^2 dwarfs c.
     """
     if c <= 0.0:
         return 0.0

@@ -298,8 +298,8 @@ def test_utdq_transversal_sizing_at_any_d(d):
 @pytest.mark.parametrize("d", [10**17, 10**20, 10**300],
                          ids=["d1e17", "d1e20", "d1e300"])
 def test_rssd_lower_past_the_float_spacing_at_one(d):
-    # alpha ~ ln2/d is below the spacing of floats at 1, so (1 - alpha)^d
-    # taken as a float power is 1 and the positive-test rate goes negative
+    # alpha ~ ln2/d is below the spacing of floats at 1: 1.0 - alpha is
+    # 1.0, so (1 - alpha)^d must come from log1p
     res = lower_bound_m("rssd", 10**700, d)
     assert res.feasible and res.m >= res.m_real > 0, res
     assert 0 < res.alpha * d < 1
@@ -313,8 +313,8 @@ def test_rssd_upper_refusal_reason_is_short():
 
 
 def test_utdq_lower_has_a_root_where_the_correction_dwarfs_it():
-    # m0 > 0 always gives a positive root; 0.5 (-b + sqrt(b^2 + 4 m0))
-    # cancelled to 0 where b^2 dwarfs m0
+    # m0 > 0 always gives a positive root, also where b^2 dwarfs m0 and
+    # 0.5 (-b + sqrt(b^2 + 4 m0)) cancels to 0
     for d, q in ((100, None), (200, 20)):
         res = lower_bound_m("utdq", 1000, d, q=q)
         assert res.m >= 1 and res.m_real > 0, res
