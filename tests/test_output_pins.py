@@ -277,6 +277,13 @@ def pinned_outputs() -> dict:
         spec = DesignSpec("rid", 10 ** 4, m, math.exp(-1.0 / 3))
         out[f"run_trials.rid.{name}"] = run_trials(spec, 3, 40,
                                                    SEED).as_record()
+    # the mc benchmark's rrsd shape, at its sized m and two thirds of it
+    sized = upper_bound_m("rrsd", 10 ** 4, 3, 0.1).m
+    for name, m in (("n1e4", sized), ("n1e4.short_m", sized * 2 // 3)):
+        spec = DesignSpec("rrsd", 10 ** 4, m,
+                          optimal_param("rrsd", 10 ** 4, 3, m_hint=m))
+        out[f"run_trials.rrsd.{name}"] = run_trials(spec, 3, 40,
+                                                    SEED).as_record()
     out["find_min_m.rid"] = find_min_m("rid", 1000, 2, 0.9, 100,
                                        SEED).probe_records()
     # q = 4 at d = 2: bracketing, then three bisection steps of q
