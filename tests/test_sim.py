@@ -145,6 +145,26 @@ def _kernel_cases(model):
                         yield DesignSpec("utdq", n, q * (k // 2), q), d
 
 
+class Coarse(np.random.Generator):
+    """PCG64 doubles rounded down to a grid of `levels` values, so keys
+    tie at the selection boundary, where argpartition alone decides."""
+
+    def __init__(self, seed, levels=4):
+        super().__init__(np.random.PCG64(seed))
+        self.levels = levels
+
+    def random(self, size=None, out=None):
+        keys = super().random(size, out=out)
+        keys[...] = np.floor(keys * self.levels) / self.levels
+        return keys
+
+
+# (model, m) at n = 10^4, d = 3: the mc benchmark's sized m, two thirds of
+# it, and a half, where about half the trials fail
+BENCH_SHAPES = [("rssd", 133), ("rssd", 88), ("rssd", 66),
+                ("rrsd", 149), ("rrsd", 99), ("rrsd", 74)]
+
+
 class TestTrialKernel:
     """trial_disjunct against the full-matrix path, trial by trial."""
 
@@ -168,36 +188,54 @@ class TestTrialKernel:
                 outcomes.add(disjunct)
         assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("model", ["rrsd", "rssd"])
+    def test_matches_at_benchmark_shapes(self, model):
+        outcomes = set()
+        for name, m in BENCH_SHAPES:
+            if name != model:
+                continue
+            spec = DesignSpec(model, 10 ** 4, m,
+                              optimal_param(model, 10 ** 4, 3, m_hint=m))
+            for t in range(12):
+                disjunct, _ = reference_trial(spec, 3, substream(m, t))
+                assert trial_disjunct(spec, 3, substream(m, t)) == disjunct, (
+                    spec, t)
+                outcomes.add(disjunct)
+        assert outcomes == {True, False}
+
     @pytest.mark.parametrize("block_entries", [None, 5])
     @pytest.mark.parametrize("model", ["rrsd", "rssd"])
     def test_matches_on_tied_keys(self, monkeypatch, model, block_entries):
         # keys on a grid of four values tie at the selection boundary in
-        # most rows and columns, where argpartition alone decides
+        # most rows and columns; the last 100 cases have m >= 256 rows
         if block_entries is not None:
             monkeypatch.setattr(designs, "_BLOCK_ENTRIES", block_entries)
             monkeypatch.setattr(designs, "_CHUNK_ENTRIES", block_entries)
-
-        class Coarse(np.random.Generator):
-            def random(self, size=None, out=None):
-                keys = super().random(size, out=out)
-                keys[...] = np.floor(keys * 4) / 4
-                return keys
-
         rs = np.random.default_rng(7)
         outcomes = set()
-        for c in range(400):
+        for c in range(500):
             n = int(rs.integers(2, 30))
             d = int(rs.integers(1, min(3, n) + 1))
-            m = int(rs.integers(0, 30))
+            m = int(rs.integers(0, 30) if c < 400 else rs.integers(256, 700))
             param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
             spec = DesignSpec(model, n, m, param)
-            disjunct, decoded = reference_trial(spec, d,
-                                                Coarse(np.random.PCG64(c)))
+            disjunct, decoded = reference_trial(spec, d, Coarse(c))
             assert disjunct == decoded
-            got = trial_disjunct(spec, d, Coarse(np.random.PCG64(c)))
+            got = trial_disjunct(spec, d, Coarse(c))
             assert got == disjunct, (spec, d, c)
             outcomes.add(disjunct)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("m", [300, 70_000])
+    def test_rssd_counts_past_the_narrow_dtypes(self, m):
+        # every key ties, so the defective column's argpartition leaves
+        # out the same row as every other column's: s = m - 1 bad keys,
+        # past 255 or 65,535, reach the one good key, and no column is
+        # covered
+        spec = DesignSpec("rssd", 3, m, m - 1)
+        disjunct, decoded = reference_trial(spec, 1, Coarse(m, levels=1))
+        assert not disjunct and not decoded
+        assert trial_disjunct(spec, 1, Coarse(m, levels=1)) is False
 
     def test_defective_count_validated(self):
         spec = DesignSpec("rid", 5, 4, 0.5)
