@@ -159,10 +159,9 @@ class Coarse(np.random.Generator):
         return keys
 
 
-# (model, m) at n = 10^4, d = 3: the mc benchmark's sized m, two thirds of
-# it, and a half, where about half the trials fail
-BENCH_SHAPES = [("rssd", 133), ("rssd", 88), ("rssd", 66),
-                ("rrsd", 149), ("rrsd", 99), ("rrsd", 74)]
+# m at n = 10^4, d = 3: the mc benchmark's sized m, two thirds of it, and
+# half of it, where many trials fail
+BENCH_M = {"rssd": (133, 88, 66), "rrsd": (149, 99, 74)}
 
 
 class TestTrialKernel:
@@ -191,9 +190,7 @@ class TestTrialKernel:
     @pytest.mark.parametrize("model", ["rrsd", "rssd"])
     def test_matches_at_benchmark_shapes(self, model):
         outcomes = set()
-        for name, m in BENCH_SHAPES:
-            if name != model:
-                continue
+        for m in BENCH_M[model]:
             spec = DesignSpec(model, 10 ** 4, m,
                               optimal_param(model, 10 ** 4, 3, m_hint=m))
             for t in range(12):
