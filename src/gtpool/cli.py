@@ -13,16 +13,13 @@ output so the run can be replayed.
 A config file (--config PATH, lines of key=value, '#' comments) may
 supply any long flag's value; flags given on the command line win.
 
-Each command loads only what it runs.  theory, which needs nothing but
-math, is imported up front.  The matrix and decoder names in _LATE are
-taken from the package's lazy exports and bound as module globals by
-_bind() when a command other than table1 runs; reading one of them from
-outside (to patch gtpool.cli.read_matrix, say) binds them first.  Those
-modules import numpy only where a q-ary matrix or a dense view needs
-it, so table1, check and a binary decode start without numpy.  design,
-mc and sweep import designs, sim and rng, which draw with numpy, when
-they run.  The parser registers every subcommand with its help, but
-adds arguments only to the one named on the command line.
+Each command loads only what it runs.  theory needs nothing but math;
+matrices and decoding import numpy only inside the functions that need
+it (a q-ary matrix or a dense view), so their names are plain imports
+and table1, --help, check and a binary decode start without numpy.
+design, mc and sweep import designs, sim and rng, which load numpy,
+when they run.  The parser registers every subcommand with its help,
+but adds arguments only to the one named on the command line.
 """
 
 from __future__ import annotations
@@ -34,6 +31,7 @@ import os
 import sys
 
 from . import theory
+from .decoding import decode_eliminate, is_disjunct, is_separable
 from .errors import (
     GroupTestError,
     InfeasibleError,
@@ -41,6 +39,16 @@ from .errors import (
     ParameterError,
     SizeGuardError,
     _undecodable,
+)
+from .matrices import (
+    DefectiveSet,
+    QaryMatrix,
+    _replace_on_success,
+    expand_qary,
+    or_columns,
+    read_answers,
+    read_matrix,
+    write_matrix,
 )
 
 __all__ = ["main"]
@@ -53,28 +61,6 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 # byte per entry and the rssd draw a dense boolean matrix, so about 1 GiB
 # each.  The n = 10^5 designs of the benchmark take about 10^7 entries.
 DESIGN_CELL_BUDGET = 1 << 30
-
-
-# the matrix and decoder names the commands use; gtpool's lazy exports
-# say where each one lives
-_LATE = ("matrices", "decode_eliminate", "is_disjunct", "is_separable",
-         "DefectiveSet", "QaryMatrix", "expand_qary", "or_columns",
-         "read_answers", "read_matrix", "write_matrix")
-
-
-def _bind() -> None:
-    """Bind the late names; a name already bound keeps its value."""
-    package = sys.modules[__package__]
-    for name in _LATE:
-        globals().setdefault(name, getattr(package, name))
-
-
-def __getattr__(name):
-    # only the late names: `from .cli import main` probes __path__
-    if name in _LATE:
-        _bind()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -236,7 +222,7 @@ def cmd_design(ns: dict) -> int:
     spec = designs.spec_at(model, n, d, m, explicit)
     # all or nothing, and an unwritable target fails before the draw
     targets = filter(None, (qary_out, ns["out"]))
-    with matrices._replace_on_success(*targets) as tmps:
+    with _replace_on_success(*targets) as tmps:
         if model == "utdq":
             q = int(spec.param)
             mq = designs.gen_utdq(n, m // q, q, seed)
@@ -471,8 +457,6 @@ def main(argv=None) -> int:
     parser, commands = _build_parser(argv)
     args = parser.parse_args(argv)
     ns = vars(args)
-    if ns["command"] != "table1":
-        _bind()
     try:
         if ns.get("config"):
             _merge_config(ns, _load_config(ns["config"]),

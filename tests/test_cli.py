@@ -834,28 +834,27 @@ def _python(code, *argv):
                           timeout=120)
 
 
-def _modules_after_import(prefixes, bind):
+def _modules_after_import(prefixes):
     """The modules named in prefixes, or inside them, that a fresh
-    `import gtpool.cli` loads, and then its _bind() if bind is set."""
+    `import gtpool.cli` loads."""
     code = ("import sys, gtpool.cli; "
-            + ("gtpool.cli._bind(); " if bind else "")
-            + "print(sorted(m for m in sys.modules for p in "
+            "print(sorted(m for m in sys.modules for p in "
             f"{prefixes!r} if m == p or m.startswith(p + '.')))")
     proc = _python(code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
-@pytest.mark.parametrize("prefixes, bind", [
-    (("scipy",), True),
+@pytest.mark.parametrize("prefixes", [
+    ("scipy",),
     # run_trials imports the pool only when it runs with jobs > 1
-    (("multiprocessing", "concurrent.futures.process"), True),
-    # the late names (gtpool.matrices and gtpool.decoding) import numpy
-    # only where a q-ary matrix or a dense view needs it
-    (("numpy",), True),
+    ("multiprocessing", "concurrent.futures.process"),
+    # gtpool.matrices and gtpool.decoding, which the CLI imports, load
+    # numpy only where a q-ary matrix or a dense view needs it
+    ("numpy",),
 ], ids=["scipy", "process-pool", "numpy"])
-def test_import_loads_none_of(prefixes, bind):
-    assert _modules_after_import(prefixes, bind) == "[]"
+def test_import_loads_none_of(prefixes):
+    assert _modules_after_import(prefixes) == "[]"
 
 
 # runs `python -m gtpool ARGV...` in a process where importing numpy fails
@@ -919,45 +918,6 @@ def test_table1_config_error_without_numpy(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-def test_patch_before_bind_is_kept(small_matrix):
-    # a name patched before any command runs survives the late binding,
-    # whether it was read first (as monkeypatch and perfbench do) or not
-    path, _ = small_matrix
-    code = """
-import sys
-import gtpool.cli as cli
-from gtpool import matrices
-
-argv = ["check", "--matrix", sys.argv[1], "--defectives", "1"]
-calls = []
-
-def spy(path):
-    calls.append(path)
-    return matrices.read_matrix(path)
-
-assert "read_matrix" not in vars(cli)
-cli.read_matrix = spy
-assert cli.main(argv) == 0 and calls == [sys.argv[1]]
-cli.read_matrix = matrices.read_matrix
-assert cli.main(argv) == 0 and len(calls) == 1
-
-saved = cli.read_matrix
-cli.read_matrix = spy
-assert cli.main(argv) == 0 and len(calls) == 2
-cli.read_matrix = saved
-assert cli.main(argv) == 0 and len(calls) == 2
-assert cli.read_matrix is matrices.read_matrix
-
-# the package's lazy exports are the one record of where a name lives
-import gtpool
-cli._bind()
-for name in cli._LATE:
-    assert vars(cli)[name] is getattr(gtpool, name), name
-"""
-    proc = _python(code, path)
-    assert proc.returncode == 0, proc.stderr
-
-
 class TestPackageSurface:
     def test_exports_are_the_module_objects(self):
         assert len(gtpool.__all__) == 48
@@ -967,9 +927,6 @@ class TestPackageSurface:
             for name in names:
                 assert getattr(gtpool, name) is getattr(home, name), name
         assert set(gtpool.__all__) <= set(dir(gtpool))
-        # the CLI binds late only names the package exports or submodules
-        for name in gtpool.cli._LATE:
-            assert name in gtpool.__all__ or name in gtpool._SUBMODULES, name
 
     def test_star_import(self):
         ns = {}

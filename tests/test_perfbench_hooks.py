@@ -14,6 +14,8 @@ with ``upper_bound_m`` and reads ``m`` (and ``q`` for utdq).
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -46,6 +48,41 @@ def test_spans_and_cache_names_resolve(monkeypatch):
         with spans.installed(spans.Recorder(), gtpool, harness=harness):
             assert gtpool.cli.write_matrix is not write_matrix
     assert gtpool.cli.write_matrix is write_matrix
+
+
+# In a fresh process: the names spans.py patches on gtpool.cli are
+# plain module globals from the moment gtpool.cli is imported, each the
+# object its home module defines.
+_CLI_SITES = """
+import importlib.util, sys
+import gtpool, gtpool.cli as cli
+
+imported = dict(vars(cli))
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = sys.modules["spans"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+with spans.installed(spans.Recorder(), gtpool):
+    patched = sorted(k for k, v in vars(cli).items()
+                     if imported.get(k) is not v)
+for name in patched:
+    fn = imported[name]
+    assert getattr(sys.modules[fn.__module__], name) is fn, name
+    assert getattr(cli, name) is fn, name
+print(" ".join(patched))
+"""
+
+
+def test_cli_sites_are_their_home_objects():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_SITES, str(PERFBENCH / "spans.py")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "decode_eliminate", "expand_qary", "is_disjunct", "is_separable",
+        "main", "or_columns", "read_matrix", "write_matrix"]
 
 
 def test_trial_report_surface():
