@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from . import theory
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, _whole
 from .matrices import BitMatrix, QaryMatrix, _pack_rows, expand_qary
 from .rng import as_generator
 
@@ -102,13 +102,13 @@ class DesignSpec:
             if not 0.0 < p < 1.0:
                 raise ParameterError(f"p={p} outside (0, 1)")
         elif self.model == "rrsd":
-            if p != int(p) or not 0 <= p <= self.n:
+            if not 0 <= _whole(p, "r") <= self.n:
                 raise ParameterError(f"r={p} outside 0..{self.n}")
         elif self.model == "rssd":
-            if p != int(p) or not 0 <= p <= self.m:
+            if not 0 <= _whole(p, "s") <= self.m:
                 raise ParameterError(f"s={p} outside 0..{self.m}")
         else:
-            if p != int(p) or p < 2:
+            if _whole(p, "q") < 2:
                 raise ParameterError(f"q={p} must be an integer >= 2")
             if self.m % int(p):
                 raise ParameterError(f"m={self.m} not a multiple of q={int(p)}")

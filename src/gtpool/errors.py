@@ -43,3 +43,14 @@ def _undecodable(path, exc: UnicodeDecodeError) -> MatrixParseError:
     file's encoding, naming the 1-based line of that byte."""
     line = exc.object.count(b"\n", 0, exc.start) + 1
     return MatrixParseError(path, line, f"not {exc.encoding} text")
+
+
+def _whole(value, name: str) -> int:
+    """value as an int: an int, a numpy int or an integral float passes;
+    1.5, NaN, an infinity or a string is a ParameterError, never rounded."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name}={value} is not a whole number")

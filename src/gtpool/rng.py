@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _whole
 
 __all__ = ["substream", "derive_seed", "check_seed", "as_generator"]
 
 
 def check_seed(seed) -> int:
     """Validate and normalize a master seed to a non-negative int."""
-    seed = int(seed)
+    seed = _whole(seed, "seed")
     if seed < 0:
         raise ParameterError("seed must be non-negative")
     return seed

@@ -93,6 +93,10 @@ def entropy(x: float) -> float:
         raise ParameterError(f"entropy argument {x} outside [0, 1]")
     if x == 0.0 or x == 1.0:
         return 0.0
+    # 1 - x rounds away most of a tiny x, which log1p keeps; above the cut
+    # log2(1 - x) stays, and with it every value the pins were taken with
+    if x < 2.0 ** -20:
+        return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / LN2
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 

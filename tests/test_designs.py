@@ -35,6 +35,17 @@ class TestDesignSpec:
         with pytest.raises(ParameterError):
             DesignSpec("utdq", 10, 5, 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", ["rrsd", "rssd", "utdq"])
+    def test_integer_param_must_be_whole(self, model, value):
+        with pytest.raises(ParameterError):
+            DesignSpec(model, 10, 6, value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), 3.0])
+    @pytest.mark.parametrize("model", ["rrsd", "rssd", "utdq"])
+    def test_whole_param_kept(self, model, value):
+        assert DesignSpec(model, 10, 6, value).param == 3
+
     def test_utdq_needs_whole_blocks(self):
         with pytest.raises(ParameterError):
             DesignSpec("utdq", 10, 7, 3)

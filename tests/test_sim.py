@@ -15,7 +15,7 @@ from gtpool.designs import (
     trial_disjunct,
 )
 from gtpool.errors import InfeasibleError, ParameterError
-from gtpool.rng import derive_seed, substream
+from gtpool.rng import check_seed, derive_seed, substream
 from gtpool.sim import (
     SweepPoint,
     find_min_m,
@@ -449,3 +449,17 @@ class TestSeedPlumbing:
         a = substream(9, 3).integers(0, 1000, 5)
         b = substream(9, 3).integers(0, 1000, 5)
         assert (a == b).all()
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, math.inf, -math.inf])
+    def test_seed_must_be_whole(self, seed):
+        # never rounded: a run with seed 1.5 would report and replay seed 1
+        with pytest.raises(ParameterError, match="not a whole number"):
+            check_seed(seed)
+
+    def test_fractional_master_seed_refused(self):
+        with pytest.raises(ParameterError, match="not a whole number"):
+            run_trials(DesignSpec("rid", 40, 12, 0.6), 2, 3, 1.5)
+
+    @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(7), 7.0])
+    def test_whole_seeds_kept(self, seed):
+        assert check_seed(seed) == 7 and type(check_seed(seed)) is int

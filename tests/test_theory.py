@@ -38,6 +38,13 @@ class TestEntropy:
     def test_symmetric(self, x):
         assert entropy(x) == pytest.approx(entropy(1 - x), rel=1e-12)
 
+    @pytest.mark.parametrize("x", [3e-7, 1e-12, 1e-300])
+    def test_small_x(self, x):
+        # H(x) = x log2(1/x) + (x - x^2/2)/ln2 + O(x^3): the (1 - x) term
+        # must not lose x to the rounding of 1 - x
+        want = x * math.log2(1 / x) + (x - x * x / 2) / math.log(2)
+        assert entropy(x) == pytest.approx(want, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("x", [-0.1, 1.1, 2.0])
     def test_domain(self, x):
         with pytest.raises(ParameterError):
@@ -216,6 +223,12 @@ class TestColumnWeightRate:
         assert alpha * d == pytest.approx(math.log(2), rel=1e-2)
         assert c_constant("rssd", d) == pytest.approx(
             ASYMPTOTIC_CONSTANT, abs=1e-3)
+
+    @pytest.mark.parametrize("d", [10**12, 10**14, 10**16])
+    def test_alpha_star_far_below_the_grid(self, d):
+        # alpha* ~ ln2/d: its entropy terms take x below 2^-20
+        alpha, _ = rssd_alpha_star(d)
+        assert abs(alpha * d - math.log(2)) < 1e-6
 
     def test_flat_grid_stops_early(self, monkeypatch):
         # from d ~ 4 * 10^5 every grid value is 0.0; a cold call must not
