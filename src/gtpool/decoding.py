@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from .errors import DimensionError, ParameterError, SizeGuardError
+from .errors import DimensionError, ParameterError, SizeGuardError, _whole
 from .matrices import AnswerVector, BitMatrix, DefectiveSet, _item_mask, or_columns
 
 __all__ = [
@@ -105,7 +105,7 @@ def is_separable(matrix: BitMatrix, defectives, d: int) -> bool:
     answers like the empty set).  Disjunctness for the set and for all
     its subsets does.
     """
-    d = int(d)
+    d = _whole(d, "d")
     target_items = DefectiveSet(defectives).items
     if d < len(target_items):
         raise ParameterError(

@@ -63,16 +63,18 @@ def _check_model(model: str) -> str:
 
 def _check_args(d: int, *ns: int, trials: int = 1, target: float = 0.0,
                 jobs: int = 1, delta: float | None = None) -> None:
-    """Raise ParameterError for the first rule below that fails.  The
-    defaults pass, so a caller checks only what it passes."""
+    """Raise ParameterError for the first rule below that fails, or for
+    a d, n, trials or jobs that is not whole.  The defaults pass, so a
+    caller checks only what it passes."""
+    d = _whole(d, "d")
     for n in ns:
-        if not 1 <= d < n:
+        if not 1 <= d < _whole(n, "n"):
             raise ParameterError(f"need 1 <= d < n, got d={d}, n={n}")
-    if trials < 1:
+    if _whole(trials, "trials") < 1:
         raise ParameterError("need at least one trial")
     if not 0.0 <= target < 1.0:
         raise ParameterError(f"target={target} outside [0, 1)")
-    if jobs < 1:
+    if _whole(jobs, "jobs") < 1:
         raise ParameterError(f"jobs={jobs} must be >= 1")
     if delta is not None and not 0.0 < delta < 1.0:
         raise ParameterError(f"delta={delta} outside (0, 1)")
@@ -93,9 +95,9 @@ class DesignSpec:
 
     def __post_init__(self):
         _check_model(self.model)
-        if self.n < 1:
+        if _whole(self.n, "n") < 1:
             raise DimensionError("n must be >= 1")
-        if self.m < 0:
+        if _whole(self.m, "m") < 0:
             raise DimensionError("m must be >= 0")
         p = self.param
         if self.model == "rid":
@@ -302,7 +304,7 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             defective symbols (its indicator row is then good).
     """
     n, m = spec.n, spec.m
-    d = int(d)
+    d = _whole(d, "d")
     if not 1 <= d <= n:
         raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
     if d == n:

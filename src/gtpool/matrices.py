@@ -7,8 +7,8 @@ with bit (n-1-j) holding column j (0-based); whole-row set algebra
 AND/OR at machine word speed.  numpy is imported only inside the
 functions that need it: the dense views (``from_dense``, ``to_dense``,
 row packing for generation), q-ary matrices and their expansion, and
-the q-ary file reader and writer.  A binary matrix file is read with
-bytes operations, so reading and checking one never imports numpy.
+the q-ary file reader and writer.  A binary matrix file is read line
+by line as bytes, so reading and checking one never imports numpy.
 
 Items are 1-based everywhere in the public API, matching the on-disk
 formats; row/column accessors on the raw matrices are 0-based.
@@ -295,21 +295,10 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # the same directory and rename it over the target, so a failed write
 # never leaves a truncated or partial file behind.
 #
-# read_matrix parses the files whose bytes _binary_from_bytes or
-# _qary_from_bytes can vouch for whole: a binary file with bytes
-# operations, a q-ary one as numpy arrays.  Any other file goes line by
-# line (_matrix_from_lines), which names the first bad line and is the
-# oracle the whole-file readers are tested against.
-
-
-# str.translate table that deletes the characters of a binary row
-_DELETE_01 = str.maketrans("", "", "01")
-
-# the bytes of a header that _binary_from_bytes reads
-_BINARY_HEADER_BYTES = b"0123456789 "
-
-# the bytes of a row that _binary_from_bytes reads, but for its LF
-_BINARY_ROW_BYTES = b"01"
+# read_matrix parses a q-ary file whose bytes _qary_from_bytes can vouch
+# for as whole numpy arrays.  Any other file, every binary one among
+# them, goes line by line (_matrix_from_lines), which names the first
+# bad line and is the oracle the whole-array reader is tested against.
 
 # the bytes of a q-ary file that _qary_from_bytes reads
 _QARY_BYTES = b"0123456789 \n"
@@ -329,58 +318,31 @@ def _read_bytes(path) -> bytes:
         raise MatrixParseError(path, 0, f"cannot read: {exc}") from exc
 
 
-def _lines(path, data: bytes) -> list:
-    """The lines of an ASCII file as text mode reads them: CR LF and a
-    lone CR end a line, as LF does."""
-    try:
-        text = data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise _undecodable(path, exc) from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text.split("\n")
+def _lines(path, data: bytes):
+    """The lines of an ASCII file as bytes, split as text mode splits
+    them: CR LF and a lone CR end a line, as LF does.
+
+    Each line is copied out only when it is reached, so reading a large
+    file never holds a copy of every line at once.
+    """
+    if not data.isascii():
+        try:  # fails, but names the line of the first non-ASCII byte
+            data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise _undecodable(path, exc) from None
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    start = 0
+    while (end := data.find(b"\n", start)) >= 0:
+        yield data[start:end]
+        start = end + 1
+    yield data[start:]
 
 
 def read_matrix(path) -> BitMatrix | QaryMatrix:
     """Load a matrix file, dispatching on the header arity."""
     data = _read_bytes(path)
-    for parse in (_binary_from_bytes, _qary_from_bytes):
-        matrix = parse(data)
-        if matrix is not None:
-            return matrix
-    return _matrix_from_lines(path, data)
-
-
-def _binary_from_bytes(data: bytes) -> BitMatrix | None:
-    """A well-formed binary file parsed whole, or None.
-
-    None means a file this path does not vouch for: a header that is
-    not two numbers of digits and spaces ended by LF, or not m >= 0 and
-    n >= 1; fewer than m rows of n bytes 0 or 1, each ended by LF; or a
-    byte outside ASCII after row m.  _matrix_from_lines then reads it,
-    or names its first bad line.  Lines after row m are ignored, as
-    there.
-    """
-    end = data.find(b"\n")
-    header = data[:end]
-    if end < 0 or header.translate(None, _BINARY_HEADER_BYTES):
-        return None
-    try:
-        m, n = map(int, header.split())
-    except ValueError:  # not two numbers, or one too long for int()
-        return None
-    size = m * (n + 1)
-    if m < 0 or n < 1 or len(data) - end - 1 < size:
-        return None
-    if not data[end + 1 + size:].isascii():
-        return None
-    body = data[end + 1:end + 1 + size]
-    # 0 or 1 everywhere but for exactly m LFs, one at each row end
-    if (body.translate(None, _BINARY_ROW_BYTES) != b"\n" * m
-            or body[n::n + 1] != b"\n" * m):
-        return None
-    return BitMatrix(m, n, [int(body[k:k + n], 2)
-                            for k in range(0, size, n + 1)])
+    return _qary_from_bytes(data) or _matrix_from_lines(path, data)
 
 
 def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
@@ -435,11 +397,13 @@ def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
     """Parse a matrix file line by line, naming the first bad line.
 
     It reads every file read_matrix accepts, so it is the oracle of
-    _binary_from_bytes and _qary_from_bytes, and it reads every file
-    they do not vouch for.
+    _qary_from_bytes, and it reads every file that reader does not vouch
+    for, every binary one among them.  Lines come as bytes; the header
+    and a q-ary row are split as str, so that str.split's whitespace
+    separates their numbers.
     """
     lines = _lines(path, data)
-    header = lines[0].split() if lines else []
+    header = next(lines).decode().split()
     try:
         nums = [int(x) for x in header]
     except ValueError:
@@ -451,17 +415,15 @@ def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
         if m < 0 or n < 1:
             raise MatrixParseError(path, 1, f"bad dimensions {m} x {n}")
         rows = []
-        for t in range(m):
-            lineno = t + 2
-            if lineno - 1 >= len(lines):
-                raise MatrixParseError(path, lineno, "missing row")
-            s = lines[lineno - 1]
+        for lineno, s in zip(range(2, m + 2), lines):
             if len(s) != n:
                 raise MatrixParseError(
                     path, lineno, f"expected {n} characters, got {len(s)}")
-            if s.translate(_DELETE_01):
+            if s.translate(None, b"01"):
                 raise MatrixParseError(path, lineno, "characters must be 0 or 1")
             rows.append(int(s, 2))
+        if len(rows) < m:
+            raise MatrixParseError(path, len(rows) + 2, "missing row")
         return BitMatrix(m, n, rows)
     m, n, q = nums
     if m < 0 or n < 1 or q < 2:
@@ -469,11 +431,8 @@ def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
     import numpy as np
 
     rows = []  # not m x n zeros: the header may promise more than the file
-    for t in range(m):
-        lineno = t + 2
-        if lineno - 1 >= len(lines):
-            raise MatrixParseError(path, lineno, "missing row")
-        parts = lines[lineno - 1].split()
+    for lineno, line in zip(range(2, m + 2), lines):
+        parts = line.decode().split()
         if len(parts) != n:
             raise MatrixParseError(
                 path, lineno, f"expected {n} entries, got {len(parts)}")
@@ -486,6 +445,8 @@ def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:
         if vals is None or vals.min() < 1 or vals.max() > q:
             raise MatrixParseError(path, lineno, f"entries must lie in [1, {q}]")
         rows.append(vals)
+    if len(rows) < m:
+        raise MatrixParseError(path, len(rows) + 2, "missing row")
     return QaryMatrix(m, n, q, np.array(rows, dtype=np.int64).reshape(m, n))
 
 
@@ -563,12 +524,11 @@ def write_matrix(path, matrix) -> None:
 
 
 def read_answers(path, expected_m: int | None = None) -> AnswerVector:
-    lines = _lines(path, _read_bytes(path))
-    if not lines or not lines[0]:
+    s = next(_lines(path, _read_bytes(path))).decode()
+    if not s:
         if expected_m == 0:
             return AnswerVector(0, 0)
         raise MatrixParseError(path, 1, "empty answer line")
-    s = lines[0]
     if set(s) - {"0", "1"}:
         raise MatrixParseError(path, 1, "characters must be 0 or 1")
     if expected_m is not None and len(s) != expected_m:

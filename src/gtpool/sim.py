@@ -50,7 +50,7 @@ from .designs import (
     generate,
     trial_disjunct,
 )
-from .errors import InfeasibleError, ParameterError
+from .errors import InfeasibleError, ParameterError, _whole
 from .matrices import QaryMatrix, or_columns
 from .rng import check_seed, derive_seed, substream
 
@@ -305,7 +305,7 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
     reach.  At jobs > 1 one worker pool then serves every probe of every
     search.
     """
-    n_list = [int(n) for n in n_list]
+    n_list = [_whole(n, "n") for n in n_list]
     if len(set(n_list)) < 2:
         raise ParameterError("slope needs at least two distinct n")
     _check_args(d, *n_list, trials=trials, target=target, jobs=jobs)

@@ -1,3 +1,7 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +14,6 @@ from gtpool.matrices import (
     BitMatrix,
     DefectiveSet,
     QaryMatrix,
-    _binary_from_bytes,
     _matrix_from_lines,
     _qary_from_bytes,
     expand_qary,
@@ -183,8 +186,7 @@ class TestFileIO:
         # the row range check must not build 1 << n, a 125 GB int here
         path = tmp_path / "m.txt"
         path.write_bytes(b"0 1000000000000\n")
-        assert read_matrix(path) == _read_by_lines(path) == BitMatrix(
-            0, 10**12, [])
+        assert read_matrix(path) == BitMatrix(0, 10**12, [])
 
     def test_qary_round_trip(self, tmp_path):
         mq = QaryMatrix(2, 3, 4, [[1, 4, 2], [3, 3, 3]])
@@ -239,13 +241,20 @@ class TestFileIO:
         assert str(path) in str(err.value)
 
 
-def _read_outcome(read, path):
-    """What a reader makes of a file: its matrix, or its error's line
-    and message."""
+def _read_record(read, path):
+    """What a reader makes of a file, as JSON: its matrix or answers, or
+    its error's line and message without the path."""
     try:
-        return read(path)
+        got = read(path)
     except MatrixParseError as exc:
-        return exc.line, str(exc)
+        return [exc.line, str(exc).removeprefix(f"{exc.path}:{exc.line}: ")]
+    if isinstance(got, BitMatrix):
+        return {"m": got.m, "n": got.n,
+                "rows": [got.row_string(t) for t in range(got.m)]}
+    if isinstance(got, QaryMatrix):
+        return {"m": got.m, "n": got.n, "q": got.q,
+                "entries": got.entries.tolist()}
+    return got.to01()
 
 
 def _read_by_lines(path):
@@ -276,8 +285,7 @@ def qary_files(draw):
 
 @st.composite
 def binary_files(draw):
-    """The bytes of a binary file read_matrix accepts, its matrix, and
-    whether the whole-array reader must take it."""
+    """The bytes of a binary file read_matrix accepts, and its matrix."""
     m, n = draw(st.integers(0, 4)), draw(st.integers(1, 9))
     rows = draw(st.lists(st.text("01", min_size=n, max_size=n),
                          min_size=m, max_size=m))
@@ -288,9 +296,7 @@ def binary_files(draw):
     junk = draw(st.lists(st.text("01 x\r\t", max_size=6), max_size=2))
     last = draw(st.sampled_from([eol, ""]))
     data = (eol.join([header, *rows, *junk]) + last).encode()
-    # only row m's line end decides: the bytes after it need only be ASCII
-    return (data, BitMatrix(m, n, [int(r, 2) for r in rows]),
-            eol == "\n" and bool(junk or last))
+    return data, BitMatrix(m, n, [int(r, 2) for r in rows])
 
 
 # files for the whole-array reader's edges; each parses or fails the
@@ -335,7 +341,7 @@ QARY_EDGES = [
 ]
 
 
-# binary files for the whole-array reader's edges
+# binary files at the edges of what the reader accepts
 BINARY_EDGES = [
     "2 3\n101\n010\n",
     "2 3\n101\n010",                         # no final newline
@@ -380,60 +386,115 @@ BINARY_EDGES = [
     "",
 ]
 
+# answer files and the expected_m read_answers is given
+ANSWER_FILES = [
+    (b"0110\r\n", None),
+    (b"0110\r1\r", 4),          # lone CR line ends
+    (b"0110\n\xff\n", None),    # non-ASCII on line 2
+    (b"", 0),
+    (b"", None),
+    (b"011\n", 4),               # wrong length
+]
+
+
+def reader_outputs() -> dict:
+    """The reader outcomes tests/output_pins.json pins: read_matrix on
+    every malformed and edge file above, read_answers on ANSWER_FILES."""
+    out = {}
+    contents = [c for c, _ in PARSE_ERRORS] + BINARY_EDGES + QARY_EDGES
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.txt")
+        for content in contents:
+            path.write_bytes(content.encode("latin-1"))
+            out[f"read_matrix.{content!r}"] = _read_record(read_matrix, path)
+        for data, expected_m in ANSWER_FILES:
+            path.write_bytes(data)
+            out[f"read_answers.{data!r}.{expected_m}"] = _read_record(
+                lambda p: read_answers(p, expected_m), path)
+    return out
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(Path(__file__).with_name("output_pins.json").read_text())
+
 
 @pytest.fixture(scope="class")
 def scratch_file(tmp_path_factory):
     return tmp_path_factory.mktemp("oracle") / "m.txt"
 
 
-def _reader_oracle(files, fast, edges):
-    """Tests of the whole-array reader ``fast`` against the line-by-line
-    one, on the files the strategy ``files`` draws and on ``edges``."""
-
-    class ReaderOracle:
-        @given(files)
-        @settings(max_examples=300)
-        def test_valid_files(self, scratch_file, case):
-            data, want, takes = case
-            path = scratch_file
-            path.write_bytes(data)
-            assert read_matrix(path) == want == _read_by_lines(path)
-            assert fast(data) == (want if takes else None)
-
-        @pytest.mark.parametrize("content", edges)
-        def test_edge_files(self, tmp_path, content):
-            path = tmp_path / "m.txt"
-            path.write_bytes(content.encode("latin-1"))
-            assert (_read_outcome(read_matrix, path)
-                    == _read_outcome(_read_by_lines, path))
-
-        @given(files, st.data())
-        @settings(max_examples=500)
-        def test_one_byte_mutations(self, scratch_file, case, data):
-            raw = bytearray(case[0])
-            at = data.draw(st.integers(0, len(raw)))
-            byte = data.draw(st.sampled_from(b"0123456789 \n\r\t+_x\x80")
-                             | st.integers(0, 255))
-            op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
-            if op == "insert":
-                raw.insert(at, byte)
-            elif at < len(raw):
-                if op == "replace":
-                    raw[at] = byte
-                else:
-                    del raw[at]
-            path = scratch_file
-            path.write_bytes(bytes(raw))
-            assert (_read_outcome(read_matrix, path)
-                    == _read_outcome(_read_by_lines, path))
-
-    return ReaderOracle
+def _mutated(raw: bytes, data) -> bytes:
+    """raw with one byte replaced, inserted or deleted, drawn from data."""
+    raw = bytearray(raw)
+    at = data.draw(st.integers(0, len(raw)))
+    byte = data.draw(st.sampled_from(b"0123456789 \n\r\t+_x\x80")
+                     | st.integers(0, 255))
+    op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if op == "insert":
+        raw.insert(at, byte)
+    elif at < len(raw):
+        if op == "replace":
+            raw[at] = byte
+        else:
+            del raw[at]
+    return bytes(raw)
 
 
-TestQaryReaderOracle = _reader_oracle(
-    qary_files(), _qary_from_bytes, [c for c, _ in PARSE_ERRORS] + QARY_EDGES)
-TestBinaryReaderOracle = _reader_oracle(
-    binary_files(), _binary_from_bytes, BINARY_EDGES)
+class TestQaryReaderOracle:
+    """The whole-array q-ary reader against the line-by-line one."""
+
+    @given(qary_files())
+    @settings(max_examples=300)
+    def test_valid_files(self, scratch_file, case):
+        data, want, takes = case
+        scratch_file.write_bytes(data)
+        assert read_matrix(scratch_file) == want == _read_by_lines(scratch_file)
+        assert _qary_from_bytes(data) == (want if takes else None)
+
+    @pytest.mark.parametrize("content",
+                             [c for c, _ in PARSE_ERRORS] + QARY_EDGES)
+    def test_edge_files(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode("latin-1"))
+        assert (_read_record(read_matrix, path)
+                == _read_record(_read_by_lines, path))
+
+    @given(qary_files(), st.data())
+    @settings(max_examples=500)
+    def test_one_byte_mutations(self, scratch_file, case, data):
+        scratch_file.write_bytes(_mutated(case[0], data))
+        assert (_read_record(read_matrix, scratch_file)
+                == _read_record(_read_by_lines, scratch_file))
+
+
+class TestBinaryReaderOracle:
+    """The binary reader against its pins, which were recorded while a
+    well-formed binary file still had a whole-file reader of its own."""
+
+    @given(binary_files())
+    @settings(max_examples=300)
+    def test_valid_files(self, scratch_file, case):
+        data, want = case
+        scratch_file.write_bytes(data)
+        assert read_matrix(scratch_file) == want
+
+    @pytest.mark.parametrize("content", BINARY_EDGES)
+    def test_edge_files(self, tmp_path, pins, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode("latin-1"))
+        assert (_read_record(read_matrix, path)
+                == pins[f"read_matrix.{content!r}"])
+
+    @given(binary_files(), st.data())
+    @settings(max_examples=500)
+    def test_one_byte_mutations(self, scratch_file, case, data):
+        scratch_file.write_bytes(_mutated(case[0], data))
+        try:
+            matrix = read_matrix(scratch_file)
+        except MatrixParseError:
+            return
+        assert isinstance(matrix, (BitMatrix, QaryMatrix))
 
 
 @pytest.mark.parametrize("matrix", [
@@ -443,12 +504,7 @@ TestBinaryReaderOracle = _reader_oracle(
     BitMatrix(3, 1, [1, 0, 1]),
     BitMatrix.from_strings(["1" * 64, "0" * 64]),
 ], ids=["rid", "utdq", "m=0", "n=1", "n=64"])
-def test_written_binary_files_take_the_whole_array_reader(
-        tmp_path, monkeypatch, matrix):
-    def by_lines(path, data):
-        raise AssertionError("read line by line")
-
-    monkeypatch.setattr(matrices, "_matrix_from_lines", by_lines)
+def test_written_binary_files_read_back(tmp_path, matrix):
     path = tmp_path / "m.txt"
     write_matrix(path, matrix)
     assert read_matrix(path) == matrix

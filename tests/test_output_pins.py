@@ -72,10 +72,8 @@ from gtpool.designs import (
     optimal_param,
     upper_bound_m,
 )
-from gtpool.errors import MatrixParseError
-from gtpool.matrices import BitMatrix, QaryMatrix, read_answers, read_matrix
 from gtpool.sim import find_min_m, run_trials
-from test_matrices import BINARY_EDGES, PARSE_ERRORS, QARY_EDGES
+from test_matrices import reader_outputs
 
 PIN_FILE = Path(__file__).with_name("output_pins.json")
 SEED = 20261018
@@ -204,16 +202,6 @@ DESIGN_RUNS = {
     "utdq": ["--model", "utdq", "--n", "3000", "--d", "3", "--delta", "0.1"],
 }
 
-# answer files and the expected_m read_answers is given
-ANSWER_FILES = [
-    (b"0110\r\n", None),
-    (b"0110\r1\r", 4),          # lone CR line ends
-    (b"0110\n\xff\n", None),    # non-ASCII on line 2
-    (b"", 0),
-    (b"", None),
-    (b"011\n", 4),               # wrong length
-]
-
 
 def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -258,37 +246,6 @@ def _outcome(argv) -> dict:
         except SystemExit as exc:
             code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
-def _read_record(read, path):
-    """A reader's matrix or answers as JSON, or its error's line and
-    message without the path."""
-    try:
-        got = read(path)
-    except MatrixParseError as exc:
-        return [exc.line, str(exc).removeprefix(f"{exc.path}:{exc.line}: ")]
-    if isinstance(got, BitMatrix):
-        return {"m": got.m, "n": got.n,
-                "rows": [got.row_string(t) for t in range(got.m)]}
-    if isinstance(got, QaryMatrix):
-        return {"m": got.m, "n": got.n, "q": got.q,
-                "entries": got.entries.tolist()}
-    return got.to01()
-
-
-def reader_outputs() -> dict:
-    out = {}
-    contents = [c for c, _ in PARSE_ERRORS] + BINARY_EDGES + QARY_EDGES
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "m.txt")
-        for content in contents:
-            path.write_bytes(content.encode("latin-1"))
-            out[f"read_matrix.{content!r}"] = _read_record(read_matrix, path)
-        for data, expected_m in ANSWER_FILES:
-            path.write_bytes(data)
-            out[f"read_answers.{data!r}.{expected_m}"] = _read_record(
-                lambda p: read_answers(p, expected_m), path)
-    return out
 
 
 def parser_outputs() -> dict:

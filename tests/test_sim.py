@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gtpool import designs, sim
+from gtpool.decoding import is_separable
 from gtpool.designs import (
     DesignSpec,
     gen_utdq,
@@ -15,6 +16,7 @@ from gtpool.designs import (
     trial_disjunct,
 )
 from gtpool.errors import InfeasibleError, ParameterError
+from gtpool.matrices import BitMatrix
 from gtpool.rng import check_seed, derive_seed, substream
 from gtpool.sim import (
     SweepPoint,
@@ -463,3 +465,44 @@ class TestSeedPlumbing:
     @pytest.mark.parametrize("seed", [7, np.int64(7), np.uint64(7), 7.0])
     def test_whole_seeds_kept(self, seed):
         assert check_seed(seed) == 7 and type(check_seed(seed)) is int
+
+
+SPEC = DesignSpec("rid", 40, 12, 0.6)
+
+
+# never rounded: run_trials at d = 2.5 ran with d = 2 but reported 2.5,
+# jobs = 1.5 started two workers, run_sweep read n = 90.5 as 90, and
+# generate raised TypeError on a DesignSpec with a fractional or NaN n
+# or m
+@pytest.mark.parametrize("call", [
+    lambda: DesignSpec("rid", math.nan, 5, 0.5),
+    lambda: DesignSpec("rid", 10.5, 5, 0.5),
+    lambda: DesignSpec("rid", 10, 5.5, 0.5),
+    lambda: DesignSpec("rid", 10, math.inf, 0.5),
+    lambda: run_trials(SPEC, 2.5, 3, 1),
+    lambda: run_trials(SPEC, math.nan, 3, 1),
+    lambda: run_trials(SPEC, 2, 2.5, 1),
+    lambda: run_trials(SPEC, 2, 3, 1, jobs=1.5),
+    lambda: find_min_m("rid", 40.5, 2, 0.9, 40, 1),
+    lambda: run_sweep("rid", 2, [30, 90.5], 0.9, 40, 1),
+    lambda: trial_disjunct(SPEC, 2.5, 1),
+    lambda: is_separable(BitMatrix.from_strings(["10", "01"]), [1], 1.5),
+    lambda: designs.upper_bound_m("rid", 1000, 2.5, 0.1),
+    lambda: designs.lower_bound_m("rid", 1000.5, 2),
+], ids=["n-nan", "n-half", "m-half", "m-inf", "run_trials-d",
+        "run_trials-d-nan", "run_trials-trials", "run_trials-jobs",
+        "find_min_m-n", "run_sweep-n", "trial_disjunct-d", "is_separable-d",
+        "upper_bound_m-d",
+        "lower_bound_m-n"])
+def test_non_whole_counts_refused(call):
+    with pytest.raises(ParameterError, match="not a whole number"):
+        call()
+
+
+@pytest.mark.parametrize("value", [2, np.int64(2), 2.0],
+                         ids=["int", "numpy-int", "float"])
+def test_whole_counts_kept(value):
+    spec = DesignSpec("rid", 20 * value, 6 * value, 0.6)
+    assert (spec.n, spec.m) == (40, 12)
+    assert run_trials(SPEC, value, 3, 1, jobs=value // 2) == run_trials(
+        SPEC, 2, 3, 1)
