@@ -95,9 +95,12 @@ class DesignSpec:
 
     def __post_init__(self):
         _check_model(self.model)
-        if _whole(self.n, "n") < 1:
+        # kept as ints, since the generators take them as array sizes
+        object.__setattr__(self, "n", _whole(self.n, "n"))
+        object.__setattr__(self, "m", _whole(self.m, "m"))
+        if self.n < 1:
             raise DimensionError("n must be >= 1")
-        if _whole(self.m, "m") < 0:
+        if self.m < 0:
             raise DimensionError("m must be >= 0")
         p = self.param
         if self.model == "rid":

@@ -492,8 +492,7 @@ SPEC = DesignSpec("rid", 40, 12, 0.6)
 ], ids=["n-nan", "n-half", "m-half", "m-inf", "run_trials-d",
         "run_trials-d-nan", "run_trials-trials", "run_trials-jobs",
         "find_min_m-n", "run_sweep-n", "trial_disjunct-d", "is_separable-d",
-        "upper_bound_m-d",
-        "lower_bound_m-n"])
+        "upper_bound_m-d", "lower_bound_m-n"])
 def test_non_whole_counts_refused(call):
     with pytest.raises(ParameterError, match="not a whole number"):
         call()
@@ -502,7 +501,9 @@ def test_non_whole_counts_refused(call):
 @pytest.mark.parametrize("value", [2, np.int64(2), 2.0],
                          ids=["int", "numpy-int", "float"])
 def test_whole_counts_kept(value):
+    # an integral float n or m was accepted, then generate raised TypeError
     spec = DesignSpec("rid", 20 * value, 6 * value, 0.6)
-    assert (spec.n, spec.m) == (40, 12)
+    assert spec == SPEC and type(spec.n) is type(spec.m) is int
+    assert generate(spec, 1) == generate(SPEC, 1)
     assert run_trials(SPEC, value, 3, 1, jobs=value // 2) == run_trials(
         SPEC, 2, 3, 1)
