@@ -26,11 +26,10 @@ _EXPORTS = {
                  "expand_qary", "or_columns", "read_answers", "read_matrix",
                  "write_answers", "write_matrix"),
     "sim": ("SearchResult", "TrialReport", "find_min_m", "run_sweep",
-            "run_trials", "slope_fit", "transversal_prob_check",
-            "variance_probe", "wilson_interval"),
+            "run_trials", "slope_fit", "wilson_interval"),
     "theory": ("ASYMPTOTIC_CONSTANT", "ConstantsRow", "c_constant", "entropy",
-               "ln_p_qd", "r_qdi", "rssd_alpha_star", "stirling_approx",
-               "surjections", "table1", "table1_csv", "utdq_q_star"),
+               "ln_p_qd", "r_qdi", "rssd_alpha_star", "surjections",
+               "table1", "table1_csv", "utdq_q_star"),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

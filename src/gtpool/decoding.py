@@ -36,7 +36,6 @@ __all__ = [
     "decode_eliminate",
     "is_disjunct",
     "is_separable",
-    "good_row_count",
     "SEPARABILITY_BUDGET",
 ]
 
@@ -66,12 +65,6 @@ def _bit_positions(word: int):
         low = word & -word
         yield low.bit_length() - 1
         word ^= low
-
-
-def good_row_count(matrix: BitMatrix, defectives) -> int:
-    """Number of tests containing no defective item."""
-    mask = _item_mask(matrix, defectives)
-    return sum(1 for w in matrix.rows if not w & mask)
 
 
 def is_disjunct(matrix: BitMatrix, defectives) -> bool:

@@ -26,11 +26,9 @@ def check_seed(seed) -> int:
 
 
 def as_generator(seed) -> np.random.Generator:
-    """Accept an int seed, a SeedSequence, or a ready Generator."""
+    """Accept an int seed or a ready Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.default_rng(seed)
     return np.random.default_rng(check_seed(seed))
 
 

@@ -1,4 +1,6 @@
-"""Monte Carlo verification harness.
+"""Monte Carlo verification harness: trial counts with Wilson intervals,
+and the minimal-m search.  The probes of the paper's lemmas are test
+code, in tests/lemmas.py.
 
 Success of a trial means the drawn matrix is disjunct for the defective
 set {1, ..., d}; by column exchangeability of every model the choice of
@@ -41,17 +43,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import designs
-from .decoding import decode_eliminate, good_row_count, is_disjunct
+from .decoding import decode_eliminate, is_disjunct
 from .designs import (
     DesignSpec,
     _check_args,
-    _utdq_disjunct,
-    gen_rssd,
     generate,
     trial_disjunct,
 )
 from .errors import InfeasibleError, ParameterError, _whole
-from .matrices import QaryMatrix, or_columns
+from .matrices import or_columns
 from .rng import check_seed, derive_seed, substream
 
 __all__ = [
@@ -64,10 +64,6 @@ __all__ = [
     "find_min_m",
     "run_sweep",
     "slope_fit",
-    "variance_probe",
-    "VarianceProbe",
-    "transversal_prob_check",
-    "TransversalCheck",
     "wilson_interval",
     "SEARCH_CAP",
     "WILSON_GUARD",
@@ -331,81 +327,3 @@ def slope_fit(points, d: int) -> float:
         raise ParameterError("slope needs at least two distinct n")
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope) / d
-
-
-# ---------------------------------------------------------------------
-# focused probes backing two of the analytic guarantees
-
-
-@dataclass(frozen=True)
-class VarianceProbe:
-    sample_variance: float
-    bound: float
-    samples: int
-
-
-def variance_probe(n: int, m: int, s: int, d: int, samples: int,
-                   seed: int) -> VarianceProbe:
-    """Sample variance of the good-row count under column-weight-s draws.
-
-    The analytic claim is Var <= (1 - s/m)^d * m; both sides are
-    returned so callers can compare at their own tolerance.
-    """
-    if not 1 <= d <= n:
-        raise ParameterError(f"need 1 <= d <= n, got d={d}, n={n}")
-    if m < 1:
-        raise ParameterError("need m >= 1")
-    if samples < 2:
-        raise ParameterError("need at least two samples")
-    seed = check_seed(seed)
-    items = tuple(range(1, d + 1))
-    counts = np.empty(samples, dtype=np.int64)
-    for t in range(samples):
-        matrix = gen_rssd(n, m, s, substream(seed, t))
-        counts[t] = good_row_count(matrix, items)
-    alpha = s / m
-    bound = (1.0 - alpha) ** d * m
-    return VarianceProbe(sample_variance=float(np.var(counts, ddof=1)),
-                         bound=float(bound), samples=samples)
-
-
-@dataclass(frozen=True)
-class TransversalCheck:
-    exact: float
-    empirical: float
-    trials: int
-    stderr: float
-
-
-def transversal_prob_check(mq: QaryMatrix, n: int, d: int, trials: int,
-                           seed: int) -> TransversalCheck:
-    """Compare the closed-form non-disjunctness probability with frequency.
-
-    The first d columns of mq stay fixed; the remaining n - d columns
-    are redrawn uniformly each trial.  With S_i the set of symbols row i
-    shows on the fixed columns, the exact probability that the expanded
-    matrix fails to be disjunct for {1..d} is
-
-        1 - (1 - prod_i |S_i| / q) ** (n - d).
-    """
-    _check_args(d, n, trials=trials)
-    if mq.n < d:
-        raise ParameterError(f"fixed matrix has only {mq.n} columns, need {d}")
-    seed = check_seed(seed)
-    q = mq.q
-    entries = np.empty((mq.m, n), dtype=np.int64)
-    entries[:, :d] = mq.entries[:, :d]
-    prod = 1.0
-    for row in entries[:, :d]:
-        prod *= len(set(row.tolist())) / q
-    exact = 1.0 - (1.0 - prod) ** (n - d)
-
-    hits = 0
-    for t in range(trials):
-        entries[:, d:] = substream(seed, t).integers(1, q + 1,
-                                                     size=(mq.m, n - d))
-        hits += not _utdq_disjunct(entries, d)
-    empirical = hits / trials
-    stderr = math.sqrt(max(exact * (1.0 - exact), 1e-12) / trials)
-    return TransversalCheck(exact=exact, empirical=empirical, trials=trials,
-                            stderr=stderr)

@@ -34,8 +34,6 @@ from .errors import CapacityError, ParameterError
 
 __all__ = [
     "entropy",
-    "log_binomial",
-    "stirling_approx",
     "surjections",
     "r_qdi",
     "ln_p_qd",
@@ -98,30 +96,6 @@ def entropy(x: float) -> float:
     if x < 2.0 ** -20:
         return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / LN2
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
-
-
-def log_binomial(n: int, k: int) -> float:
-    """Natural log of C(n, k)."""
-    if k < 0 or n < 0 or k > n:
-        raise ParameterError(f"C({n}, {k}) undefined")
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def stirling_approx(n: int, alpha: float) -> float:
-    """Second-order approximation to ln C(n, alpha*n).
-
-    Returns ln of (2^(H(alpha) n)) / sqrt(2 pi alpha beta n) with
-    beta = 1 - alpha.  The neglected correction is
-    (alpha beta - 1)/(12 alpha beta n) + O(1/(min(alpha, beta) n)^3),
-    so the gap to log_binomial shrinks like 1/n.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie strictly between 0 and 1")
-    k = alpha * n
-    if abs(k - round(k)) > 1e-6:
-        raise ParameterError(f"alpha*n = {k} is not an integer")
-    beta = 1.0 - alpha
-    return entropy(alpha) * n * LN2 - 0.5 * math.log(2.0 * math.pi * alpha * beta * n)
 
 
 # ---------------------------------------------------------------------

@@ -37,8 +37,6 @@ from gtpool.sim import (
     run_sweep,
     run_trials,
     slope_fit,
-    transversal_prob_check,
-    variance_probe,
 )
 from gtpool.theory import (
     ASYMPTOTIC_CONSTANT,
@@ -46,10 +44,11 @@ from gtpool.theory import (
     ln_p_qd,
     published_deviation_flags,
     r_qdi,
-    stirling_approx,
     surjections,
     table1,
 )
+
+from lemmas import stirling_approx, transversal_prob_check, variance_probe
 
 SEED = 20260825
 

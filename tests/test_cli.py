@@ -920,7 +920,7 @@ def test_table1_config_error_without_numpy(tmp_path):
 
 class TestPackageSurface:
     def test_exports_are_the_module_objects(self):
-        assert len(gtpool.__all__) == 48
+        assert len(gtpool.__all__) == 45
         assert gtpool.__all__ == sorted(gtpool.__all__)
         for module, names in gtpool._EXPORTS.items():
             home = importlib.import_module(f"gtpool.{module}")

@@ -6,15 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gtpool import decoding
-from gtpool.decoding import (
-    decode_eliminate,
-    good_row_count,
-    is_disjunct,
-    is_separable,
-)
+from gtpool.decoding import decode_eliminate, is_disjunct, is_separable
 from gtpool.designs import DesignSpec, generate, optimal_param, upper_bound_m
 from gtpool.errors import DimensionError, ParameterError, SizeGuardError
 from gtpool.matrices import AnswerVector, BitMatrix, or_columns
+
+from lemmas import good_row_count
 
 
 def brute_disjunct(arr, items):

@@ -25,10 +25,10 @@ from gtpool.sim import (
     run_sweep,
     run_trials,
     slope_fit,
-    transversal_prob_check,
-    variance_probe,
     wilson_interval,
 )
+
+from lemmas import transversal_prob_check, variance_probe
 
 
 class TestWilson:

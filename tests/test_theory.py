@@ -13,18 +13,18 @@ from gtpool.theory import (
     c_constant,
     entropy,
     ln_p_qd,
-    log_binomial,
     published_deviation_flags,
     r_qdi,
     rssd_alpha_star,
     rssd_objective,
-    stirling_approx,
     surjections,
     table1,
     table1_csv,
     utdq_q_star,
     utdq_search_range,
 )
+
+from lemmas import stirling_approx
 
 
 class TestEntropy:
@@ -49,14 +49,6 @@ class TestEntropy:
     def test_domain(self, x):
         with pytest.raises(ParameterError):
             entropy(x)
-
-
-class TestLogBinomial:
-    @given(st.integers(0, 60), st.data())
-    def test_matches_exact(self, n, data):
-        k = data.draw(st.integers(0, n))
-        assert log_binomial(n, k) == pytest.approx(
-            math.log(math.comb(n, k)), rel=1e-12)
 
 
 class TestStirling:
