@@ -30,7 +30,7 @@ At jobs > 1, run_trials maps its chunks onto a process pool of one
 worker per chunk.  A search (find_min_m, run_sweep) starts that pool
 once and holds it open for every probe it makes; run_trials called
 outside a search starts its own.  At jobs = 1 no pool is imported or
-started.
+started, and a search checks its arguments before it starts one.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .decoding import decode_eliminate, is_disjunct
 from .designs import (
     DesignSpec,
     _check_args,
+    _check_model,
     generate,
     trial_disjunct,
 )
@@ -256,6 +257,7 @@ def find_min_m(model: str, n: int, d: int, target: float, trials: int,
     jobs > 1 every probe runs on one worker pool, started for this
     search unless an enclosing run_sweep holds one.
     """
+    _check_model(model)
     _check_args(d, n, trials=trials, target=target, jobs=jobs)
     master_seed = check_seed(master_seed)
     _check_reach(target, trials)
@@ -295,12 +297,13 @@ def run_sweep(model: str, d: int, n_list, target: float, trials: int,
               master_seed: int, jobs: int = 1) -> list:
     """find_min_m at each n; returns [(SweepPoint, SearchResult), ...].
 
-    The arguments are checked before the first search: at least two
-    distinct n (the slope fit needs them), every n > d >= 1, trials >= 1,
-    target in [0, 1), jobs >= 1, and a target that trials per probe can
-    reach.  At jobs > 1 one worker pool then serves every probe of every
-    search.
+    The arguments are checked before the first search: a known model,
+    at least two distinct n (the slope fit needs them), every n > d >= 1,
+    trials >= 1, target in [0, 1), jobs >= 1, and a target that trials
+    per probe can reach.  At jobs > 1 one worker pool then serves every
+    probe of every search.
     """
+    _check_model(model)
     n_list = [_whole(n, "n") for n in n_list]
     if len(set(n_list)) < 2:
         raise ParameterError("slope needs at least two distinct n")

@@ -410,6 +410,17 @@ class TestSweep:
             slope_fit([SweepPoint(100, 10, 0.9, 50)], 1)
 
 
+@pytest.mark.parametrize("search", [
+    lambda: find_min_m("bogus", 100, 2, 0.5, 10, 1, jobs=2),
+    lambda: run_sweep("bogus", 2, [100, 200], 0.5, 10, 1, jobs=2),
+], ids=["find_min_m", "run_sweep"])
+def test_unknown_model_refused_before_a_pool(inline_pool, search):
+    # the pool was started first, and the model refused at the first probe
+    with pytest.raises(ParameterError, match="unknown model"):
+        search()
+    assert inline_pool == []
+
+
 class TestVarianceProbe:
     def test_bound_holds_with_margin(self):
         probe = variance_probe(20, 15, 5, 2, 2000, 90210)
