@@ -9,7 +9,8 @@ symbols,
     ln P(q, d) = q^(-d) * sum_i R(q, d, i) * ln(i / q),
 
 and R(q, d, i) = C(q, i) * N(d, i) with N(d, i) the surjection count
-(inclusion-exclusion).  Everything here is exact integer arithmetic up
+(built by the recurrence N(t, i) = i (N(t-1, i) + N(t-1, i-1)), for
+i <= min(q, d) only).  Everything here is exact integer arithmetic up
 to a documented capacity cap, with a log-space float path beyond it for
 asymptotic studies.
 
@@ -112,9 +113,16 @@ def _check_cap(**kwargs):
 
 
 @lru_cache(maxsize=None)
-def _surjections_raw(d: int, i: int) -> int:
-    # Inclusion-exclusion; exact for any size (Python ints).
-    return sum((-1) ** j * math.comb(i, j) * (i - j) ** d for j in range(i + 1))
+def _surjections_raw(d: int, top: int) -> tuple:
+    # (N(d, 0), ..., N(d, top)) by N(t, i) = i (N(t-1, i) + N(t-1, i-1))
+    # from N(0, i) = [i = 0], exact for any size (Python ints); no N(t, i)
+    # with i > top is built, and none with i > t, which is 0
+    row = [1] + [0] * top
+    for t in range(1, d + 1):
+        for i in range(min(t, top), 0, -1):
+            row[i] = i * (row[i] + row[i - 1])
+        row[0] = 0
+    return tuple(row)
 
 
 def surjections(d: int, i: int) -> int:
@@ -126,7 +134,7 @@ def surjections(d: int, i: int) -> int:
     _check_cap(d=d)
     if i > d:
         return 0
-    return _surjections_raw(d, i)
+    return _surjections_raw(d, i)[i]
 
 
 def r_qdi(q: int, d: int, i: int) -> int:
@@ -140,9 +148,9 @@ def r_qdi(q: int, d: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _log_surjection_table(d: int):
-    # ln N(d, i) for i = 1..d, via exact integers then one float log each.
-    return tuple(math.log(_surjections_raw(d, i)) for i in range(1, d + 1))
+def _log_surjection_table(d: int, top: int):
+    # ln N(d, i) for i = 1..top, via exact integers then one float log each.
+    return tuple(math.log(n) for n in _surjections_raw(d, top)[1:])
 
 
 def _ln_p_any(q: int, d: int) -> float:
@@ -155,12 +163,13 @@ def _ln_p_any(q: int, d: int) -> float:
     top = min(q, d)
     if d * math.log2(q) <= 53:
         qd = q**d
+        surj = _surjections_raw(d, top)
         terms = [
-            math.comb(q, i) * _surjections_raw(d, i) * math.log(i / q)
+            math.comb(q, i) * surj[i] * math.log(i / q)
             for i in range(1, top + 1)
         ]
         return math.fsum(terms) / qd
-    log_n = _log_surjection_table(d)
+    log_n = _log_surjection_table(d, top)
     lnq = math.log(q)
     acc = []
     for i in range(1, top + 1):

@@ -3,7 +3,9 @@
 None of this is needed to build, size, decode or simulate a design, so
 it lives beside the tests rather than in the package: the good-row count
 and its variance bound, the transversal failure lemma of the q-ary
-model and the Stirling step behind the entropy rates.
+model, the Stirling step behind the entropy rates, and the
+inclusion-exclusion sum that theory's surjection recurrence is checked
+against.
 """
 
 import math
@@ -114,3 +116,35 @@ def transversal_prob_check(mq: QaryMatrix, n: int, d: int, trials: int,
     return TransversalCheck(exact=exact, empirical=empirical, trials=trials,
                             stderr=stderr)
 
+
+def surjections_by_inclusion_exclusion(d: int, i: int) -> int:
+    """Number of surjections from [d] onto [i], summed over the excluded
+    symbols; exact for any size (Python ints)."""
+    return sum((-1) ** j * math.comb(i, j) * (i - j) ** d for j in range(i + 1))
+
+
+def ln_p_by_inclusion_exclusion(q: int, d: int) -> float:
+    """ln P(q, d) as theory._ln_p_any computes it, both branches, but with
+    every surjection number from the inclusion-exclusion sum."""
+    top = min(q, d)
+    if d * math.log2(q) <= 53:
+        terms = [
+            math.comb(q, i) * surjections_by_inclusion_exclusion(d, i)
+            * math.log(i / q)
+            for i in range(1, top + 1)
+        ]
+        return math.fsum(terms) / q**d
+    lnq = math.log(q)
+    acc = []
+    for i in range(1, top + 1):
+        lw = (
+            math.lgamma(q + 1)
+            - math.lgamma(i + 1)
+            - math.lgamma(q - i + 1)
+            + math.log(surjections_by_inclusion_exclusion(d, i))
+            - d * lnq
+        )
+        if lw < -745.0:
+            continue
+        acc.append(math.exp(lw) * (math.log(i) - lnq))
+    return math.fsum(acc)

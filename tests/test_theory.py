@@ -9,6 +9,7 @@ from gtpool.errors import CapacityError, ParameterError
 from gtpool import theory
 from gtpool.theory import (
     ASYMPTOTIC_CONSTANT,
+    CAPACITY_CAP,
     ConstantsRow,
     c_constant,
     entropy,
@@ -24,7 +25,12 @@ from gtpool.theory import (
     utdq_search_range,
 )
 
-from lemmas import stirling_approx
+from gtpool.designs import lower_bound_m
+from lemmas import (
+    ln_p_by_inclusion_exclusion,
+    stirling_approx,
+    surjections_by_inclusion_exclusion,
+)
 
 
 class TestEntropy:
@@ -118,6 +124,43 @@ class TestSurjections:
             r_qdi(65, 2, 1)
         with pytest.raises(CapacityError):
             ln_p_qd(2, 65)
+
+
+class TestSurjectionRecurrence:
+    # theory builds N(d, i) by the recurrence N(t, i) = i (N(t-1, i) +
+    # N(t-1, i-1)); the inclusion-exclusion sum it replaced is the oracle
+
+    @pytest.mark.parametrize("d", range(1, CAPACITY_CAP + 1))
+    def test_matches_inclusion_exclusion(self, d):
+        for i in range(d + 1):
+            want = surjections_by_inclusion_exclusion(d, i)
+            assert surjections(d, i) == want
+            assert theory._surjections_raw(d, i) == \
+                theory._surjections_raw(d, d)[:i + 1]
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 16, 64, 300])
+    @pytest.mark.parametrize("d", [1, 2, 5, 20, 33, 34, 53, 54, 64, 100, 150])
+    def test_ln_p_same_bits(self, q, d):
+        # d log2 q <= 53 takes the exact-integer branch, above it the
+        # log-space one: (2, 53) and (3, 33) sit at the edge of the first,
+        # (2, 54) and (3, 34) at the edge of the second
+        assert theory._ln_p_any(q, d) == ln_p_by_inclusion_exclusion(q, d)
+
+    def test_small_alphabet_builds_small_numbers(self, monkeypatch):
+        # at q = 3 the sum reads N(800, i) for i <= 3 only, and no larger
+        # surjection number may be built on the way to them
+        tops = []
+        raw = theory._surjections_raw.__wrapped__
+
+        def counted(d, top):
+            tops.append(top)
+            return raw(d, top)
+
+        monkeypatch.setattr(theory, "_surjections_raw", counted)
+        monkeypatch.setattr(theory, "_log_surjection_table",
+                            theory._log_surjection_table.__wrapped__)
+        assert lower_bound_m("utdq", 10**6, 800, q=3).q == 3
+        assert tops and max(tops) <= 3
 
 
 class TestCollisionLogProb:
