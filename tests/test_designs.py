@@ -431,3 +431,86 @@ def test_sized_m_is_the_least_that_meets_its_display(model):
                 assert display(res, res.m), res
                 assert not display(res, res.m - (res.q or 1)), res
     assert feasible > 1000
+
+
+# The paper's bounds on c_M(d) meet: as n grows, each display's m / ln n
+# tends to d * c_constant(model, d) times the limit below, which follows
+# from the display's algebra and is computed from theory alone.  The
+# displays take Python ints, so n = 10^(10^k) has an exact ln n.
+TIGHT_K = (3, 4, 5, 6)
+TIGHT_DELTA = 0.1
+# Fixed from the correction terms, before the first run: at k = 6 every
+# leading correction is below 0.035, and between successive k the
+# distance to the limit times (ln n)^order stays within a factor of 2
+# (a wrong order would move it by sqrt(10) or more per step).
+TIGHT_AT_K6 = 0.05
+TIGHT_ORDER_BAND = (0.5, 2.0)
+
+
+@pytest.fixture(scope="module")
+def huge_n():
+    return {k: 10**10**k for k in TIGHT_K}
+
+
+def _display_limits(model, d):
+    """{display: (limit of m_real / (d c ln n), order e)}: the distance
+    to the limit shrinks like (ln n)^-e."""
+    if model in ("rid", "rrsd"):
+        # t^2 -+ b t = e d ln n + O(1): a sqrt(ln n) correction
+        return {"upper": (1.0, 0.5), "lower": (1.0, 0.5)}
+    if model == "rssd":
+        alpha, fmax = theory.rssd_alpha_star(d)
+        # the lower display puts its slack into the positive-test rate,
+        # beta = 1 - (1 + slack)(1 - alpha)^d, so its f falls short of fmax
+        beta = 1.0 - (1.0 + designs._RSSD_LOWER_SLACK) * (1.0 - alpha) ** d
+        f = theory.entropy(alpha) - beta * theory.entropy(alpha / beta)
+        return {"upper": (1.0, 0.5), "lower": (fmax / f, 1.0)}
+    q = theory.utdq_q_star(d)[0]
+    # the default display is the transversal bound the paper tightens:
+    # its rate per q-ary row is -ln(1 - (1 - 1/q)^d), not -ln P(q, d)
+    transversal = theory.ln_p_qd(q, d) / math.log1p(-(1.0 - 1.0 / q) ** d)
+    return {"upper": (transversal, 1.0), "exact upper": (1.0, 0.5),
+            "lower": (1.0, 0.5)}
+
+
+def _display(model, display, n, d):
+    if display == "lower":
+        return lower_bound_m(model, n, d)
+    return upper_bound_m(model, n, d, TIGHT_DELTA,
+                         exact_utdq=display == "exact upper")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("model", designs.MODELS)
+def test_displays_tend_to_their_limits(model, d, huge_n):
+    c = theory.c_constant(model, d)
+    limits = _display_limits(model, d)
+    records = {display: {k: _display(model, display, n, d)
+                         for k, n in huge_n.items()}
+               for display in limits}
+    for display, (limit, order) in limits.items():
+        points = [(math.log(huge_n[k]), res.m_real / (d * c * math.log(huge_n[k])))
+                  for k, res in records[display].items() if res.feasible]
+        assert len(points) >= 3 and records[display][6].feasible, display
+        dist = [abs(ratio - limit) for _, ratio in points]
+        assert dist[-1] <= TIGHT_AT_K6, (display, limit, points)
+        assert all(a > b for a, b in zip(dist, dist[1:])), (display, dist)
+        scaled = [x * ln_n**order for x, (ln_n, _) in zip(dist, points)]
+        lo, hi = TIGHT_ORDER_BAND
+        assert all(lo <= b / a <= hi for a, b in zip(scaled, scaled[1:])), (
+            display, scaled)
+    for k in TIGHT_K:
+        lower = records["lower"][k]
+        for display in limits.keys() - {"lower"}:
+            upper = records[display][k]
+            if lower.feasible and upper.feasible:
+                assert lower.m_real <= upper.m_real, (display, k)
+
+
+def test_two_displays_stay_off_the_constant():
+    # rssd's lower display (slack 0.05) and utdq's transversal upper one
+    # tend to a limit other than 1
+    assert _display_limits("rssd", 2)["lower"][0] == pytest.approx(
+        0.919, abs=5e-4)
+    assert _display_limits("utdq", 2)["upper"][0] == pytest.approx(
+        1.0481, abs=5e-5)
