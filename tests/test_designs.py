@@ -484,12 +484,13 @@ def _display(model, display, n, d):
 @pytest.mark.parametrize("model", designs.MODELS)
 def test_displays_tend_to_their_limits(model, d, huge_n):
     c = theory.c_constant(model, d)
+    ln_n = {k: math.log(n) for k, n in huge_n.items()}
     limits = _display_limits(model, d)
     records = {display: {k: _display(model, display, n, d)
                          for k, n in huge_n.items()}
                for display in limits}
     for display, (limit, order) in limits.items():
-        points = [(math.log(huge_n[k]), res.m_real / (d * c * math.log(huge_n[k])))
+        points = [(ln_n[k], res.m_real / (d * c * ln_n[k]))
                   for k, res in records[display].items() if res.feasible]
         assert len(points) >= 3 and records[display][6].feasible, display
         dist = [abs(ratio - limit) for _, ratio in points]

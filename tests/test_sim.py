@@ -415,7 +415,7 @@ class TestSweep:
     lambda: run_sweep("bogus", 2, [100, 200], 0.5, 10, 1, jobs=2),
 ], ids=["find_min_m", "run_sweep"])
 def test_unknown_model_refused_before_a_pool(inline_pool, search):
-    # the pool was started first, and the model refused at the first probe
+    # a pool forks its workers up front: refuse the model before that
     with pytest.raises(ParameterError, match="unknown model"):
         search()
     assert inline_pool == []

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtpool.designs import lower_bound_m
 from gtpool.errors import CapacityError, ParameterError
 from gtpool import theory
 from gtpool.theory import (
@@ -25,7 +26,6 @@ from gtpool.theory import (
     utdq_search_range,
 )
 
-from gtpool.designs import lower_bound_m
 from lemmas import (
     ln_p_by_inclusion_exclusion,
     stirling_approx,
@@ -128,7 +128,7 @@ class TestSurjections:
 
 class TestSurjectionRecurrence:
     # theory builds N(d, i) by the recurrence N(t, i) = i (N(t-1, i) +
-    # N(t-1, i-1)); the inclusion-exclusion sum it replaced is the oracle
+    # N(t-1, i-1)); the inclusion-exclusion sum is the oracle
 
     @pytest.mark.parametrize("d", range(1, CAPACITY_CAP + 1))
     def test_matches_inclusion_exclusion(self, d):
