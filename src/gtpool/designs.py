@@ -126,8 +126,8 @@ class DesignSpec:
 # The readers below fix where each entry sits in the random stream.  A
 # generator (and so the oracle sim.reference_trial) and its trial kernel
 # draw through the same reader, so the kernel reads exactly the numbers
-# the generator does; only the rid kernel's head-first path reads the
-# row layout by itself, entry by entry.  The generate digests in
+# the generator does; only the rid kernel's head-first path and the rssd
+# kernel's row read (_BlockRows) read the layout by themselves.  The generate digests in
 # tests/output_pins.json guard the layouts.
 
 # Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and
@@ -161,6 +161,11 @@ def _row_chunks(rng, m: int, n: int):
         yield chunk
 
 
+def _block_width(m: int) -> int:
+    """Columns per rssd block of m rows (the last may be narrower)."""
+    return max(1, _BLOCK_ENTRIES // m)
+
+
 def _column_blocks(rng, m: int, n: int):
     """The next m x n doubles of the stream, as rssd lays them out.
 
@@ -168,7 +173,7 @@ def _column_blocks(rng, m: int, n: int):
     columns (at least one): keys is the m x width block whose column 0
     is matrix column start, drawn row-major.  Needs m >= 1.
     """
-    block = max(1, _BLOCK_ENTRIES // m)
+    block = _block_width(m)
     for start in range(0, n, block):
         yield start, rng.random((m, min(start + block, n) - start))
 
@@ -262,10 +267,26 @@ _RID_SKIP_MIN_N = 1000
 # n = 10^3 and 0.94 at n = 2000.
 _RID_SPARSE_RATIO = 500
 
-# _read_left advance()s over a gap of more than this many entries and
-# draws through a shorter one: advance() and one draw cost as much as a
-# draw of 100-150 doubles (same host).
-_RID_DRAW_GAP = 150
+# rssd blocks at least this wide are read by rows (_BlockRows), narrower
+# ones whole.  Per trial at d = 2 and 3 and sized m (same host, each
+# trial run by both reads in turn), the read by rows takes x1.41-1.46
+# the time of the whole read at n = 10^3, x1.13-1.19 at 2000, x1.00-1.05
+# at 3000, x0.94-0.96 at 4000 and x0.88-0.94 at 5000.
+_RSSD_SKIP_MIN_WIDTH = 4000
+
+# The good rows of a block's first read by rows.  Per trial at n = 10^4
+# and d = 3 (same host, 160 trials, each run in turn by this read and by
+# a kernel that draws the whole block), 12, 16, 20, 24 and 28 take
+# x0.84, 0.80, 0.78, 0.78 and 0.81 of the latter's time at m = 133,
+# x0.94, 0.89, 0.89, 0.92 and 0.91 at m = 88, and x1.13, 1.03, 1.01,
+# 1.01 and 1.03 at m = 66, where some trials fail; at d = 2 and m = 94,
+# x0.76, 0.77, 0.80, 0.84 and 0.87.
+_RSSD_FIRST_GOOD = 20
+
+# _read_left and _BlockRows.read_at advance() over a gap of more than
+# this many entries and draw through a shorter one: advance() and one
+# draw cost as much as a draw of 100-150 doubles (same host).
+_DRAW_GAP = 150
 
 
 def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
@@ -293,15 +314,21 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             it is skipped; every other row goes through the generator's
             argpartition, ties included, and is good when no defective
             is in the support it gives.
-      rssd  _column_blocks; a column's support is its s smallest keys.
-            The defective columns' argpartition gives the good rows G.
-            Each block is read once, row by row: low, the least key of
-            G per column, then a count per column of the other rows'
-            keys that are <= low.  Column j is covered when that count
-            is below s, for then the s smallest keys hold a key of G;
-            every other column goes through the generator's own
-            argpartition, ties included, and is covered when it selects
-            a row of G.
+      rssd  _column_blocks' layout; a column's support is its s
+            smallest keys.  The defective columns' argpartition gives
+            the good rows G.  In each block, low is a column's least key
+            over rows of G, and the column is covered when fewer than s
+            bad keys are <= low, for then its s smallest keys hold a key
+            of G, ties included.  A block narrower than
+            _RSSD_SKIP_MIN_WIDTH is drawn whole, and low is taken over
+            all of G.  In a wider one (_BlockRows) each row's defective
+            entries are drawn and the rest of the row advance()d over;
+            then every bad row and the first _RSSD_FIRST_GOOD rows of G
+            are drawn, and each later row of G only while a column is
+            left, just that column's entries once few are.  A column
+            left after all of G goes through the generator's own
+            argpartition and is covered when it selects a row of G.
+            Each block leaves the stream at its end.
       utdq  _utdq_entries, the m/q x n integers in [1, q]; q-ary row i
             covers column j when entry (i, j) is not one of row i's
             defective symbols (its indicator row is then good).
@@ -361,14 +388,14 @@ def _read_left(left, d, n, p, draw, skip) -> list:
 
     left holds positions in the row past its d head entries, in
     increasing order, and the stream stands just past the head.  Each
-    listed entry is read alone: a gap of more than _RID_DRAW_GAP entries
+    listed entry is read alone: a gap of more than _DRAW_GAP entries
     before it is advance()d over, a shorter one drawn through.  The
     stream is left at the end of the row.
     """
     at, keep = d, []
     for j in left:
         gap = j - at
-        if gap > _RID_DRAW_GAP:
+        if gap > _DRAW_GAP:
             skip(gap)
             x = draw()
         else:
@@ -402,29 +429,132 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
     if s == 0 or s == m:
         return False  # no row holds anything, or every row every item
     good = np.ones(m, dtype=bool)  # the rows that hold no defective
-    for start, keys in _column_blocks(rng, m, n):
-        if start < d:  # the block holds defective columns
-            good[np.argpartition(keys[:, :d - start], s - 1, axis=0)[:s]] = False
+    width = _block_width(m)
+    for start in range(0, n, width):
+        w = min(width, n - start)
+        h = min(max(d - start, 0), w)  # the block's defective columns
+        if w < _RSSD_SKIP_MIN_WIDTH:
+            block, keys = None, rng.random((m, w))
+        else:
+            block = _BlockRows(rng, m, w)
+            keys = block.keys
+        if h:
+            heads = keys[:, :h] if block is None else block.heads(h)
+            good[np.argpartition(heads, s - 1, axis=0)[:s]] = False
             if not good.any():
                 return False
-            keys = keys[:, d - start:]
-        # a column is covered when fewer than s bad keys reach its least
-        # good key; any other goes through the generator's argpartition.
-        # Each row is read once, and the block is not copied.
-        rows = np.flatnonzero(good)
-        low = keys[rows[0]].copy()
-        for i in rows[1:]:
-            np.minimum(low, keys[i], out=low)
-        count = np.zeros(len(low), dtype=np.min_scalar_type(m))
-        below = np.empty(len(low), dtype=bool)
-        for i in np.flatnonzero(~good):
-            np.less_equal(keys[i], low, out=below)
-            count += below
-        left = np.flatnonzero(count >= s)
-        sel = np.argpartition(keys[:, left], s - 1, axis=0)[:s]
-        if not good[sel].any(axis=0).all():
+        if h < w and not _block_covered(keys[:, h:], good, s, block, h):
             return False
+        if block is not None:
+            block.finish()
     return True
+
+
+class _BlockRows:
+    """The m x w keys of one rssd column block, as _column_blocks lays
+    them out (row i is the doubles at block positions i*w to i*w + w - 1),
+    each drawn only when asked for.
+
+    It keeps the stream state at the block's start: a position ahead is
+    reached with advance(), one behind by restoring that state first.
+    finish() leaves the stream at the block's end.
+    """
+
+    def __init__(self, rng, m: int, w: int):
+        self.rng, self.bits, self.w = rng, rng.bit_generator, w
+        self.start, self.at = self.bits.state, 0
+        self.keys = np.empty((m, w))
+        self.gap = np.empty(_DRAW_GAP + 1)
+
+    def _seek(self, pos: int) -> None:
+        if pos < self.at:
+            self.bits.state = self.start
+            self.at = 0
+        if pos > self.at:
+            self.bits.advance(pos - self.at)
+        self.at = pos
+
+    def heads(self, h: int):
+        """The first h keys of every row, each row's drawn alone."""
+        heads = np.empty((len(self.keys), h))
+        for i, head in enumerate(heads):
+            self._seek(i * self.w)
+            self.rng.random(out=head)
+            self.at += h
+        return heads
+
+    def read(self, rows) -> None:
+        """Draw the given rows (increasing) into keys, each run of
+        consecutive rows in one call."""
+        for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1):
+            first, last = int(run[0]), int(run[-1]) + 1
+            self._seek(first * self.w)
+            self.rng.random(out=self.keys[first:last])
+            self.at = last * self.w
+
+    def read_at(self, i: int, cols) -> None:
+        """Draw row i's keys in the columns cols (increasing) alone.  A
+        gap of more than _DRAW_GAP entries before one is advance()d
+        over, a shorter one drawn through."""
+        row, base = self.keys[i], int(i) * self.w
+        for j in cols.tolist():
+            gap = base + j - self.at
+            if not 0 <= gap <= _DRAW_GAP:
+                self._seek(base + j)
+                gap = 0
+            self.rng.random(out=self.gap[:gap + 1])
+            row[j] = self.gap[gap]
+            self.at = base + j + 1
+
+    def finish(self) -> None:
+        self._seek(self.keys.size)
+
+
+def _block_covered(keys, good, s: int, block: _BlockRows | None,
+                   h: int) -> bool:
+    """Whether every column of keys (an rssd block past its h defective
+    columns) has a 1 in a good row, as gen_rssd's argpartition selects
+    the s rows of each.
+
+    low is a column's least key over the good rows read so far, so it is
+    a key of a good row: when fewer than s bad keys are <= low, the s
+    smallest keys hold a good key, ties included, and the column is
+    covered.  A whole block (block None) has every row read.  Otherwise
+    every bad row is read, and of the good rows the first
+    _RSSD_FIRST_GOOD; later good rows are read one at a time while some
+    column is left, only that column's keys while few are.  A column
+    left after the last good row goes through the generator's own
+    argpartition.
+    """
+    rows, bad = np.flatnonzero(good), np.flatnonzero(~good)
+    first = len(rows)
+    if block is not None:
+        first = _RSSD_FIRST_GOOD
+        block.read(np.union1d(rows[:first], bad))
+    low = keys[rows[0]].copy()
+    for i in rows[1:first]:
+        np.minimum(low, keys[i], out=low)
+    count = np.zeros(len(low), dtype=np.min_scalar_type(len(good)))
+    below = np.empty(len(low), dtype=bool)
+    for i in bad:
+        np.less_equal(keys[i], low, out=below)
+        count += below
+    left = np.flatnonzero(count >= s)
+    if not left.size:
+        return True
+    low, bad_keys = low[left], keys[np.ix_(bad, left)]
+    for i in rows[first:]:
+        if len(left) * _DRAW_GAP < len(count):
+            block.read_at(i, left + h)
+        else:
+            block.read([i])
+        np.minimum(low, keys[i, left], out=low)
+        keep = np.count_nonzero(bad_keys <= low, axis=0) >= s
+        left, low, bad_keys = left[keep], low[keep], bad_keys[:, keep]
+        if not left.size:
+            return True
+    sel = np.argpartition(keys[:, left], s - 1, axis=0)[:s]  # as gen_rssd
+    return bool(good[sel].any(axis=0).all())
 
 
 def _utdq_disjunct(entries, d: int) -> bool:

@@ -13,7 +13,10 @@ verdict: the defective entries of each row and the good rows (the
 negative tests, whose items elimination strikes).  On long rid rows it
 reads less still: it skips the rest of a row once a defective entry is
 1, and once few columns are left uncovered, it reads a good row's
-entries for those columns alone.  reference_trial
+entries for those columns alone.  On wide rssd blocks it draws every
+row's defective entries first, then the rows that hold a defective and
+only as many good rows as it takes to show each column covered, and
+skips the rest.  reference_trial
 keeps the full-matrix path, generate + is_disjunct + decode_eliminate;
 tests/test_sim.py checks trial by trial that the decoder agrees with
 disjunctness there and that the kernel agrees with both.  The oracle
