@@ -3,12 +3,13 @@
 None of this is needed to build, size, decode or simulate a design, so
 it lives beside the tests rather than in the package: the good-row count
 and its variance bound, the transversal failure lemma of the q-ary
-model, the Stirling step behind the entropy rates, and the
+model, the Stirling step behind the entropy rates, the
 inclusion-exclusion sum that theory's surjection recurrence is checked
-against.
+against, and the exact success probability of an rssd design.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,3 +149,28 @@ def ln_p_by_inclusion_exclusion(q: int, d: int) -> float:
             continue
         acc.append(math.exp(lw) * (math.log(i) - lnq))
     return math.fsum(acc)
+
+
+def rssd_success_probability(n: int, m: int, s: int, d: int) -> float:
+    """Probability that an rssd design (n columns, i.i.d. uniform among
+    the weight-s columns of m rows) is disjunct for its first d columns.
+
+    The d defective columns cover u rows; a dynamic program over them
+    gives Pr(u), each new column meeting the u rows covered so far in j
+    of its s rows with hypergeometric probability.  Every other column
+    is covered by one of the m - u good rows unless its s rows all lie
+    among the u bad ones, so
+
+        P = sum over u of Pr(u) * (1 - C(u, s) / C(m, s)) ** (n - d).
+    """
+    total = math.comb(m, s)
+    union = {0: 1.0}
+    for _ in range(d):
+        grown = defaultdict(float)
+        for u, pr in union.items():
+            for j in range(max(0, s - (m - u)), min(s, u) + 1):
+                grown[u + s - j] += (pr * math.comb(u, j)
+                                     * math.comb(m - u, s - j) / total)
+        union = grown
+    return math.fsum(pr * (1.0 - math.comb(u, s) / total) ** (n - d)
+                     for u, pr in union.items())

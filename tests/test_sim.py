@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import multiprocessing
@@ -13,6 +14,7 @@ from gtpool.designs import (
     gen_utdq,
     generate,
     optimal_param,
+    spec_at,
     trial_disjunct,
 )
 from gtpool.errors import InfeasibleError, ParameterError
@@ -28,7 +30,11 @@ from gtpool.sim import (
     wilson_interval,
 )
 
-from lemmas import transversal_prob_check, variance_probe
+from lemmas import (
+    rssd_success_probability,
+    transversal_prob_check,
+    variance_probe,
+)
 
 
 class TestWilson:
@@ -166,28 +172,54 @@ class Coarse(np.random.Generator):
 BENCH_M = {"rssd": (133, 88, 66), "rrsd": (149, 99, 74)}
 
 
+def _small_blocks(monkeypatch, entries):
+    """Shrink the generator blocks and kernel chunks to entries, which
+    splits rows and columns over several draws; an rssd block of 1 or 2
+    columns (most m at 1, 10 and 64 entries) is narrower than d = 3."""
+    if entries is not None:
+        monkeypatch.setattr(designs, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(designs, "_CHUNK_ENTRIES", entries)
+
+
+def _check_kernel_cases(model):
+    outcomes = set()
+    for c, (spec, d) in enumerate(_kernel_cases(model)):
+        for t in range(3):
+            disjunct, decoded = reference_trial(spec, d, substream(c, t))
+            assert disjunct == decoded, (spec, d, t)
+            assert trial_disjunct(spec, d, substream(c, t)) == disjunct, (
+                spec, d, c, t)
+            outcomes.add(disjunct)
+    assert outcomes == {True, False}
+
+
+def _check_tied_keys(model):
+    # keys on a grid of four values tie at the selection boundary in
+    # most rows and columns; the last 100 cases have m >= 256 rows
+    rs = np.random.default_rng(7)
+    outcomes = set()
+    for c in range(500):
+        n = int(rs.integers(2, 30))
+        d = int(rs.integers(1, min(3, n) + 1))
+        m = int(rs.integers(0, 30) if c < 400 else rs.integers(256, 700))
+        param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
+        spec = DesignSpec(model, n, m, param)
+        disjunct, decoded = reference_trial(spec, d, Coarse(c))
+        assert disjunct == decoded
+        got = trial_disjunct(spec, d, Coarse(c))
+        assert got == disjunct, (spec, d, c)
+        outcomes.add(disjunct)
+    assert outcomes == {True, False}
+
+
 class TestTrialKernel:
     """trial_disjunct against the full-matrix path, trial by trial."""
 
     @pytest.mark.parametrize("block_entries", [None, 1, 10, 64])
     @pytest.mark.parametrize("model", designs.MODELS)
     def test_matches_full_matrix_path(self, monkeypatch, model, block_entries):
-        # small generator blocks and kernel chunks split rows and columns
-        # over several draws; an rssd block of 1 or 2 columns (most m at
-        # 1, 10 and 64 entries) is narrower than d = 3
-        if block_entries is not None:
-            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", block_entries)
-            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", block_entries)
-        outcomes = set()
-        for c, (spec, d) in enumerate(_kernel_cases(model)):
-            for t in range(3):
-                disjunct, decoded = reference_trial(spec, d,
-                                                    substream(c, t))
-                assert disjunct == decoded, (spec, d, t)
-                assert trial_disjunct(spec, d, substream(c, t)) == disjunct, (
-                    spec, d, c, t)
-                outcomes.add(disjunct)
-        assert outcomes == {True, False}
+        _small_blocks(monkeypatch, block_entries)
+        _check_kernel_cases(model)
 
     @pytest.mark.parametrize("model", ["rrsd", "rssd"])
     def test_matches_at_benchmark_shapes(self, model):
@@ -205,25 +237,8 @@ class TestTrialKernel:
     @pytest.mark.parametrize("block_entries", [None, 5])
     @pytest.mark.parametrize("model", ["rrsd", "rssd"])
     def test_matches_on_tied_keys(self, monkeypatch, model, block_entries):
-        # keys on a grid of four values tie at the selection boundary in
-        # most rows and columns; the last 100 cases have m >= 256 rows
-        if block_entries is not None:
-            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", block_entries)
-            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", block_entries)
-        rs = np.random.default_rng(7)
-        outcomes = set()
-        for c in range(500):
-            n = int(rs.integers(2, 30))
-            d = int(rs.integers(1, min(3, n) + 1))
-            m = int(rs.integers(0, 30) if c < 400 else rs.integers(256, 700))
-            param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
-            spec = DesignSpec(model, n, m, param)
-            disjunct, decoded = reference_trial(spec, d, Coarse(c))
-            assert disjunct == decoded
-            got = trial_disjunct(spec, d, Coarse(c))
-            assert got == disjunct, (spec, d, c)
-            outcomes.add(disjunct)
-        assert outcomes == {True, False}
+        _small_blocks(monkeypatch, block_entries)
+        _check_tied_keys(model)
 
     @pytest.mark.parametrize("m", [300, 70_000])
     def test_rssd_counts_past_the_narrow_dtypes(self, m):
@@ -242,6 +257,210 @@ class TestTrialKernel:
         for d in (0, 6):
             with pytest.raises(ParameterError):
                 trial_disjunct(spec, d, 0)
+
+
+def _rssd_bench_spec(m, n=10 ** 4):
+    return DesignSpec("rssd", n, m, optimal_param("rssd", n, 3, m_hint=m))
+
+
+def _rssd_ends(spec, d, rng, first) -> set:
+    """How the rssd row read settles each block of a trial, read off the
+    whole key blocks: "count" where the first read (the bad rows and
+    `first` good rows) covers every column, "later" where a later good
+    row covers the last column left, and "argpartition" where a column
+    is left after every good row.  Stops at a block not covered."""
+    m, s = spec.m, int(spec.param)
+    if s in (0, m):
+        return set()
+    good, ends = np.ones(m, dtype=bool), set()
+    for start, keys in designs._column_blocks(rng, m, spec.n):
+        h = min(max(d - start, 0), keys.shape[1])
+        if h:
+            good[np.argpartition(keys[:, :h], s - 1, axis=0)[:s]] = False
+        rest, rows = keys[:, h:], np.flatnonzero(good)
+        if not rows.size:
+            return ends
+        if not rest.size:
+            continue
+
+        def left(k):  # the columns the first k good rows leave uncertified
+            low = rest[rows[:k]].min(axis=0)
+            return np.count_nonzero(rest[~good] <= low, axis=0) >= s
+
+        if not left(first).any():
+            ends.add("count")
+        elif not left(len(rows)).any():
+            ends.add("later")
+        else:
+            ends.add("argpartition")
+            sel = np.argpartition(rest, s - 1, axis=0)[:s]
+            if not good[sel].any(axis=0).all():
+                return ends
+    return ends
+
+
+class Tally(np.random.Generator):
+    """A generator that counts the doubles random() returns."""
+
+    def __init__(self, rng):
+        super().__init__(rng.bit_generator)
+        self.doubles = 0
+
+    def random(self, size=None, out=None):
+        keys = super().random(size, out=out)
+        self.doubles += np.size(keys)
+        return keys
+
+
+class TestRssdRowRead:
+    """The rssd kernel's row read, which draws a block's bad rows and
+    only the good rows that decide it, forced on every block (width
+    switch 0) with one good row in the first read or the default count,
+    against the full-matrix path."""
+
+    @pytest.fixture(params=[1, designs._RSSD_FIRST_GOOD],
+                    ids=["one-good-row", "default"])
+    def first(self, request, monkeypatch):
+        monkeypatch.setattr(designs, "_RSSD_SKIP_MIN_WIDTH", 0)
+        monkeypatch.setattr(designs, "_RSSD_FIRST_GOOD", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("block_entries", [None, 1, 10, 64])
+    def test_matches_full_matrix_path(self, first, monkeypatch,
+                                      block_entries):
+        _small_blocks(monkeypatch, block_entries)
+        _check_kernel_cases("rssd")
+
+    @pytest.mark.parametrize("block_entries", [None, 5])
+    def test_matches_on_tied_keys(self, first, monkeypatch, block_entries):
+        _small_blocks(monkeypatch, block_entries)
+        _check_tied_keys("rssd")
+
+    def test_every_end_is_reached(self, first):
+        # the verdicts of the same trials are checked above and in
+        # TestTrialKernel.test_matches_at_benchmark_shapes
+        ends = set()
+        for c, (spec, d) in enumerate(_kernel_cases("rssd")):
+            for t in range(3):
+                ends |= _rssd_ends(spec, d, substream(c, t), first)
+        for m in BENCH_M["rssd"]:
+            for t in range(12):
+                ends |= _rssd_ends(_rssd_bench_spec(m), 3, substream(m, t),
+                                   first)
+        assert ends == {"count", "later", "argpartition"}
+
+    def test_matches_at_benchmark_shapes(self, first):
+        outcomes = set()
+        for m in BENCH_M["rssd"]:
+            spec = _rssd_bench_spec(m)
+            for t in range(4):
+                disjunct, _ = reference_trial(spec, 3, substream(m, t, first))
+                assert trial_disjunct(spec, 3, substream(m, t, first)) == (
+                    disjunct), (spec, t)
+                outcomes.add(disjunct)
+        assert outcomes == {True, False}
+
+    def test_matches_over_two_blocks(self, first):
+        # at the real block size, 133 rows make blocks of 30,075 columns
+        spec = _rssd_bench_spec(133, n=4 * 10 ** 4)
+        assert designs._block_width(133) < spec.n < 2 * designs._block_width(133)
+        for t in range(4):
+            disjunct, _ = reference_trial(spec, 3, substream(spec.n, t))
+            assert trial_disjunct(spec, 3, substream(spec.n, t)) == disjunct
+
+    def test_covered_trial_ends_at_row_m(self, first, monkeypatch):
+        # each block leaves the stream where the full matrix's draws do,
+        # so the next block reads its own keys
+        _small_blocks(monkeypatch, 64)
+        covered = 0
+        for c, (spec, d) in enumerate(_kernel_cases("rssd")):
+            for t in range(3):
+                rng = substream(c, t)
+                if d == spec.n or not trial_disjunct(spec, d, rng):
+                    continue
+                fresh = substream(c, t)
+                fresh.bit_generator.advance(spec.m * spec.n)
+                assert rng.bit_generator.state == fresh.bit_generator.state, (
+                    spec, d, t)
+                covered += 1
+        assert covered > 200
+
+
+def test_rssd_switch_reads_the_block_width(monkeypatch):
+    widths = []
+
+    class Spy(designs._BlockRows):
+        def __init__(self, rng, m, w):
+            widths.append(w)
+            super().__init__(rng, m, w)
+
+    monkeypatch.setattr(designs, "_BlockRows", Spy)
+    switch = designs._RSSD_SKIP_MIN_WIDTH
+    for n in (switch - 1, switch):
+        trial_disjunct(_rssd_bench_spec(133, n), 3, substream(n, 0))
+    assert widths == [switch]
+
+
+def test_rssd_reads_at_most_three_quarters_of_the_keys():
+    # at the mc benchmark's shape; about 64% are drawn
+    spec = _rssd_bench_spec(133)
+    doubles = 0
+    for t in range(12):
+        rng = Tally(substream(133, t))
+        disjunct, _ = reference_trial(spec, 3, substream(133, t))
+        assert trial_disjunct(spec, 3, rng) == disjunct, t
+        doubles += rng.doubles
+    assert doubles <= 0.75 * 12 * spec.m * spec.n
+
+
+def _rssd_by_enumeration(n, m, s, d) -> float:
+    """The share of all rssd matrices that are disjunct for their first
+    d columns, counted one matrix at a time."""
+    columns = [set(c) for c in itertools.combinations(range(m), s)]
+    disjunct = 0
+    for picks in itertools.product(columns, repeat=n):
+        bad = set().union(*picks[:d])
+        disjunct += all(not c <= bad for c in picks[d:])
+    return disjunct / len(columns) ** n
+
+
+def _binomial_two_sided(k, trials, p) -> float:
+    """The two-sided p-value of k successes in trials with success
+    probability p: the mass of every count no likelier than k."""
+    def ln_pmf(i):
+        return (math.lgamma(trials + 1) - math.lgamma(i + 1)
+                - math.lgamma(trials - i + 1)
+                + i * math.log(p) + (trials - i) * math.log1p(-p))
+
+    at = ln_pmf(k) + 1e-7  # rounding slack, as scipy's binomtest has
+    return min(1.0, math.fsum(math.exp(x) for i in range(trials + 1)
+                              if (x := ln_pmf(i)) <= at))
+
+
+class TestRssdSuccessProbability:
+    """lemmas.rssd_success_probability, the exact chance that an rssd
+    design is disjunct, against enumeration and the Monte Carlo."""
+
+    @pytest.mark.parametrize("n, m, s, d", [
+        (3, 4, 2, 1), (4, 4, 1, 2), (4, 5, 2, 2), (5, 4, 2, 2), (5, 5, 2, 3),
+        (4, 4, 0, 1), (4, 4, 4, 1), (3, 3, 1, 3)])
+    def test_matches_enumeration(self, n, m, s, d):
+        assert rssd_success_probability(n, m, s, d) == pytest.approx(
+            _rssd_by_enumeration(n, m, s, d), abs=1e-12)
+
+    def test_matches_run_trials_on_the_row_read(self, monkeypatch):
+        # fixed before the first run: three points with P in 0.64-0.78,
+        # 1,000 trials each at one seed, and a family-wise level of 10^-6
+        monkeypatch.setattr(designs, "_RSSD_SKIP_MIN_WIDTH", 0)
+        points = [(1000, 2, 31), (1000, 3, 47), (2000, 2, 36)]
+        for n, d, m in points:
+            spec = spec_at("rssd", n, d, m)
+            exact = rssd_success_probability(n, m, int(spec.param), d)
+            assert 0.3 < exact < 0.9
+            rep = run_trials(spec, d, 1000, 2027)
+            p_value = _binomial_two_sided(rep.disjunct_successes, 1000, exact)
+            assert p_value > 1e-6 / len(points), (n, d, m, rep.frequency,
+                                                  exact)
 
 
 # rid at n = 10^4: the sized m at d = 2 and 3, and two thirds of the
