@@ -127,8 +127,8 @@ class DesignSpec:
 # generator (and so the oracle sim.reference_trial) and its trial kernel
 # draw through the same reader, so the kernel reads exactly the numbers
 # the generator does; only the rid kernel's head-first path and the rssd
-# kernel's row read (_BlockRows) read the layout by themselves.  The generate digests in
-# tests/output_pins.json guard the layouts.
+# kernel's row read (_BlockRows) read the layout by themselves.  The
+# generate digests in tests/output_pins.json guard the layouts.
 
 # Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and
 # their kernels read.  Output does not depend on it: row-wise draws give
@@ -268,19 +268,19 @@ _RID_SKIP_MIN_N = 1000
 _RID_SPARSE_RATIO = 500
 
 # rssd blocks at least this wide are read by rows (_BlockRows), narrower
-# ones whole.  Per trial at d = 2 and 3 and sized m (same host, each
-# trial run by both reads in turn), the read by rows takes x1.41-1.46
-# the time of the whole read at n = 10^3, x1.13-1.19 at 2000, x1.00-1.05
-# at 3000, x0.94-0.96 at 4000 and x0.88-0.94 at 5000.
+# ones whole.  In CPU time per trial at d = 2 and 3 and sized m (same
+# host, each trial run by both reads in turn), the read by rows takes
+# x1.38-1.39 the time of the whole read at n = 10^3, x1.12-1.14 at 2000,
+# x1.00-1.02 at 3000, x0.93 at 4000 and x0.89-0.92 at 5000.
 _RSSD_SKIP_MIN_WIDTH = 4000
 
-# The good rows of a block's first read by rows.  Per trial at n = 10^4
-# and d = 3 (same host, 160 trials, each run in turn by this read and by
-# a kernel that draws the whole block), 12, 16, 20, 24 and 28 take
-# x0.84, 0.80, 0.78, 0.78 and 0.81 of the latter's time at m = 133,
-# x0.94, 0.89, 0.89, 0.92 and 0.91 at m = 88, and x1.13, 1.03, 1.01,
-# 1.01 and 1.03 at m = 66, where some trials fail; at d = 2 and m = 94,
-# x0.76, 0.77, 0.80, 0.84 and 0.87.
+# The good rows of a block's first read by rows.  In CPU time per trial
+# at n = 10^4 and d = 3 (same host, 200 trials, each run in turn by this
+# read and by a kernel that draws the whole block), 12, 16, 20, 24 and
+# 28 take x0.79, 0.76, 0.76, 0.77 and 0.79 of the latter's time at
+# m = 133, x0.95, 0.89, 0.88, 0.89 and 0.91 at m = 88, and x1.12, 1.00,
+# 0.98, 1.00 and 1.02 at m = 66, where some trials fail; at d = 2 and
+# m = 94, x0.74, 0.74, 0.76, 0.81 and 0.85.
 _RSSD_FIRST_GOOD = 20
 
 # _read_left and _BlockRows.read_at advance() over a gap of more than
@@ -522,15 +522,18 @@ def _block_covered(keys, good, s: int, block: _BlockRows | None,
     covered.  A whole block (block None) has every row read.  Otherwise
     every bad row is read, and of the good rows the first
     _RSSD_FIRST_GOOD; later good rows are read one at a time while some
-    column is left, only that column's keys while few are.  A column
-    left after the last good row goes through the generator's own
-    argpartition.
+    column is left, and only the keys of the columns left while reading
+    them alone (about _DRAW_GAP doubles' cost each) is cheaper than the
+    row.  A column left after the last good row goes through the
+    generator's own argpartition.
     """
     rows, bad = np.flatnonzero(good), np.flatnonzero(~good)
     first = len(rows)
     if block is not None:
         first = _RSSD_FIRST_GOOD
-        block.read(np.union1d(rows[:first], bad))
+        read = ~good
+        read[rows[:first]] = True
+        block.read(np.flatnonzero(read))
     low = keys[rows[0]].copy()
     for i in rows[1:first]:
         np.minimum(low, keys[i], out=low)
