@@ -125,10 +125,9 @@ class DesignSpec:
 
 # The readers below fix where each entry sits in the random stream.  A
 # generator (and so the oracle sim.reference_trial) and its trial kernel
-# draw through the same reader, so the kernel reads exactly the numbers
-# the generator does; only the rid kernel's head-first path and the rssd
-# kernel's row read (_BlockRows) read the layout by themselves.  The
-# generate digests in tests/output_pins.json guard the layouts.
+# read through the same reader and support function; where a kernel
+# skips part of the stream, it reads entries by position with _draw_at.
+# The generate digests in tests/output_pins.json guard the layouts.
 
 # Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and
 # their kernels read.  Output does not depend on it: row-wise draws give
@@ -141,8 +140,7 @@ _CHUNK_ENTRIES = 1 << 15
 
 # Entries per rssd column block of _column_blocks.  It fixes the rssd
 # stream layout (keys are row-major within a block), so changing it
-# changes every rssd matrix drawn with more than _BLOCK_ENTRIES // m
-# columns.
+# changes every rssd matrix wider than one block.
 _BLOCK_ENTRIES = 4_000_000
 
 
@@ -161,21 +159,25 @@ def _row_chunks(rng, m: int, n: int):
         yield chunk
 
 
-def _block_width(m: int) -> int:
-    """Columns per rssd block of m rows (the last may be narrower)."""
-    return max(1, _BLOCK_ENTRIES // m)
-
-
-def _column_blocks(rng, m: int, n: int):
-    """The next m x n doubles of the stream, as rssd lays them out.
-
-    Yields (start, keys) for consecutive blocks of _BLOCK_ENTRIES // m
-    columns (at least one): keys is the m x width block whose column 0
-    is matrix column start, drawn row-major.  Needs m >= 1.
+def _column_blocks(m: int, n: int):
+    """The rssd column blocks of an m x n matrix, as (start, width) spans
+    of as many columns as _BLOCK_ENTRIES entries hold (at least one; the
+    last may be narrower).  A block's keys are the next m x width doubles
+    of the stream, row-major; its column 0 is matrix column start.
     """
-    block = _block_width(m)
-    for start in range(0, n, block):
-        yield start, rng.random((m, min(start + block, n) - start))
+    width = max(1, _BLOCK_ENTRIES // m)
+    for start in range(0, n, width):
+        yield start, min(width, n - start)
+
+
+def _rrsd_support(keys, r: int):
+    """Each row's support: the columns of its r smallest keys."""
+    return np.argpartition(keys, r - 1, axis=1)[:, :r]
+
+
+def _rssd_support(keys, s: int):
+    """Each column's support: the rows of its s smallest keys."""
+    return np.argpartition(keys, s - 1, axis=0)[:s]
 
 
 def _utdq_entries(rng, m_prime: int, n: int, q: int):
@@ -201,9 +203,8 @@ def gen_rrsd(n: int, m: int, r: int, seed) -> BitMatrix:
     rows = []
     for keys in _row_chunks(as_generator(seed), m, n):
         # the r smallest of n i.i.d. uniform keys form a uniform r-subset
-        idx = np.argpartition(keys, r - 1, axis=1)[:, :r]
         dense = np.zeros(keys.shape, dtype=bool)
-        dense[np.arange(len(keys))[:, None], idx] = True
+        dense[np.arange(len(keys))[:, None], _rrsd_support(keys, r)] = True
         rows.extend(_pack_rows(dense))
     return BitMatrix(m, n, rows)
 
@@ -214,10 +215,11 @@ def gen_rssd(n: int, m: int, s: int, seed) -> BitMatrix:
     s = int(s)
     if s == 0 or s == m:  # no draw: every column is empty or full
         return BitMatrix(m, n, [(1 << n) - 1 if s else 0] * m)
+    rng = as_generator(seed)
     dense = np.zeros((m, n), dtype=bool)
-    for start, keys in _column_blocks(as_generator(seed), m, n):
-        idx = np.argpartition(keys, s - 1, axis=0)[:s, :]
-        dense[idx, np.arange(start, start + keys.shape[1])[None, :]] = True
+    for start, w in _column_blocks(m, n):
+        support = _rssd_support(rng.random((m, w)), s)
+        dense[support, np.arange(start, start + w)[None, :]] = True
     return BitMatrix(m, n, _pack_rows(dense))
 
 
@@ -256,7 +258,7 @@ _RID_SKIP_MIN_N = 1000
 
 # On the head-first path, once a good row drawn whole leaves at most
 # n / _RID_SPARSE_RATIO columns uncovered, each later good row reads only
-# those columns' entries (_read_left).  At rate-optimal p a good row
+# those columns' entries (_draw_at).  At rate-optimal p a good row
 # leaves each column uncovered with probability p, so this is the last
 # third or so of a trial's good rows.  Measured per trial at d = 3 and
 # sized m (same host, medians of 30 rounds of 40 trials, each round
@@ -283,9 +285,11 @@ _RSSD_SKIP_MIN_WIDTH = 4000
 # m = 94, x0.74, 0.74, 0.76, 0.81 and 0.85.
 _RSSD_FIRST_GOOD = 20
 
-# _read_left and _BlockRows.read_at advance() over a gap of more than
-# this many entries and draw through a shorter one: advance() and one
-# draw cost as much as a draw of 100-150 doubles (same host).
+# _draw_at advance()s over a gap of more than this many entries, then
+# takes one scalar draw, and draws through a shorter gap: advance() and
+# one draw cost as much as a draw of 100-150 doubles (same host).  An
+# array draw of one double after the advance() took x0.94-1.04 the time
+# per rid trial at n = 10^5, slower in 5 of 6 rounds of 40 trials.
 _DRAW_GAP = 150
 
 
@@ -295,8 +299,12 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     The defective set is items 1..d, the first d columns.  A row with no
     defective is good; the set is disjunct iff every other column has a
     1 in some good row (elimination decoding then strikes it).  Each
-    kernel reads the random stream through its generator's reader, so
-    the verdict is the full path's for every seed:
+    kernel reads the random stream in its generator's layout and selects
+    through the generator's support function, so the verdict is the full
+    path's for every seed.  Where a kernel skips part of the stream, it
+    reads the entries it needs by position with _draw_at: it advance()s
+    over a gap of more than _DRAW_GAP entries and draws through a
+    shorter one.
 
       rid   _row_chunks: entry (i, j) is the double at stream position
             i*n + j.  Rows shorter than _RID_SKIP_MIN_N are read in
@@ -305,30 +313,30 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             a good row's are drawn and OR'ed into the coverage until a
             good row leaves at most n / _RID_SPARSE_RATIO columns
             uncovered.  Each later good row reads only the entries of
-            the columns still uncovered (_read_left), and the trial
+            the columns still uncovered (_draw_at), and the trial
             succeeds at the row that covers the last of them.  Every
             row ends where the next starts, at a multiple of n.
-      rrsd  _row_chunks; a row's support is its r smallest keys.  A
-            row with at most r keys <= its least defective key holds
-            that defective (argpartition puts the r smallest first), so
-            it is skipped; every other row goes through the generator's
-            argpartition, ties included, and is good when no defective
-            is in the support it gives.
-      rssd  _column_blocks' layout; a column's support is its s
-            smallest keys.  The defective columns' argpartition gives
-            the good rows G.  In each block, low is a column's least key
-            over rows of G, and the column is covered when fewer than s
-            bad keys are <= low, for then its s smallest keys hold a key
-            of G, ties included.  A block narrower than
-            _RSSD_SKIP_MIN_WIDTH is drawn whole, and low is taken over
-            all of G.  In a wider one (_BlockRows) each row's defective
-            entries are drawn and the rest of the row advance()d over;
-            then every bad row and the first _RSSD_FIRST_GOOD rows of G
-            are drawn, and each later row of G only while a column is
-            left, just that column's entries once few are.  A column
-            left after all of G goes through the generator's own
-            argpartition and is covered when it selects a row of G.
-            Each block leaves the stream at its end.
+      rrsd  _row_chunks; a row's support is its r smallest keys
+            (_rrsd_support).  A row with at most r keys <= its least
+            defective key holds that defective (argpartition puts the r
+            smallest first), so it is skipped; every other row goes
+            through _rrsd_support, ties included, and is good when no
+            defective is in the support it gives.
+      rssd  the spans of _column_blocks; a column's support is its s
+            smallest keys (_rssd_support).  The defective columns'
+            supports give the good rows G.  In each block, low is a
+            column's least key over rows of G, and the column is covered
+            when fewer than s bad keys are <= low, for then its s
+            smallest keys hold a key of G, ties included.  A block
+            narrower than _RSSD_SKIP_MIN_WIDTH is drawn whole, and low
+            is taken over all of G.  In a wider one (_BlockRows) each
+            row's defective entries are drawn and the rest of the row
+            advance()d over; then every bad row and the first
+            _RSSD_FIRST_GOOD rows of G are drawn, and each later row of
+            G only while a column is left, just that column's entries
+            (_draw_at) once few are.  A column left after all of G goes
+            through _rssd_support and is covered when its support holds
+            a row of G.  Each block leaves the stream at its end.
       utdq  _utdq_entries, the m/q x n integers in [1, q]; q-ary row i
             covers column j when entry (i, j) is not one of row i's
             defective symbols (its indicator row is then good).
@@ -369,7 +377,9 @@ def _trial_rid(n, m, p, d, rng) -> bool:
                 break
         else:
             if left is not None:
-                left = _read_left(left, d, n, p, draw, skip)
+                vals, at = _draw_at(rng, d, left)
+                skip(n - at)  # to the end of the row
+                left = [j for j, x in zip(left, vals) if x < p]
                 if not left:
                     return True
                 continue
@@ -383,29 +393,25 @@ def _trial_rid(n, m, p, d, rng) -> bool:
     return False
 
 
-def _read_left(left, d, n, p, draw, skip) -> list:
-    """The positions in left whose entry in this good row is < p.
+def _draw_at(rng, at: int, positions) -> tuple:
+    """The doubles at the given stream positions, read from position at.
 
-    left holds positions in the row past its d head entries, in
-    increasing order, and the stream stands just past the head.  Each
-    listed entry is read alone: a gap of more than _DRAW_GAP entries
-    before it is advance()d over, a shorter one drawn through.  The
-    stream is left at the end of the row.
+    positions increase and none is behind at.  A gap of more than
+    _DRAW_GAP entries before a position is advance()d over and its double
+    drawn alone; a shorter gap is drawn through.  Returns the doubles and
+    the position just past the last one, where the stream stands.
     """
-    at, keep = d, []
-    for j in left:
+    draw, skip = rng.random, rng.bit_generator.advance
+    values = []
+    for j in positions:
         gap = j - at
         if gap > _DRAW_GAP:
             skip(gap)
-            x = draw()
+            values.append(draw())
         else:
-            x = draw(gap + 1)[gap]
-        if x < p:
-            keep.append(j)
+            values.append(draw(gap + 1)[gap])
         at = j + 1
-    if at < n:
-        skip(n - at)
-    return keep
+    return values, at
 
 
 def _trial_rrsd(n, m, r, d, rng) -> bool:
@@ -415,10 +421,10 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
     covered[:d] = True
     for keys in _row_chunks(rng, m, n):
         # a row with at most r keys <= its least defective key holds that
-        # defective; every other row goes through gen_rrsd's argpartition
+        # defective; every other row goes through its support
         low = keys[:, :d].min(axis=1, keepdims=True)
         rows = keys[np.count_nonzero(keys <= low, axis=1) > r]
-        idx = np.argpartition(rows, r - 1, axis=1)[:, :r]  # as gen_rrsd
+        idx = _rrsd_support(rows, r)
         covered[idx[~(idx < d).any(axis=1)]] = True  # the good rows' items
         if covered.all():
             return True
@@ -429,9 +435,7 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
     if s == 0 or s == m:
         return False  # no row holds anything, or every row every item
     good = np.ones(m, dtype=bool)  # the rows that hold no defective
-    width = _block_width(m)
-    for start in range(0, n, width):
-        w = min(width, n - start)
+    for start, w in _column_blocks(m, n):
         h = min(max(d - start, 0), w)  # the block's defective columns
         if w < _RSSD_SKIP_MIN_WIDTH:
             block, keys = None, rng.random((m, w))
@@ -440,7 +444,7 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
             keys = block.keys
         if h:
             heads = keys[:, :h] if block is None else block.heads(h)
-            good[np.argpartition(heads, s - 1, axis=0)[:s]] = False
+            good[_rssd_support(heads, s)] = False
             if not good.any():
                 return False
         if h < w and not _block_covered(keys[:, h:], good, s, block, h):
@@ -451,9 +455,9 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
 
 
 class _BlockRows:
-    """The m x w keys of one rssd column block, as _column_blocks lays
-    them out (row i is the doubles at block positions i*w to i*w + w - 1),
-    each drawn only when asked for.
+    """The m x w keys of one rssd column block of _column_blocks (row i
+    is the doubles at block positions i*w to i*w + w - 1), each drawn
+    only when asked for.
 
     It keeps the stream state at the block's start: a position ahead is
     reached with advance(), one behind by restoring that state first.
@@ -464,7 +468,6 @@ class _BlockRows:
         self.rng, self.bits, self.w = rng, rng.bit_generator, w
         self.start, self.at = self.bits.state, 0
         self.keys = np.empty((m, w))
-        self.gap = np.empty(_DRAW_GAP + 1)
 
     def _seek(self, pos: int) -> None:
         if pos < self.at:
@@ -493,18 +496,12 @@ class _BlockRows:
             self.at = last * self.w
 
     def read_at(self, i: int, cols) -> None:
-        """Draw row i's keys in the columns cols (increasing) alone.  A
-        gap of more than _DRAW_GAP entries before one is advance()d
-        over, a shorter one drawn through."""
-        row, base = self.keys[i], int(i) * self.w
-        for j in cols.tolist():
-            gap = base + j - self.at
-            if not 0 <= gap <= _DRAW_GAP:
-                self._seek(base + j)
-                gap = 0
-            self.rng.random(out=self.gap[:gap + 1])
-            row[j] = self.gap[gap]
-            self.at = base + j + 1
+        """Draw row i's keys in the columns cols (increasing) alone,
+        through _draw_at."""
+        positions = (int(i) * self.w + cols).tolist()
+        if positions[0] < self.at:
+            self._seek(0)
+        self.keys[i, cols], self.at = _draw_at(self.rng, self.at, positions)
 
     def finish(self) -> None:
         self._seek(self.keys.size)
@@ -513,8 +510,8 @@ class _BlockRows:
 def _block_covered(keys, good, s: int, block: _BlockRows | None,
                    h: int) -> bool:
     """Whether every column of keys (an rssd block past its h defective
-    columns) has a 1 in a good row, as gen_rssd's argpartition selects
-    the s rows of each.
+    columns) has a 1 in a good row, as _rssd_support selects the s rows
+    of each.
 
     low is a column's least key over the good rows read so far, so it is
     a key of a good row: when fewer than s bad keys are <= low, the s
@@ -524,8 +521,8 @@ def _block_covered(keys, good, s: int, block: _BlockRows | None,
     _RSSD_FIRST_GOOD; later good rows are read one at a time while some
     column is left, and only the keys of the columns left while reading
     them alone (about _DRAW_GAP doubles' cost each) is cheaper than the
-    row.  A column left after the last good row goes through the
-    generator's own argpartition.
+    row.  A column left after the last good row goes through
+    _rssd_support.
     """
     rows, bad = np.flatnonzero(good), np.flatnonzero(~good)
     first = len(rows)
@@ -556,7 +553,7 @@ def _block_covered(keys, good, s: int, block: _BlockRows | None,
         left, low, bad_keys = left[keep], low[keep], bad_keys[:, keep]
         if not left.size:
             return True
-    sel = np.argpartition(keys[:, left], s - 1, axis=0)[:s]  # as gen_rssd
+    sel = _rssd_support(keys[:, left], s)
     return bool(good[sel].any(axis=0).all())
 
 

@@ -7,22 +7,13 @@ set {1, ..., d}; by column exchangeability of every model the choice of
 which d items are defective is irrelevant, and disjunctness coincides
 with exact recovery by the elimination decoder.
 
-A trial is computed by designs.trial_disjunct, which draws the same
-random numbers as the full matrix but reads only what decides the
-verdict: the defective entries of each row and the good rows (the
-negative tests, whose items elimination strikes).  On long rid rows it
-reads less still: it skips the rest of a row once a defective entry is
-1, and once few columns are left uncovered, it reads a good row's
-entries for those columns alone.  On wide rssd blocks it draws every
-row's defective entries first, then the rows that hold a defective and
-only as many good rows as it takes to show each column covered, and
-skips the rest.  reference_trial
-keeps the full-matrix path, generate + is_disjunct + decode_eliminate;
+A trial is computed by designs.trial_disjunct without the matrix: it
+reads the random stream in the full matrix's layout, and only what
+decides the verdict, so its verdict is the full matrix's; its docstring
+describes each model's kernel.  reference_trial keeps the full-matrix
+path, generate + is_disjunct + decode_eliminate, as the oracle:
 tests/test_sim.py checks trial by trial that the decoder agrees with
-disjunctness there and that the kernel agrees with both.  The oracle
-and the kernel read the stream through the same per-model readers in
-designs, so a change to a reader's layout would move both alike; the
-generate digests in tests/output_pins.json guard that layout.
+disjunctness there and that the kernel agrees with both.
 
 Determinism contract: trial t of a run draws from the substream
 (master_seed, t), and a probe of the search at matrix size m derives
@@ -329,7 +320,7 @@ def slope_fit(points, d: int) -> float:
         raise ParameterError("slope needs at least two points")
     xs = np.log([float(p.n) for p in points])
     ys = np.array([float(p.m_star) for p in points])
-    if np.unique(xs).size < 2:
+    if len(set(xs.tolist())) < 2:  # np.unique would import numpy.ma
         raise ParameterError("slope needs at least two distinct n")
     slope = np.polyfit(xs, ys, 1)[0]
     return float(slope) / d

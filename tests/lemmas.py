@@ -5,7 +5,8 @@ it lives beside the tests rather than in the package: the good-row count
 and its variance bound, the transversal failure lemma of the q-ary
 model, the Stirling step behind the entropy rates, the
 inclusion-exclusion sum that theory's surjection recurrence is checked
-against, and the exact success probability of an rssd design.
+against, and the exact success probabilities of rid, rssd and utdq
+designs.
 """
 
 import math
@@ -174,3 +175,46 @@ def rssd_success_probability(n: int, m: int, s: int, d: int) -> float:
         union = grown
     return math.fsum(pr * (1.0 - math.comb(u, s) / total) ** (n - d)
                      for u, pr in union.items())
+
+
+def rid_success_probability(n: int, m: int, p: float, d: int) -> float:
+    """Probability that an rid design (m x n entries, each 0 with
+    probability p) is disjunct for its first d columns.
+
+    A row is good, 0 on every defective column, with probability p^d, so
+    the good-row count g is Binomial(m, p^d).  Every other column is
+    covered unless it is 0 in all g good rows, independently, so
+
+        P = sum over g of Pr(g) * (1 - p^g) ** (n - d).
+    """
+    good = p ** d
+    return math.fsum(math.comb(m, g) * good ** g * (1.0 - good) ** (m - g)
+                     * (1.0 - p ** g) ** (n - d) for g in range(m + 1))
+
+
+def utdq_success_probability(n: int, m_prime: int, q: int, d: int) -> float:
+    """Probability that a utdq design (m' q-ary rows of n i.i.d. uniform
+    entries in [1, q], expanded) is disjunct for its first d columns.
+
+    Each row shows k distinct symbols on the defective columns with
+    probability C(q, k) * surj(d, k) / q^d, independently of the other
+    rows.  Another column is left uncovered when each row's entry in it
+    is one of that row's k symbols, with probability prod k / q over the
+    rows.  A dynamic program over the rows, keyed by how many rows show
+    each k (integers, so no two states merge by rounding), gives
+
+        P = sum over counts c of Pr(c) * (1 - prod_k (k/q)^c_k) ** (n - d).
+    """
+    top = min(q, d)
+    shown = [math.comb(q, k) * surjections_by_inclusion_exclusion(d, k)
+             / q ** d for k in range(1, top + 1)]
+    counts = {(0,) * top: 1.0}
+    for _ in range(m_prime):
+        grown = defaultdict(float)
+        for c, pr in counts.items():
+            for k, pk in enumerate(shown):
+                grown[c[:k] + (c[k] + 1,) + c[k + 1:]] += pr * pk
+        counts = grown
+    return math.fsum(
+        pr * (1.0 - math.prod(((k + 1) / q) ** ck for k, ck in enumerate(c)))
+        ** (n - d) for c, pr in counts.items())

@@ -2,6 +2,9 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from gtpool.designs import (
     optimal_param,
     spec_at,
     trial_disjunct,
+    upper_bound_m,
 )
 from gtpool.errors import InfeasibleError, ParameterError
 from gtpool.matrices import BitMatrix
@@ -31,8 +35,10 @@ from gtpool.sim import (
 )
 
 from lemmas import (
+    rid_success_probability,
     rssd_success_probability,
     transversal_prob_check,
+    utdq_success_probability,
     variance_probe,
 )
 
@@ -273,8 +279,9 @@ def _rssd_ends(spec, d, rng, first) -> set:
     if s in (0, m):
         return set()
     good, ends = np.ones(m, dtype=bool), set()
-    for start, keys in designs._column_blocks(rng, m, spec.n):
-        h = min(max(d - start, 0), keys.shape[1])
+    for start, w in designs._column_blocks(m, spec.n):
+        keys = rng.random((m, w))
+        h = min(max(d - start, 0), w)
         if h:
             good[np.argpartition(keys[:, :h], s - 1, axis=0)[:s]] = False
         rest, rows = keys[:, h:], np.flatnonzero(good)
@@ -363,8 +370,7 @@ class TestRssdRowRead:
     def test_matches_over_two_blocks(self, first):
         # at the real block size, 133 rows make blocks of 30,075 columns
         spec = _rssd_bench_spec(133, n=4 * 10 ** 4)
-        width = designs._block_width(133)
-        assert width < spec.n < 2 * width
+        assert len(list(designs._column_blocks(133, spec.n))) == 2
         for t in range(4):
             disjunct, _ = reference_trial(spec, 3, substream(spec.n, t))
             assert trial_disjunct(spec, 3, substream(spec.n, t)) == disjunct
@@ -438,6 +444,36 @@ def _binomial_two_sided(k, trials, p) -> float:
                               if (x := ln_pmf(i)) <= at))
 
 
+def _check_run_trials(points, seed):
+    """run_trials at each (model, n, d, m) point, 1,000 trials at a
+    fixed seed, against the exact success probability, by a two-sided
+    binomial test at a family-wise level of 10^-6: a kernel that draws
+    from the model fails it about once in a million seeds."""
+    for model, n, d, m in points:
+        spec = spec_at(model, n, d, m)
+        exact = EXACT[model](spec, d)
+        assert 0.3 < exact < 0.9
+        rep = run_trials(spec, d, 1000, seed)
+        p_value = _binomial_two_sided(rep.disjunct_successes, 1000, exact)
+        assert p_value > 1e-6 / len(points), (spec, d, rep.frequency, exact)
+
+
+def _rid_exact(spec, d):
+    return rid_success_probability(spec.n, spec.m, spec.param, d)
+
+
+def _utdq_exact(spec, d):
+    q = int(spec.param)
+    return utdq_success_probability(spec.n, spec.m // q, q, d)
+
+
+def _rssd_exact(spec, d):
+    return rssd_success_probability(spec.n, spec.m, int(spec.param), d)
+
+
+EXACT = {"rid": _rid_exact, "rssd": _rssd_exact, "utdq": _utdq_exact}
+
+
 class TestRssdSuccessProbability:
     """lemmas.rssd_success_probability, the exact chance that an rssd
     design is disjunct, against enumeration and the Monte Carlo."""
@@ -450,19 +486,97 @@ class TestRssdSuccessProbability:
             _rssd_by_enumeration(n, m, s, d), abs=1e-12)
 
     def test_matches_run_trials_on_the_row_read(self, monkeypatch):
-        # three points with P in 0.64-0.78, 1,000 trials each at a fixed
-        # seed; at a family-wise level of 10^-6, a kernel that draws
-        # from the model fails this about once in a million seeds
+        # three points with P in 0.64-0.78
         monkeypatch.setattr(designs, "_RSSD_SKIP_MIN_WIDTH", 0)
-        points = [(1000, 2, 31), (1000, 3, 47), (2000, 2, 36)]
-        for n, d, m in points:
-            spec = spec_at("rssd", n, d, m)
-            exact = rssd_success_probability(n, m, int(spec.param), d)
-            assert 0.3 < exact < 0.9
-            rep = run_trials(spec, d, 1000, 2027)
-            p_value = _binomial_two_sided(rep.disjunct_successes, 1000, exact)
-            assert p_value > 1e-6 / len(points), (n, d, m, rep.frequency,
-                                                  exact)
+        _check_run_trials([("rssd", 1000, 2, 31), ("rssd", 1000, 3, 47),
+                           ("rssd", 2000, 2, 36)], 2027)
+
+
+def _rid_by_enumeration(n, m, p, d) -> float:
+    """The probability mass of the rid matrices that are disjunct for
+    their first d columns, summed one matrix at a time."""
+    rows = [(row, math.prod(p if x == 0 else 1.0 - p for x in row))
+            for row in itertools.product((0, 1), repeat=n)]
+    disjunct = 0.0
+    for picks in itertools.product(rows, repeat=m):
+        good = [row for row, _ in picks if not any(row[:d])]
+        if all(any(row[j] for row in good) for j in range(d, n)):
+            disjunct += math.prod(w for _, w in picks)
+    return disjunct
+
+
+def _utdq_by_enumeration(n, m_prime, q, d) -> float:
+    """The share of all q-ary utdq matrices whose expansion is disjunct
+    for its first d columns, counted one matrix at a time: column j is
+    covered by a row whose entry there is none of its defective ones."""
+    rows = list(itertools.product(range(q), repeat=n))
+    disjunct = 0
+    for picks in itertools.product(rows, repeat=m_prime):
+        disjunct += all(any(row[j] not in row[:d] for row in picks)
+                        for j in range(d, n))
+    return disjunct / len(rows) ** m_prime
+
+
+class TestRidSuccessProbability:
+    """lemmas.rid_success_probability against enumeration and the
+    Monte Carlo."""
+
+    @pytest.mark.parametrize("n, m, p, d", [
+        (3, 3, 0.5, 1), (4, 3, 0.3, 2), (3, 4, 0.7, 1), (4, 2, 0.6, 3),
+        (4, 3, 0.8, 1), (3, 0, 0.5, 1), (3, 2, 0.4, 3)])
+    def test_matches_enumeration(self, n, m, p, d):
+        assert rid_success_probability(n, m, p, d) == pytest.approx(
+            _rid_by_enumeration(n, m, p, d), abs=1e-12)
+
+    def test_matches_run_trials(self):
+        # both points read rows head first (n = _RID_SKIP_MIN_N)
+        _check_run_trials([("rid", 1000, 2, 44), ("rid", 1000, 3, 64)],
+                          2028)
+
+
+class TestUtdqSuccessProbability:
+    """lemmas.utdq_success_probability against enumeration and the
+    Monte Carlo."""
+
+    @pytest.mark.parametrize("n, m_prime, q, d", [
+        (3, 2, 2, 1), (4, 3, 2, 2), (3, 2, 3, 1), (4, 2, 3, 2),
+        (4, 1, 3, 3), (3, 0, 2, 1), (4, 2, 2, 3)])
+    def test_matches_enumeration(self, n, m_prime, q, d):
+        assert utdq_success_probability(n, m_prime, q, d) == pytest.approx(
+            _utdq_by_enumeration(n, m_prime, q, d), abs=1e-12)
+
+    def test_matches_run_trials(self):
+        _check_run_trials([("utdq", 1000, 2, 36), ("utdq", 1000, 3, 55)],
+                          2028)
+
+
+@pytest.mark.parametrize("n, d, delta", [(1000, 2, 0.1), (10 ** 4, 3, 0.05)])
+@pytest.mark.parametrize("model", ["rid", "rssd", "utdq"])
+def test_upper_bound_m_meets_its_delta(model, n, d, delta):
+    # the exact success probability at the sized m and rate-optimal
+    # parameter, where criterion 05 checks the claim by Monte Carlo
+    spec = spec_at(model, n, d, upper_bound_m(model, n, d, delta).m)
+    exact = EXACT[model](spec, d)
+    assert exact >= 1.0 - delta, (spec, exact)
+
+
+def test_draw_at_reads_the_stream_by_position():
+    # from mid-row, gaps on both sides of _DRAW_GAP and past it, each
+    # long gap next to a short one
+    gaps = [0, 1, designs._DRAW_GAP, designs._DRAW_GAP + 1, 10 ** 4]
+    start = at = 37
+    positions = []
+    for gap in gaps + gaps[::-1]:
+        positions.append(at + gap)
+        at += gap + 1
+    rng = substream(28, 0)
+    rng.bit_generator.advance(start)
+    values, end = designs._draw_at(rng, start, positions)
+    assert end == positions[-1] + 1
+    assert values == substream(28, 0).random(end)[positions].tolist()
+    fresh = substream(28, 0)
+    fresh.bit_generator.advance(end)
+    assert rng.bit_generator.state == fresh.bit_generator.state
 
 
 # rid at n = 10^4: the sized m at d = 2 and 3, and two thirds of the
@@ -629,6 +743,33 @@ class TestSweep:
     def test_slope_needs_two_points(self):
         with pytest.raises(ParameterError):
             slope_fit([SweepPoint(100, 10, 0.9, 50)], 1)
+
+    def test_slope_needs_two_distinct_logs(self):
+        # 2^60 and 2^60 + 1 are distinct n with one float value and log
+        for ns in ((100, 100), (2 ** 60, 2 ** 60 + 1)):
+            with pytest.raises(ParameterError, match="distinct n"):
+                slope_fit([SweepPoint(n, 10, 0.9, 50) for n in ns], 1)
+
+    def test_slope_fit_loads_no_numpy_ma(self):
+        # np.unique imports numpy.ma on its first call, about 18 ms of
+        # every sweep; numpy 1.x imports it with numpy itself
+        code = ("import sys, numpy\n"
+                "before = 'numpy.ma' in sys.modules\n"
+                "from gtpool.sim import SweepPoint, slope_fit\n"
+                "slope_fit([SweepPoint(n, n // 10, 0.9, 50)"
+                " for n in (100, 1000)], 1)\n"
+                "print(before, 'numpy.ma' in sys.modules)")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        if before == "True":
+            pytest.skip("this numpy imports numpy.ma with numpy")
+        assert after == "False"
 
 
 @pytest.mark.parametrize("search", [
