@@ -302,9 +302,7 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     kernel reads the random stream in its generator's layout and selects
     through the generator's support function, so the verdict is the full
     path's for every seed.  Where a kernel skips part of the stream, it
-    reads the entries it needs by position with _draw_at: it advance()s
-    over a gap of more than _DRAW_GAP entries and draws through a
-    shorter one.
+    reads the entries it needs by position with _draw_at.
 
       rid   _row_chunks: entry (i, j) is the double at stream position
             i*n + j.  Rows shorter than _RID_SKIP_MIN_N are read in
