@@ -667,12 +667,21 @@ _LN2 = math.log(2.0)
 _LN_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _utdq_alphabet(n: int, d: int, q) -> int:
-    """q, or utdq_q_star(d)'s when None, checked as a design's alphabet."""
-    if q is None:
-        q = theory.utdq_q_star(d)[0]
-    DesignSpec("utdq", n, 0, q)
-    return int(q)
+def _sized(bound: str, displays: dict, model: str, n: int, d: int,
+           delta: float | None, q) -> SizingResult:
+    """Check the arguments, resolve utdq's alphabet q (the rate-optimal one
+    when None) and evaluate displays[model](result, n, d, delta, q)."""
+    _check_model(model)
+    _check_args(d, n, delta=delta)
+    result = partial(SizingResult, model=model, bound=bound, n=n, d=d,
+                     delta=delta)
+    if model == "utdq":
+        q = int(spec_at("utdq", n, d, 0, q).param)
+        result = partial(result, q=q)
+    try:
+        return displays[model](result, n, d, delta, q)
+    except ArithmeticError:
+        return result(reason=_BEYOND_FLOAT)
 
 
 def upper_bound_m(model: str, n: int, d: int, delta: float,
@@ -683,25 +692,11 @@ def upper_bound_m(model: str, n: int, d: int, delta: float,
     display is the simple transversal bound, the exact one (with its
     q^(d+1)-scale correction) sits behind exact_utdq=True.
     """
-    _check_model(model)
-    _check_args(d, n, delta=delta)
-    result = partial(SizingResult, model=model, bound="upper", n=n, d=d,
-                     delta=delta)
-    if model == "utdq":
-        q = _utdq_alphabet(n, d, q)
-        result = partial(result, q=q)
-    try:
-        if model == "rssd":
-            return _rssd_upper(result, n, d, delta)
-        if model == "utdq":
-            display = _utdq_upper_exact if exact_utdq else _utdq_upper
-            return display(result, n, d, delta, q)
-        return _row_upper(result, n, d, delta)
-    except ArithmeticError:
-        return result(reason=_BEYOND_FLOAT)
+    return _sized("upper", _EXACT_UPPER if exact_utdq else _UPPER, model,
+                  n, d, delta, q)
 
 
-def _row_upper(result, n: int, d: int, delta: float) -> SizingResult:
+def _row_upper(result, n: int, d: int, delta: float, q) -> SizingResult:
     ln_2_delta = _LN2 - math.log(delta)
     b = math.sqrt(2.0 * _E * ln_2_delta)
     t = _quadratic_root_plus(-b, _E * d * (ln_2_delta + math.log(n)))
@@ -709,7 +704,7 @@ def _row_upper(result, n: int, d: int, delta: float) -> SizingResult:
     return result(m=math.ceil(m_real), m_real=m_real, lam=b / t)
 
 
-def _rssd_upper(result, n: int, d: int, delta: float) -> SizingResult:
+def _rssd_upper(result, n: int, d: int, delta: float, q) -> SizingResult:
     if d < 2:
         return result(reason="column-weight sizing display is singular at d=1")
     alpha, fmax = theory.rssd_alpha_star(d)
@@ -766,6 +761,11 @@ def _utdq_upper_exact(result, n: int, d: int, delta: float,
     return result(m=m, m_real=t * t, lam=root_scale / t, m_prime=m // q)
 
 
+_UPPER = {"rid": _row_upper, "rrsd": _row_upper, "rssd": _rssd_upper,
+          "utdq": _utdq_upper}
+_EXACT_UPPER = {**_UPPER, "utdq": _utdq_upper_exact}
+
+
 # Fixed slack used when evaluating the rssd lower display (the bound
 # holds for any slack below 1/10; the value used is recorded as lam).
 _RSSD_LOWER_SLACK = 0.05
@@ -781,37 +781,28 @@ def lower_bound_m(model: str, n: int, d: int,
     (notably rrsd's d < sqrt(n)/ln^3 n), and that is reported as an
     infeasible result rather than a number.
     """
-    _check_model(model)
-    _check_args(d, n)
-    result = partial(SizingResult, model=model, bound="lower", n=n, d=d,
-                     delta=None)
-    if model == "utdq":
-        q = _utdq_alphabet(n, d, q)
-        result = partial(result, q=q)
-    try:
-        if model == "rssd":
-            return _rssd_lower(result, n, d)
-        if model == "utdq":
-            return _utdq_lower(result, n, d, q)
-        return _row_lower(result, model, n, d)
-    except ArithmeticError:
-        return result(reason=_BEYOND_FLOAT)
+    return _sized("lower", _LOWER, model, n, d, None, q)
 
 
-def _row_lower(result, model: str, n: int, d: int) -> SizingResult:
-    ln_n = math.log(n)
-    if model == "rrsd":
-        ln_threshold = 0.5 * ln_n - 3.0 * math.log(ln_n)
-        if math.log(d) >= ln_threshold:
-            return result(
-                reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
-                       f"threshold {math.exp(ln_threshold):.4g})")
-        ln_n -= 1.0  # the rrsd display has ln(n / e)
+def _row_lower(result, n: int, d: int, delta, q,
+               ln_n: float | None = None) -> SizingResult:
+    ln_n = math.log(n) if ln_n is None else ln_n
     t = _quadratic_root_plus(_RRSD_LOWER_B, _E * d * ln_n)
     return result(m=math.ceil(t * t), m_real=t * t)
 
 
-def _rssd_lower(result, n: int, d: int) -> SizingResult:
+def _rrsd_lower(result, n: int, d: int, delta, q) -> SizingResult:
+    ln_n = math.log(n)
+    ln_threshold = 0.5 * ln_n - 3.0 * math.log(ln_n)
+    if math.log(d) >= ln_threshold:
+        return result(
+            reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
+                   f"threshold {math.exp(ln_threshold):.4g})")
+    # the rrsd display has ln(n / e)
+    return _row_lower(result, n, d, delta, q, ln_n - 1.0)
+
+
+def _rssd_lower(result, n: int, d: int, delta, q) -> SizingResult:
     lam = _RSSD_LOWER_SLACK
     alpha, _ = theory.rssd_alpha_star(d)
     # 1 - (1 + lam) (1 - alpha)^d, with alpha near ln2/d
@@ -828,7 +819,7 @@ def _rssd_lower(result, n: int, d: int) -> SizingResult:
     return result(m=math.ceil(m_real), m_real=m_real)
 
 
-def _utdq_lower(result, n: int, d: int, q: int) -> SizingResult:
+def _utdq_lower(result, n: int, d: int, delta, q: int) -> SizingResult:
     ln_q = math.log(q)
     m0 = q * (math.log(8.0) + math.log(n - d)) / -theory._ln_p_any(q, d)
     # the correction sqrt(3 q^(d+1) ln(16 q^d)), and lam = c_corr / t,
@@ -843,3 +834,7 @@ def _utdq_lower(result, n: int, d: int, q: int) -> SizingResult:
     return result(m=math.ceil(t * t), m_real=t * t, lam=lam,
                   reason=None if lam <= 1.0 else
                   f"correction factor {lam:.4g} > 1 at this scale")
+
+
+_LOWER = {"rid": _row_lower, "rrsd": _rrsd_lower, "rssd": _rssd_lower,
+          "utdq": _utdq_lower}
