@@ -5,8 +5,7 @@ it lives beside the tests rather than in the package: the good-row count
 and its variance bound, the transversal failure lemma of the q-ary
 model, the Stirling step behind the entropy rates, the
 inclusion-exclusion sum that theory's surjection recurrence is checked
-against, and the exact success probabilities of rid, rssd and utdq
-designs.
+against, and the exact success probability of each model's designs.
 """
 
 import math
@@ -175,6 +174,51 @@ def rssd_success_probability(n: int, m: int, s: int, d: int) -> float:
         union = grown
     return math.fsum(pr * (1.0 - math.comb(u, s) / total) ** (n - d)
                      for u, pr in union.items())
+
+
+def rrsd_success_probability(n: int, m: int, r: int, d: int) -> float:
+    """Probability that an rrsd design (m i.i.d. uniform weight-r rows of
+    n entries) is disjunct for its first d < n columns.
+
+    A row is good, 0 on every defective column, with probability
+    C(N, r) / C(n, r), N = n - d, so the good-row count g is Binomial(m,
+    that), and a good row's support is a uniform r-subset of the N other
+    columns.  A chain over the count c of those that the good rows cover
+    so far gives Cover_g, the chance that g good rows cover all N: each
+    new one covers j more with hypergeometric probability
+    C(N - c, j) C(c, r - j) / C(N, r).  Then
+
+        P = sum over g of Pr(g) * Cover_g.
+
+    Inclusion-exclusion over the uncovered columns also gives Cover_g,
+    but cancels catastrophically at small g.
+    """
+    big = n - d
+    if r > big:
+        return 0.0  # no row is good
+    good = math.comb(big, r) / math.comb(n, r)
+    ln_fact = np.array([math.lgamma(k + 1.0) for k in range(big + 1)])
+
+    def ln_comb(a, b):
+        return ln_fact[a] - ln_fact[b] - ln_fact[a - b]
+
+    # step[c, c + j]: the chance that a good row takes the covered count
+    # from c to c + j
+    c, j = np.arange(big + 1)[:, None], np.arange(r + 1)[None, :]
+    c, j = np.broadcast_arrays(c, j)
+    ok = (j <= big - c) & (r - j <= c)
+    c, j = c[ok], j[ok]
+    step = np.zeros((big + 1, big + 1))
+    step[c, c + j] = np.exp(ln_comb(big - c, j) + ln_comb(c, r - j)
+                            - ln_comb(big, r))
+    covered = np.zeros(big + 1)
+    covered[0] = 1.0
+    cover = [covered[big]]
+    for _ in range(m):
+        covered = covered @ step
+        cover.append(covered[big])
+    return math.fsum(math.comb(m, g) * good ** g * (1.0 - good) ** (m - g)
+                     * cover[g] for g in range(m + 1))
 
 
 def rid_success_probability(n: int, m: int, p: float, d: int) -> float:

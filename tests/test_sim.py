@@ -36,6 +36,7 @@ from gtpool.sim import (
 
 from lemmas import (
     rid_success_probability,
+    rrsd_success_probability,
     rssd_success_probability,
     transversal_prob_check,
     utdq_success_probability,
@@ -169,6 +170,8 @@ class Coarse(np.random.Generator):
 
     def random(self, size=None, out=None):
         keys = super().random(size, out=out)
+        if isinstance(keys, float):  # a scalar draw
+            return math.floor(keys * self.levels) / self.levels
         keys[...] = np.floor(keys * self.levels) / self.levels
         return keys
 
@@ -201,14 +204,19 @@ def _check_kernel_cases(model):
 
 def _check_tied_keys(model):
     # keys on a grid of four values tie at the selection boundary in
-    # most rows and columns; the last 100 cases have m >= 256 rows
+    # most rows and columns, and rid's p is on that grid, so a key equals
+    # p in about a quarter of the entries; the last 100 cases have
+    # m >= 256 rows
     rs = np.random.default_rng(7)
     outcomes = set()
     for c in range(500):
         n = int(rs.integers(2, 30))
         d = int(rs.integers(1, min(3, n) + 1))
         m = int(rs.integers(0, 30) if c < 400 else rs.integers(256, 700))
-        param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
+        if model == "rid":
+            param = (0.25, 0.5, 0.75)[int(rs.integers(0, 3))]
+        else:
+            param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
         spec = DesignSpec(model, n, m, param)
         disjunct, decoded = reference_trial(spec, d, Coarse(c))
         assert disjunct == decoded
@@ -241,7 +249,7 @@ class TestTrialKernel:
         assert outcomes == {True, False}
 
     @pytest.mark.parametrize("block_entries", [None, 5])
-    @pytest.mark.parametrize("model", ["rrsd", "rssd"])
+    @pytest.mark.parametrize("model", ["rid", "rrsd", "rssd"])
     def test_matches_on_tied_keys(self, monkeypatch, model, block_entries):
         _small_blocks(monkeypatch, block_entries)
         _check_tied_keys(model)
@@ -471,7 +479,12 @@ def _rssd_exact(spec, d):
     return rssd_success_probability(spec.n, spec.m, int(spec.param), d)
 
 
-EXACT = {"rid": _rid_exact, "rssd": _rssd_exact, "utdq": _utdq_exact}
+def _rrsd_exact(spec, d):
+    return rrsd_success_probability(spec.n, spec.m, int(spec.param), d)
+
+
+EXACT = {"rid": _rid_exact, "rrsd": _rrsd_exact, "rssd": _rssd_exact,
+         "utdq": _utdq_exact}
 
 
 class TestRssdSuccessProbability:
@@ -534,6 +547,34 @@ class TestRidSuccessProbability:
                           2028)
 
 
+def _rrsd_by_enumeration(n, m, r, d) -> float:
+    """The share of all rrsd matrices (m rows, each one of the C(n, r)
+    weight-r rows) that are disjunct for their first d columns, counted
+    one matrix at a time."""
+    rows = list(itertools.combinations(range(n), r))
+    disjunct = 0
+    for picks in itertools.product(rows, repeat=m):
+        good = set().union(*(row for row in picks if min(row, default=n) >= d))
+        disjunct += len(good) == n - d
+    return disjunct / len(rows) ** m
+
+
+class TestRrsdSuccessProbability:
+    """lemmas.rrsd_success_probability against enumeration and the
+    Monte Carlo."""
+
+    @pytest.mark.parametrize("n, m, r, d", [
+        (3, 2, 1, 1), (4, 3, 2, 1), (4, 3, 1, 2), (5, 3, 2, 2), (5, 4, 2, 1),
+        (6, 3, 3, 2), (4, 2, 0, 1), (4, 2, 4, 1), (4, 2, 3, 2), (3, 0, 1, 1)])
+    def test_matches_enumeration(self, n, m, r, d):
+        assert rrsd_success_probability(n, m, r, d) == pytest.approx(
+            _rrsd_by_enumeration(n, m, r, d), abs=1e-12)
+
+    def test_matches_run_trials(self):
+        _check_run_trials([("rrsd", 1000, 2, 43), ("rrsd", 1000, 3, 60)],
+                          2029)
+
+
 class TestUtdqSuccessProbability:
     """lemmas.utdq_success_probability against enumeration and the
     Monte Carlo."""
@@ -550,11 +591,14 @@ class TestUtdqSuccessProbability:
                           2028)
 
 
-@pytest.mark.parametrize("n, d, delta", [(1000, 2, 0.1), (10 ** 4, 3, 0.05)])
-@pytest.mark.parametrize("model", ["rid", "rssd", "utdq"])
+@pytest.mark.parametrize("model, n, d, delta", [
+    (model, n, d, delta) for model in ("rid", "rssd", "utdq")
+    for n, d, delta in ((1000, 2, 0.1), (10 ** 4, 3, 0.05))
+] + [("rrsd", 1000, 2, 0.1)])
 def test_upper_bound_m_meets_its_delta(model, n, d, delta):
     # the exact success probability at the sized m and rate-optimal
-    # parameter, where criterion 05 checks the claim by Monte Carlo
+    # parameter, where criterion 05 checks the claim by Monte Carlo; rrsd
+    # only at n = 10^3, since its chain is over n states per good row
     spec = spec_at(model, n, d, upper_bound_m(model, n, d, delta).m)
     exact = EXACT[model](spec, d)
     assert exact >= 1.0 - delta, (spec, exact)
@@ -649,6 +693,19 @@ class TestRidSparsePhase:
                 spec, d, path)
             failed += 1
         assert failed > 100
+
+    @pytest.mark.parametrize("draw_gap", [None, 0],
+                             ids=["default-gap", "no-gap"])
+    def test_matches_on_tied_keys(self, monkeypatch, draw_gap):
+        # every row head first and, from the first good row on, only the
+        # uncovered columns' entries, so each test of a key against p
+        # (head, whole row, left columns) meets keys equal to p; with no
+        # gap, _draw_at advance()s to every entry it reads
+        monkeypatch.setattr(designs, "_RID_SKIP_MIN_N", 0)
+        monkeypatch.setattr(designs, "_RID_SPARSE_RATIO", 1)
+        if draw_gap is not None:
+            monkeypatch.setattr(designs, "_DRAW_GAP", draw_gap)
+        _check_tied_keys("rid")
 
     def test_last_column_case(self):
         spec, d, path = RID_LAST_COLUMN
