@@ -640,15 +640,13 @@ class SizingResult:
 
 
 def _quadratic_root_plus(b: float, c: float) -> float:
-    """Positive root t of t^2 + b t - c = 0 (returns 0 when c <= 0).
+    """Positive root t of t^2 + b t - c = 0, for c > 0.
 
     t = sqrt(c) u, with u the positive root of u^2 + beta u - 1 = 0 and
     beta = b / sqrt(c): b^2 and 4c are never formed, and c = inf gives
     inf.  For beta > 0, u = 2 / (beta + sqrt(beta^2 + 4)), which does not
     cancel where b^2 dwarfs c.
     """
-    if c <= 0.0:
-        return 0.0
     s = math.sqrt(c)
     beta = b / s
     h = math.hypot(beta, 2.0)
@@ -798,7 +796,8 @@ def _rrsd_lower(result, n: int, d: int, delta, q) -> SizingResult:
         return result(
             reason=f"precondition d < sqrt(n)/ln^3(n) fails (d={d}, "
                    f"threshold {math.exp(ln_threshold):.4g})")
-    # the rrsd display has ln(n / e)
+    if ln_n <= 1.0:  # the rrsd display has ln(n / e)
+        return result(reason=f"display's ln(n/e) is not positive at n={n}")
     return _row_lower(result, n, d, delta, q, ln_n - 1.0)
 
 

@@ -345,6 +345,22 @@ class TestLowerSizing:
         assert not res.feasible
         assert "precondition" in res.reason
 
+    def test_rrsd_refuses_where_ln_n_over_e_is_not_positive(self):
+        # the display's ln(n/e) is negative at n = 2, so its quadratic has
+        # no positive root
+        res = lower_bound_m("rrsd", 2, 1)
+        assert not res.feasible and (res.m, res.m_real) == (0, 0.0), res
+        assert res.reason == "display's ln(n/e) is not positive at n=2"
+        res = lower_bound_m("rrsd", 3, 1)
+        assert res.feasible and res.m >= res.m_real > 0, res
+
+    @pytest.mark.parametrize("model", designs.MODELS)
+    def test_feasible_records_have_a_root_at_small_n(self, model):
+        for n in range(2, 40):
+            for d in range(1, min(n, 9)):
+                res = lower_bound_m(model, n, d)
+                assert res.m >= res.m_real > 0 or not res.feasible, res
+
     def test_rssd_frozen(self):
         res = lower_bound_m("rssd", 10**6, 3)
         assert res.m == 80
