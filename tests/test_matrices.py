@@ -44,7 +44,7 @@ PARSE_ERRORS = [
     ("1 3 3\n1 99999999999999999999 x\n", 2),  # beyond int64, then junk
     ("2 3\n101\n1_1\n", 3),        # int(s, 2) would accept it
     ("2 3\n101\n+01\n", 3),        # int(s, 2) would accept it
-    ("2 3\n101\n", 3),              # missing row
+    ("2 3\n101\n", 3),              # row 2 is empty
 ]
 
 
@@ -239,6 +239,14 @@ class TestFileIO:
             read_matrix(path)
         assert err.value.line == line
         assert str(path) in str(err.value)
+
+    def test_missing_row(self, tmp_path):
+        # with no newline after row 1, no line is left for row 2
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"2 3\n101")
+        with pytest.raises(MatrixParseError, match="missing row") as err:
+            read_matrix(path)
+        assert err.value.line == 3
 
 
 def _read_record(read, path):
