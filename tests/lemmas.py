@@ -204,8 +204,7 @@ def rrsd_success_probability(n: int, m: int, r: int, d: int) -> float:
 
     # step[c, c + j]: the chance that a good row takes the covered count
     # from c to c + j
-    c, j = np.arange(big + 1)[:, None], np.arange(r + 1)[None, :]
-    c, j = np.broadcast_arrays(c, j)
+    c, j = np.indices((big + 1, r + 1))
     ok = (j <= big - c) & (r - j <= c)
     c, j = c[ok], j[ok]
     step = np.zeros((big + 1, big + 1))

@@ -598,7 +598,7 @@ class TestUtdqSuccessProbability:
 def test_upper_bound_m_meets_its_delta(model, n, d, delta):
     # the exact success probability at the sized m and rate-optimal
     # parameter, where criterion 05 checks the claim by Monte Carlo; rrsd
-    # only at n = 10^3, since its chain is over n states per good row
+    # only at n = 10^3, since its chain's step matrix has (n - d)^2 entries
     spec = spec_at(model, n, d, upper_bound_m(model, n, d, delta).m)
     exact = EXACT[model](spec, d)
     assert exact >= 1.0 - delta, (spec, exact)
