@@ -276,6 +276,16 @@ _RID_SPARSE_RATIO = 500
 # x1.00-1.02 at 3000, x0.93 at 4000 and x0.89-0.92 at 5000.
 _RSSD_SKIP_MIN_WIDTH = 4000
 
+# rrsd rows at least this long are read head first (_RowCursor): the
+# rows likely to be good are read whole before the others, one at a
+# time; shorter rows are read in chunks.  In CPU time per trial at sized
+# m (same host, 8 rounds of 40 trials, each run by both reads in turn),
+# head first takes x1.29 the time of the chunks at n = 1000 and d = 3,
+# x1.08 at 1500, x0.90 at 2000, x0.86 at 2500 (x0.77 at d = 2), x0.78
+# at 3000 and x0.52-0.65 at n = 10^4; at half the sized m, where half the
+# trials fail, x1.09 at n = 2000, x0.93 at 2500 and x0.99 at 3000.
+_RRSD_SKIP_MIN_N = 2500
+
 # The good rows of a block's first read by rows.  In CPU time per trial
 # at n = 10^4 and d = 3 (same host, 200 trials, each run in turn by this
 # read and by a kernel that draws the whole block), 12, 16, 20, 24 and
@@ -316,10 +326,18 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             row ends where the next starts, at a multiple of n.
       rrsd  _row_chunks; a row's support is its r smallest keys
             (_rrsd_support).  A row with at most r keys <= its least
-            defective key holds that defective (argpartition puts the r
-            smallest first), so it is skipped; every other row goes
-            through _rrsd_support, ties included, and is good when no
-            defective is in the support it gives.
+            defective key low holds that defective (argpartition puts
+            the r smallest first), so it is skipped; every other row
+            goes through _rrsd_support, ties included, and is good when
+            no defective is in the support it gives.  Rows shorter than
+            _RRSD_SKIP_MIN_N are read in chunks.  Of longer ones
+            (_RowCursor) each row's d head entries are drawn and the
+            rest of the row advance()d over; then the rows with
+            low * (n - d) >= r, likely good, are drawn whole one at a
+            time in stream order, and after them the others, until a
+            good row covers the last column.  Coverage does not depend
+            on the order of the rows, so the verdict is the same; a
+            trial that fails leaves the stream at row m's start.
       rssd  the spans of _column_blocks; a column's support is its s
             smallest keys (_rssd_support).  The defective columns'
             supports give the good rows G.  In each block, low is a
@@ -417,15 +435,37 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
         return False  # no row holds anything, or every row every item
     covered = np.zeros(n, dtype=bool)
     covered[:d] = True
-    for keys in _row_chunks(rng, m, n):
-        # a row with at most r keys <= its least defective key holds that
-        # defective; every other row goes through its support
-        low = keys[:, :d].min(axis=1, keepdims=True)
-        rows = keys[np.count_nonzero(keys <= low, axis=1) > r]
-        idx = _rrsd_support(rows, r)
-        covered[idx[~(idx < d).any(axis=1)]] = True  # the good rows' items
-        if covered.all():
-            return True
+    if n < _RRSD_SKIP_MIN_N:
+        for keys in _row_chunks(rng, m, n):
+            # a row with at most r keys <= its least defective key holds
+            # that defective; every other row goes through its support
+            low = keys[:, :d].min(axis=1, keepdims=True)
+            rows = keys[np.count_nonzero(keys <= low, axis=1) > r]
+            idx = _rrsd_support(rows, r)
+            covered[idx[~(idx < d).any(axis=1)]] = True  # good rows' items
+            if covered.all():
+                return True
+        return False
+    # about low * (n - d) of a row's other keys lie below its least
+    # defective key low, and the row is good once r of them do; the rows
+    # likely to be good are read first, as coverage does not depend on
+    # the order of the rows
+    rows = _RowCursor(rng, m, n)
+    low = rows.heads(d).min(axis=1)
+    likely = low * (n - d) >= r
+    keys = np.empty((1, n))
+    below = np.empty(n, dtype=bool)
+    for i in np.concatenate([np.flatnonzero(likely),
+                             np.flatnonzero(~likely)]).tolist():
+        rows.draw(i, keys)
+        np.less_equal(keys[0], low[i], out=below)  # the same filter
+        if np.count_nonzero(below) > r:
+            idx = _rrsd_support(keys, r)[0]
+            if idx.min() >= d:
+                covered[idx] = True
+                if covered.all():
+                    return True
+    rows.finish()
     return False
 
 
@@ -452,20 +492,19 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
     return True
 
 
-class _BlockRows:
-    """The m x w keys of one rssd column block of _column_blocks (row i
-    is the doubles at block positions i*w to i*w + w - 1), each drawn
+class _RowCursor:
+    """The m rows of w doubles that start at the stream's current position
+    (row i is the doubles at positions i*w to i*w + w - 1), each drawn
     only when asked for.
 
-    It keeps the stream state at the block's start: a position ahead is
+    It keeps the stream state at row 0's start: a position ahead is
     reached with advance(), one behind by restoring that state first.
-    finish() leaves the stream at the block's end.
+    finish() leaves the stream at row m's start.
     """
 
     def __init__(self, rng, m: int, w: int):
-        self.rng, self.bits, self.w = rng, rng.bit_generator, w
+        self.rng, self.bits, self.m, self.w = rng, rng.bit_generator, m, w
         self.start, self.at = self.bits.state, 0
-        self.keys = np.empty((m, w))
 
     def _seek(self, pos: int) -> None:
         if pos < self.at:
@@ -476,22 +515,41 @@ class _BlockRows:
         self.at = pos
 
     def heads(self, h: int):
-        """The first h keys of every row, each row's drawn alone."""
-        heads = np.empty((len(self.keys), h))
-        for i, head in enumerate(heads):
-            self._seek(i * self.w)
-            self.rng.random(out=head)
-            self.at += h
+        """The first h keys of every row, each row's drawn alone and the
+        rest of it advance()d over."""
+        self._seek(0)
+        draw, skip = self.rng.random, self.bits.advance
+        heads = np.empty((self.m, h))
+        for head in heads:
+            draw(out=head)
+            skip(self.w - h)
+        self.at = self.m * self.w
         return heads
+
+    def draw(self, i: int, out) -> None:
+        """Draw rows i, i + 1, ... into out, as many as it holds."""
+        self._seek(i * self.w)
+        self.rng.random(out=out)
+        self.at += out.size
+
+    def finish(self) -> None:
+        self._seek(self.m * self.w)
+
+
+class _BlockRows(_RowCursor):
+    """The m x w keys of one rssd column block of _column_blocks, read
+    by _RowCursor into the key store keys."""
+
+    def __init__(self, rng, m: int, w: int):
+        super().__init__(rng, m, w)
+        self.keys = np.empty((m, w))
 
     def read(self, rows) -> None:
         """Draw the given rows (increasing) into keys, each run of
         consecutive rows in one call."""
         for run in np.split(rows, np.flatnonzero(np.diff(rows) != 1) + 1):
             first, last = int(run[0]), int(run[-1]) + 1
-            self._seek(first * self.w)
-            self.rng.random(out=self.keys[first:last])
-            self.at = last * self.w
+            self.draw(first, self.keys[first:last])
 
     def read_at(self, i: int, cols) -> None:
         """Draw row i's keys in the columns cols (increasing) alone,
@@ -500,9 +558,6 @@ class _BlockRows:
         if positions[0] < self.at:
             self._seek(0)
         self.keys[i, cols], self.at = _draw_at(self.rng, self.at, positions)
-
-    def finish(self) -> None:
-        self._seek(self.keys.size)
 
 
 def _block_covered(keys, good, s: int, block: _BlockRows | None,
@@ -744,11 +799,12 @@ def _utdq_upper(result, n: int, d: int, delta: float, q: int) -> SizingResult:
 def _utdq_upper_exact(result, n: int, d: int, delta: float,
                       q: int) -> SizingResult:
     ln_q, ln_2_delta = math.log(q), _LN2 - math.log(delta)
-    m0 = q * (ln_2_delta + math.log(n)) / -theory._ln_p_any(q, d)
     # the display m - sqrt(scale * m) >= m0, with scale = 2 q^(d+1)
-    # ln(2 q^d / delta), is a quadratic in t = sqrt(m)
+    # ln(2 q^d / delta), is a quadratic in t = sqrt(m); the scale comes
+    # first, as its overflow refuses before _ln_p_any's exact sums
     root_scale = math.exp(0.5 * (_LN2 + (d + 1) * ln_q
                                  + math.log(ln_2_delta + d * ln_q)))
+    m0 = q * (ln_2_delta + math.log(n)) / -theory._ln_p_any(q, d)
     lam = root_scale / math.sqrt(m0)
     if lam >= 1.0:
         return result(m_prime=m0 / q, lam=lam, reason=(

@@ -228,6 +228,18 @@ class TestUpperSizing:
         assert not res.feasible
         assert res.lam == pytest.approx(11.761335601406074, abs=1e-6)
 
+    def test_utdq_exact_refuses_its_scale_before_the_sums(self,
+                                                          monkeypatch):
+        # q^(d+1) overflows: the refusal needs none of _ln_p_any's exact
+        # sums, which take seconds at this d
+        def spy(q, d):
+            raise AssertionError("_ln_p_any called")
+
+        monkeypatch.setattr(theory, "_ln_p_any", spy)
+        res = upper_bound_m("utdq", 10**6, 128000, 0.1, q=3,
+                            exact_utdq=True)
+        assert res.reason == designs._BEYOND_FLOAT
+
     def test_bad_arguments(self):
         with pytest.raises(ParameterError):
             upper_bound_m("rid", 10, 10, 0.1)
