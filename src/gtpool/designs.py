@@ -282,8 +282,9 @@ _RSSD_SKIP_MIN_WIDTH = 4000
 # m (same host, 8 rounds of 40 trials, each run by both reads in turn),
 # head first takes x1.29 the time of the chunks at n = 1000 and d = 3,
 # x1.08 at 1500, x0.90 at 2000, x0.86 at 2500 (x0.77 at d = 2), x0.78
-# at 3000 and x0.52-0.65 at n = 10^4; at half the sized m, where half the
-# trials fail, x1.09 at n = 2000, x0.93 at 2500 and x0.99 at 3000.
+# at 3000, x0.52-0.62 at n = 10^4 and x0.34 at 10^5; at half the sized
+# m, where half the trials fail, x1.09 at n = 2000, x0.93 at 2500 and
+# x0.99 at 3000.
 _RRSD_SKIP_MIN_N = 2500
 
 # The good rows of a block's first read by rows.  In CPU time per trial
@@ -458,7 +459,7 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
     for i in np.concatenate([np.flatnonzero(likely),
                              np.flatnonzero(~likely)]).tolist():
         rows.draw(i, keys)
-        np.less_equal(keys[0], low[i], out=below)  # the same filter
+        np.less_equal(keys[0], low[i], out=below)  # the filter, by row
         if np.count_nonzero(below) > r:
             idx = _rrsd_support(keys, r)[0]
             if idx.min() >= d:
