@@ -129,13 +129,14 @@ class DesignSpec:
 # skips part of the stream, it reads entries by position with _draw_at.
 # The generate digests in tests/output_pins.json guard the layouts.
 
-# Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and
-# their kernels read.  Output does not depend on it: row-wise draws give
-# the same numbers for any split.  A chunk that stays in cache makes the
-# passes over it faster than over a larger block: the rrsd kernel at
-# n = 10^4, d = 3 and sized m takes 4.6 ms per trial against 7.5 ms with
-# 4*10^6-entry blocks (2-core x86 host, 4 MiB L2; medians of 12 fresh
-# processes of 100 trials).
+# Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and the
+# rid kernel's short rows read.  Output does not depend on it: row-wise
+# draws give the same numbers for any split.  A chunk that stays in
+# cache makes the passes over it faster than over a larger block: an
+# rrsd kernel that read every row in chunks took 4.6 ms per trial at
+# n = 10^4, d = 3 and sized m against 7.5 ms with 4*10^6-entry blocks
+# (2-core x86 host, 4 MiB L2; medians of 12 fresh processes of 100
+# trials).
 _CHUNK_ENTRIES = 1 << 15
 
 # Entries per rssd column block of _column_blocks.  It fixes the rssd
@@ -276,17 +277,6 @@ _RID_SPARSE_RATIO = 500
 # x1.00-1.02 at 3000, x0.93 at 4000 and x0.89-0.92 at 5000.
 _RSSD_SKIP_MIN_WIDTH = 4000
 
-# rrsd rows at least this long are read head first (_RowCursor): the
-# rows likely to be good are read whole before the others, one at a
-# time; shorter rows are read in chunks.  In CPU time per trial at sized
-# m (same host, 8 rounds of 40 trials, each run by both reads in turn),
-# head first takes x1.29 the time of the chunks at n = 1000 and d = 3,
-# x1.08 at 1500, x0.90 at 2000, x0.86 at 2500 (x0.77 at d = 2), x0.78
-# at 3000, x0.52-0.62 at n = 10^4 and x0.34 at 10^5; at half the sized
-# m, where half the trials fail, x1.09 at n = 2000, x0.93 at 2500 and
-# x0.99 at 3000.
-_RRSD_SKIP_MIN_N = 2500
-
 # The good rows of a block's first read by rows.  In CPU time per trial
 # at n = 10^4 and d = 3 (same host, 200 trials, each run in turn by this
 # read and by a kernel that draws the whole block), 12, 16, 20, 24 and
@@ -330,10 +320,9 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             defective key low holds that defective (argpartition puts
             the r smallest first), so it is skipped; every other row
             goes through _rrsd_support, ties included, and is good when
-            no defective is in the support it gives.  Rows shorter than
-            _RRSD_SKIP_MIN_N are read in chunks.  Of longer ones
-            (_RowCursor) each row's d head entries are drawn and the
-            rest of the row advance()d over; then the rows with
+            no defective is in the support it gives.  The rows are read
+            head first (_RowCursor): each row's d head entries are drawn
+            and the rest of the row advance()d over; then the rows with
             low * (n - d) >= r, likely good, are drawn whole one at a
             time in stream order, and after them the others, until a
             good row covers the last column.  Coverage does not depend
@@ -436,17 +425,6 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
         return False  # no row holds anything, or every row every item
     covered = np.zeros(n, dtype=bool)
     covered[:d] = True
-    if n < _RRSD_SKIP_MIN_N:
-        for keys in _row_chunks(rng, m, n):
-            # a row with at most r keys <= its least defective key holds
-            # that defective; every other row goes through its support
-            low = keys[:, :d].min(axis=1, keepdims=True)
-            rows = keys[np.count_nonzero(keys <= low, axis=1) > r]
-            idx = _rrsd_support(rows, r)
-            covered[idx[~(idx < d).any(axis=1)]] = True  # good rows' items
-            if covered.all():
-                return True
-        return False
     # about low * (n - d) of a row's other keys lie below its least
     # defective key low, and the row is good once r of them do; the rows
     # likely to be good are read first, as coverage does not depend on

@@ -137,17 +137,11 @@ class TestRunTrials:
             run_trials(self.SPEC, 2, 0, 1)
 
 
-# the rid and rrsd row-length switches at their defaults, which some
-# tests patch
-SKIP_MIN_N = {"rid": designs._RID_SKIP_MIN_N,
-              "rrsd": designs._RRSD_SKIP_MIN_N}
-
-
 def _kernel_cases(model):
     """(spec, d) over small shapes, parameter edges and failing sizes."""
     ns = [2, 3, 4, 5, 7, 40, 250]
-    if model in SKIP_MIN_N:  # both sides of the row-length switch
-        ns += [SKIP_MIN_N[model] - 1, SKIP_MIN_N[model] + 37]
+    if model == "rid":  # both sides of the row-length switch
+        ns += [designs._RID_SKIP_MIN_N - 1, designs._RID_SKIP_MIN_N + 37]
     for n in ns:
         for d in range(1, min(3, n) + 1):
             for k in (0, 1, 2, 5, 12, 30, 60):
@@ -438,49 +432,27 @@ def _rrsd_bench_spec(m, n=10 ** 4):
     return DesignSpec("rrsd", n, m, optimal_param("rrsd", n, 3))
 
 
-class TestRrsdHeadFirst:
-    """The rrsd kernel's head-first read, which reads the rows likely to
-    be good before the others and stops once every column is covered,
-    at its default switch or forced on every row length (switch 0),
-    against the full-matrix path."""
-
-    @pytest.fixture(params=[None, 0], ids=["default", "every-n"])
-    def switch(self, request, monkeypatch):
-        if request.param is not None:
-            monkeypatch.setattr(designs, "_RRSD_SKIP_MIN_N", request.param)
-
-    def test_matches_full_matrix_path(self, monkeypatch):
-        monkeypatch.setattr(designs, "_RRSD_SKIP_MIN_N", 0)
-        _check_kernel_cases("rrsd")
-
-    def test_matches_on_tied_keys(self, monkeypatch):
-        # a key that ties with a row's least defective key counts in the
-        # filter, and argpartition alone picks among keys tied at the
-        # support's edge
-        monkeypatch.setattr(designs, "_RRSD_SKIP_MIN_N", 0)
-        _check_tied_keys("rrsd")
-
-    def test_failing_trial_ends_at_row_m(self, switch):
-        # the generator stands where the full matrix's m*n draws leave
-        # it, whichever row the head-first read took last (at r = 0 and
-        # r = n neither draws)
-        failed = 0
-        cases = [(spec, d, (c, t))
-                 for c, (spec, d) in enumerate(_kernel_cases("rrsd"))
-                 for t in range(3)]
-        cases += [(_rrsd_bench_spec(m), 3, (m, t))
-                  for m in BENCH_M["rrsd"] for t in range(12)]
-        for spec, d, path in cases:
-            rng = substream(*path)
-            if (d == spec.n or spec.param in (0, spec.n)
-                    or trial_disjunct(spec, d, rng)):
-                continue
-            fresh = substream(*path)
-            fresh.bit_generator.advance(spec.m * spec.n)
-            assert rng.bit_generator.state == fresh.bit_generator.state, (
-                spec, d, path)
-            failed += 1
-        assert failed > 100
+def test_rrsd_failing_trial_ends_at_row_m():
+    # the generator stands where the full matrix's m*n draws leave it,
+    # whichever row the head-first read took last (at r = 0 and r = n
+    # neither draws)
+    failed = 0
+    cases = [(spec, d, (c, t))
+             for c, (spec, d) in enumerate(_kernel_cases("rrsd"))
+             for t in range(3)]
+    cases += [(_rrsd_bench_spec(m), 3, (m, t))
+              for m in BENCH_M["rrsd"] for t in range(12)]
+    for spec, d, path in cases:
+        rng = substream(*path)
+        if (d == spec.n or spec.param in (0, spec.n)
+                or trial_disjunct(spec, d, rng)):
+            continue
+        fresh = substream(*path)
+        fresh.bit_generator.advance(spec.m * spec.n)
+        assert rng.bit_generator.state == fresh.bit_generator.state, (
+            spec, d, path)
+        failed += 1
+    assert failed > 100
 
 
 def test_rrsd_reads_at_most_a_quarter_of_the_keys():
@@ -641,10 +613,6 @@ class TestRrsdSuccessProbability:
     def test_matches_run_trials(self):
         _check_run_trials([("rrsd", 1000, 2, 43), ("rrsd", 1000, 3, 60)],
                           2029)
-
-    def test_matches_run_trials_head_first(self, monkeypatch):
-        monkeypatch.setattr(designs, "_RRSD_SKIP_MIN_N", 0)
-        self.test_matches_run_trials()
 
 
 class TestUtdqSuccessProbability:
