@@ -125,18 +125,20 @@ class DesignSpec:
 
 # The readers below fix where each entry sits in the random stream.  A
 # generator (and so the oracle sim.reference_trial) and its trial kernel
-# read through the same reader and support function; where a kernel
+# read through the same reader and support mask; where a kernel
 # skips part of the stream, it reads entries by position with _draw_at.
 # The generate digests in tests/output_pins.json guard the layouts.
 
-# Doubles per row chunk of _row_chunks, which gen_rid, gen_rrsd and the
-# rid kernel's short rows read.  Output does not depend on it: row-wise
-# draws give the same numbers for any split.  A chunk that stays in
-# cache makes the passes over it faster than over a larger block: an
-# rrsd kernel that read every row in chunks took 4.6 ms per trial at
-# n = 10^4, d = 3 and sized m against 7.5 ms with 4*10^6-entry blocks
-# (2-core x86 host, 4 MiB L2; medians of 12 fresh processes of 100
-# trials).
+# Entries per row chunk of _row_chunks, which gen_rid, gen_rrsd and the
+# rid kernel's short rows read, and of the utdq kernel's q-ary rows.
+# Output does not depend on it: row-wise draws give the same numbers for
+# any split.  CPU time per call at d = 3 (2-core x86 host, 4 MiB L2;
+# medians of 15 rounds, each running 2^12, 2^13, ..., 2^17 and 2^20 in
+# turn): gen_rid and gen_rrsd at n = 10^4, m = 149 take 8.3 and 15.0 ms
+# at 2^15, as at 2^16, and x1.16 and x1.27 that at 2^20; the rid
+# kernel's short rows at n = 300, m = 113 take 0.21 ms (0.18 at 2^14);
+# utdq trials at n = 10^4, m = 85 take 1.25 ms (1.17 at 2^16, 1.36 at
+# 2^20), and at n = 1000 every size takes 0.22-0.25 ms.
 _CHUNK_ENTRIES = 1 << 15
 
 # Entries per rssd column block of _column_blocks.  It fixes the rssd
@@ -171,14 +173,32 @@ def _column_blocks(m: int, n: int):
         yield start, min(width, n - start)
 
 
-def _rrsd_support(keys, r: int):
-    """Each row's support: the columns of its r smallest keys."""
-    return np.argpartition(keys, r - 1, axis=1)[:, :r]
+def _smallest_mask(keys, k: int, axis: int):
+    """The k smallest keys of each lane along axis of the 2-D keys, as a
+    bool mask: the keys <= the lane's k-th smallest.  A lane where more
+    than k keys are <= it ties at that key, and there the k positions
+    argpartition puts first are set, which fixes the layout."""
+    kth = np.partition(keys, k - 1, axis=axis).take([k - 1], axis=axis)
+    mask = keys <= kth
+    if np.count_nonzero(mask) == k * (keys.size // keys.shape[axis]):
+        return mask
+    lanes, lane_mask = np.moveaxis(keys, axis, 1), np.moveaxis(mask, axis, 1)
+    tied = np.flatnonzero(np.count_nonzero(lane_mask, axis=1) > k)
+    fix = np.zeros((len(tied), lanes.shape[1]), dtype=bool)
+    np.put_along_axis(
+        fix, np.argpartition(lanes[tied], k - 1, axis=1)[:, :k], True, axis=1)
+    lane_mask[tied] = fix
+    return mask
 
 
-def _rssd_support(keys, s: int):
-    """Each column's support: the rows of its s smallest keys."""
-    return np.argpartition(keys, s - 1, axis=0)[:s]
+def _rrsd_mask(keys, r: int):
+    """Each row's support: its r smallest keys."""
+    return _smallest_mask(keys, r, 1)
+
+
+def _rssd_mask(keys, s: int):
+    """Each column's support: its s smallest keys."""
+    return _smallest_mask(keys, s, 0)
 
 
 def _utdq_entries(rng, m_prime: int, n: int, q: int):
@@ -204,9 +224,7 @@ def gen_rrsd(n: int, m: int, r: int, seed) -> BitMatrix:
     rows = []
     for keys in _row_chunks(as_generator(seed), m, n):
         # the r smallest of n i.i.d. uniform keys form a uniform r-subset
-        dense = np.zeros(keys.shape, dtype=bool)
-        dense[np.arange(len(keys))[:, None], _rrsd_support(keys, r)] = True
-        rows.extend(_pack_rows(dense))
+        rows.extend(_pack_rows(_rrsd_mask(keys, r)))
     return BitMatrix(m, n, rows)
 
 
@@ -219,8 +237,7 @@ def gen_rssd(n: int, m: int, s: int, seed) -> BitMatrix:
     rng = as_generator(seed)
     dense = np.zeros((m, n), dtype=bool)
     for start, w in _column_blocks(m, n):
-        support = _rssd_support(rng.random((m, w)), s)
-        dense[support, np.arange(start, start + w)[None, :]] = True
+        dense[:, start:start + w] = _rssd_mask(rng.random((m, w)), s)
     return BitMatrix(m, n, _pack_rows(dense))
 
 
@@ -301,7 +318,7 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     defective is good; the set is disjunct iff every other column has a
     1 in some good row (elimination decoding then strikes it).  Each
     kernel reads the random stream in its generator's layout and selects
-    through the generator's support function, so the verdict is the full
+    through the generator's support mask, so the verdict is the full
     path's for every seed.  Where a kernel skips part of the stream, it
     reads the entries it needs by position with _draw_at.
 
@@ -316,20 +333,21 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             succeeds at the row that covers the last of them.  Every
             row ends where the next starts, at a multiple of n.
       rrsd  _row_chunks; a row's support is its r smallest keys
-            (_rrsd_support).  A row with at most r keys <= its least
-            defective key low holds that defective (argpartition puts
-            the r smallest first), so it is skipped; every other row
-            goes through _rrsd_support, ties included, and is good when
-            no defective is in the support it gives.  The rows are read
-            head first (_RowCursor): each row's d head entries are drawn
-            and the rest of the row advance()d over; then the rows with
-            low * (n - d) >= r, likely good, are drawn whole one at a
-            time in stream order, and after them the others, until a
-            good row covers the last column.  Coverage does not depend
-            on the order of the rows, so the verdict is the same; a
-            trial that fails leaves the stream at row m's start.
+            (_rrsd_mask).  The rows are read head first (_RowCursor):
+            each row's d head entries are drawn and the rest of the row
+            advance()d over; low is a row's least defective key.  Then
+            the rows with low * (n - d) >= r, likely good, are drawn
+            whole one at a time in stream order, and after them the
+            others, until a good row covers the last column.  A row is
+            good when its mask holds no defective, and then ORs the mask
+            into the coverage.  Of the rows not likely good, one with at
+            most r keys <= low holds that defective (every key below
+            the r-th smallest is in the support, ties included), so it
+            is skipped before the mask.  Coverage does not depend on the
+            order of the rows, so the verdict is the same; a trial that
+            fails leaves the stream at row m's start.
       rssd  the spans of _column_blocks; a column's support is its s
-            smallest keys (_rssd_support).  The defective columns'
+            smallest keys (_rssd_mask).  The defective columns'
             supports give the good rows G.  In each block, low is a
             column's least key over rows of G, and the column is covered
             when fewer than s bad keys are <= low, for then its s
@@ -341,11 +359,15 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             _RSSD_FIRST_GOOD rows of G are drawn, and each later row of
             G only while a column is left, just that column's entries
             (_draw_at) once few are.  A column left after all of G goes
-            through _rssd_support and is covered when its support holds
-            a row of G.  Each block leaves the stream at its end.
-      utdq  _utdq_entries, the m/q x n integers in [1, q]; q-ary row i
-            covers column j when entry (i, j) is not one of row i's
-            defective symbols (its indicator row is then good).
+            through _rssd_mask and is covered when its support holds a
+            row of G.  Each block leaves the stream at its end.
+      utdq  _utdq_entries, the m/q x n integers in [1, q], drawn in
+            chunks of as many rows as _CHUNK_ENTRIES entries hold (at
+            least one); q-ary row i covers column j when entry (i, j) is
+            not one of row i's defective symbols (its indicator row is
+            then good).  After the first chunk only the columns left
+            uncovered are compared, and the trial succeeds at the chunk
+            that covers the last of them.
     """
     n, m = spec.n, spec.m
     d = _whole(d, "d")
@@ -361,7 +383,7 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     if spec.model == "rssd":
         return _trial_rssd(n, m, int(spec.param), d, rng)
     q = int(spec.param)
-    return _utdq_disjunct(_utdq_entries(rng, m // q, n, q), d)
+    return _trial_utdq(n, m // q, q, d, rng)
 
 
 def _trial_rid(n, m, p, d, rng) -> bool:
@@ -437,13 +459,15 @@ def _trial_rrsd(n, m, r, d, rng) -> bool:
     for i in np.concatenate([np.flatnonzero(likely),
                              np.flatnonzero(~likely)]).tolist():
         rows.draw(i, keys)
-        np.less_equal(keys[0], low[i], out=below)  # the filter, by row
-        if np.count_nonzero(below) > r:
-            idx = _rrsd_support(keys, r)[0]
-            if idx.min() >= d:
-                covered[idx] = True
-                if covered.all():
-                    return True
+        if not likely[i]:  # the filter, by row
+            np.less_equal(keys[0], low[i], out=below)
+            if np.count_nonzero(below) <= r:
+                continue
+        mask = _rrsd_mask(keys, r)[0]
+        if not mask[:d].any():
+            covered |= mask
+            if covered.all():
+                return True
     rows.finish()
     return False
 
@@ -461,7 +485,7 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
             keys = block.keys
         if h:
             heads = keys[:, :h] if block is None else block.heads(h)
-            good[_rssd_support(heads, s)] = False
+            good[_rssd_mask(heads, s).any(axis=1)] = False
             if not good.any():
                 return False
         if h < w and not _block_covered(keys[:, h:], good, s, block, h):
@@ -542,8 +566,8 @@ class _BlockRows(_RowCursor):
 def _block_covered(keys, good, s: int, block: _BlockRows | None,
                    h: int) -> bool:
     """Whether every column of keys (an rssd block past its h defective
-    columns) has a 1 in a good row, as _rssd_support selects the s rows
-    of each.
+    columns) has a 1 in a good row, as _rssd_mask selects the s rows of
+    each.
 
     low is a column's least key over the good rows read so far, so it is
     a key of a good row: when fewer than s bad keys are <= low, the s
@@ -554,7 +578,7 @@ def _block_covered(keys, good, s: int, block: _BlockRows | None,
     column is left, and only the keys of the columns left while reading
     them alone (about _DRAW_GAP doubles' cost each) is cheaper than the
     row.  A column left after the last good row goes through
-    _rssd_support.
+    _rssd_mask.
     """
     rows, bad = np.flatnonzero(good), np.flatnonzero(~good)
     first = len(rows)
@@ -585,19 +609,33 @@ def _block_covered(keys, good, s: int, block: _BlockRows | None,
         left, low, bad_keys = left[keep], low[keep], bad_keys[:, keep]
         if not left.size:
             return True
-    sel = _rssd_support(keys[:, left], s)
-    return bool(good[sel].any(axis=0).all())
+    return bool(_rssd_mask(keys[:, left], s)[good].any(axis=0).all())
 
 
-def _utdq_disjunct(entries, d: int) -> bool:
-    """Whether the expansion of the q-ary entries is disjunct for its
-    first d columns, read off the entries without expanding them."""
-    rest = entries[:, d:]
-    # in_head[i, j]: entry (i, j) is one of row i's defective symbols
+def _trial_utdq(n, m_prime, q, d, rng) -> bool:
+    left = None  # the columns that no row read so far covers
+    step = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, m_prime, step):
+        entries = _utdq_entries(rng, min(step, m_prime - start), n, q)
+        if left is None:
+            left = np.flatnonzero(_utdq_uncovered(entries, d)) + d
+        else:
+            left = left[_utdq_uncovered(entries, d, left)]
+        if not left.size:
+            return True
+    return False
+
+
+def _utdq_uncovered(entries, d: int, cols=None):
+    """Which of the columns cols (by default every column past the d
+    defective ones) no row of the q-ary entries covers: each of their
+    entries is one of its row's defective symbols, so the expansion puts
+    every 1 of the column in a row that holds a defective."""
+    rest = entries[:, d:] if cols is None else entries[:, cols]
     in_head = rest == entries[:, :1]
     for k in range(1, d):
         in_head |= rest == entries[:, k:k + 1]
-    return bool((~in_head).any(axis=0).all())
+    return in_head.all(axis=0)
 
 
 # ---------------------------------------------------------------------

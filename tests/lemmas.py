@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gtpool.designs import _check_args, _utdq_disjunct, gen_rssd
+from gtpool.designs import _check_args, _utdq_uncovered, gen_rssd
 from gtpool.errors import ParameterError
 from gtpool.matrices import BitMatrix, QaryMatrix, _item_mask
 from gtpool.rng import check_seed, substream
@@ -111,7 +111,7 @@ def transversal_prob_check(mq: QaryMatrix, n: int, d: int, trials: int,
     for t in range(trials):
         entries[:, d:] = substream(seed, t).integers(1, q + 1,
                                                      size=(mq.m, n - d))
-        hits += not _utdq_disjunct(entries, d)
+        hits += bool(_utdq_uncovered(entries, d).any())
     empirical = hits / trials
     stderr = math.sqrt(max(exact * (1.0 - exact), 1e-12) / trials)
     return TransversalCheck(exact=exact, empirical=empirical, trials=trials,

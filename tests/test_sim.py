@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +177,77 @@ class Coarse(np.random.Generator):
         return keys
 
 
+_ARGPARTITION = np.argpartition
+
+
+class TestSupportMasks:
+    """_rrsd_mask and _rssd_mask against the positions argpartition puts
+    first, which the generators set before the masks, on keys that tie
+    at the k-th smallest (Coarse) and on keys that do not."""
+
+    # (lanes, lane length, k): k = 1 and k = length - 1 included
+    SHAPES = [(40, 2, 1), (40, 5, 1), (40, 5, 4), (40, 30, 1), (40, 30, 7),
+              (40, 30, 29), (6, 1000, 283)]
+
+    @pytest.fixture
+    def argpartition_calls(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return _ARGPARTITION(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argpartition", spy)
+        return calls
+
+    @staticmethod
+    def _rrsd_want(keys, r):
+        want = np.zeros(keys.shape, dtype=bool)
+        rows = np.arange(len(keys))[:, None]
+        want[rows, _ARGPARTITION(keys, r - 1, axis=1)[:, :r]] = True
+        return want
+
+    @staticmethod
+    def _rssd_want(keys, s):
+        want = np.zeros(keys.shape, dtype=bool)
+        cols = np.arange(keys.shape[1])[None, :]
+        want[_ARGPARTITION(keys, s - 1, axis=0)[:s], cols] = True
+        return want
+
+    def _check(self, calls, keys, k) -> int:
+        """Both masks, with keys' rows as the lanes, against argpartition;
+        the tie branch gets the lanes with more than k keys <= the k-th
+        smallest, and no other.  Returns how many lanes tie."""
+        kth = np.sort(keys, axis=1)[:, k - 1:k]
+        tied = int(np.count_nonzero(
+            np.count_nonzero(keys <= kth, axis=1) > k))
+        for mask, want, lanes in ((designs._rrsd_mask, self._rrsd_want, keys),
+                                  (designs._rssd_mask, self._rssd_want,
+                                   keys.T)):
+            calls.clear()
+            assert np.array_equal(mask(lanes, k), want(lanes, k)), (
+                keys.shape, k)
+            assert calls == ([(tied, keys.shape[1])] if tied else [])
+        return tied
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_match_argpartition_on_tied_keys(self, argpartition_calls,
+                                             levels):
+        tied = [self._check(argpartition_calls,
+                            Coarse(c, levels).random(shape[:2]), shape[2])
+                for c, shape in enumerate(self.SHAPES)]
+        assert all(tied)
+        # with more than one level, some lanes of 2 or 5 keys do not tie
+        assert levels == 1 or any(
+            t < lanes for t, (lanes, _, _) in zip(tied, self.SHAPES))
+
+    def test_match_argpartition_without_ties(self, argpartition_calls):
+        rng = np.random.default_rng(31)
+        for lanes, length, k in self.SHAPES:
+            assert self._check(argpartition_calls,
+                               rng.random((lanes, length)), k) == 0
+
+
 # m at n = 10^4, d = 3: the mc benchmark's sized m, two thirds of it, and
 # half of it, where many trials fail
 BENCH_M = {"rssd": (133, 88, 66), "rrsd": (149, 99, 74)}
@@ -264,6 +336,19 @@ class TestTrialKernel:
         disjunct, decoded = reference_trial(spec, 1, Coarse(m, levels=1))
         assert not disjunct and not decoded
         assert trial_disjunct(spec, 1, Coarse(m, levels=1)) is False
+
+    def test_utdq_trial_memory_is_one_chunk(self):
+        # a trial draws its q-ary rows in chunks, here of one row each, so
+        # it holds far less than the m' x n int64 entries of one draw
+        spec = DesignSpec("utdq", 10 ** 5, 100, 5)
+        tracemalloc.start()
+        try:
+            for t in range(3):
+                trial_disjunct(spec, 3, substream(1, t))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.m // 5 * spec.n * 8 / 4
 
     def test_defective_count_validated(self):
         spec = DesignSpec("rid", 5, 4, 0.5)
