@@ -180,14 +180,14 @@ def _smallest_mask(keys, k: int, axis: int):
     argpartition puts first are set, which fixes the layout."""
     kth = np.partition(keys, k - 1, axis=axis).take([k - 1], axis=axis)
     mask = keys <= kth
-    if np.count_nonzero(mask) == k * (keys.size // keys.shape[axis]):
+    if np.count_nonzero(mask) == k * keys.shape[1 - axis]:
         return mask
-    lanes, lane_mask = np.moveaxis(keys, axis, 1), np.moveaxis(mask, axis, 1)
+    # the lanes as rows, views that write into mask
+    lanes, lane_mask = (keys, mask) if axis else (keys.T, mask.T)
     tied = np.flatnonzero(np.count_nonzero(lane_mask, axis=1) > k)
-    fix = np.zeros((len(tied), lanes.shape[1]), dtype=bool)
-    np.put_along_axis(
-        fix, np.argpartition(lanes[tied], k - 1, axis=1)[:, :k], True, axis=1)
-    lane_mask[tied] = fix
+    first = np.argpartition(lanes[tied], k - 1, axis=1)[:, :k]
+    lane_mask[tied] = False
+    lane_mask[tied[:, None], first] = True
     return mask
 
 
