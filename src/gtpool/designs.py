@@ -132,13 +132,13 @@ class DesignSpec:
 # Entries per row chunk of _row_chunks, which gen_rid, gen_rrsd and the
 # rid kernel's short rows read, and of the utdq kernel's q-ary rows.
 # Output does not depend on it: row-wise draws give the same numbers for
-# any split.  CPU time per call at d = 3 (2-core x86 host, 4 MiB L2;
+# any split.  CPU time per call at d = 3 (2-core x86 host, 2 MiB L2;
 # medians of 15 rounds, each running 2^12, 2^13, ..., 2^17 and 2^20 in
 # turn): gen_rid and gen_rrsd at n = 10^4, m = 149 take 8.3 and 15.0 ms
-# at 2^15, as at 2^16, and x1.16 and x1.27 that at 2^20; the rid
-# kernel's short rows at n = 300, m = 113 take 0.21 ms (0.18 at 2^14);
-# utdq trials at n = 10^4, m = 85 take 1.25 ms (1.17 at 2^16, 1.36 at
-# 2^20), and at n = 1000 every size takes 0.22-0.25 ms.
+# at 2^15 (7.6 and 15.0 at 2^16), and x1.16 and x1.27 that at 2^20; the
+# rid kernel's short rows at n = 300, m = 113 take 0.21 ms (0.18 at
+# 2^14); utdq trials at n = 10^4, m = 85 take 1.25 ms (1.17 at 2^16,
+# 1.36 at 2^20), and at n = 1000 every size takes 0.22-0.25 ms.
 _CHUNK_ENTRIES = 1 << 15
 
 # Entries per rssd column block of _column_blocks.  It fixes the rssd
@@ -177,7 +177,8 @@ def _smallest_mask(keys, k: int, axis: int):
     """The k smallest keys of each lane along axis of the 2-D keys, as a
     bool mask: the keys <= the lane's k-th smallest.  A lane where more
     than k keys are <= it ties at that key, and there the k positions
-    argpartition puts first are set, which fixes the layout."""
+    argpartition puts first are set: that rule picks among tied keys in
+    the pinned matrices (tests/output_pins.json)."""
     kth = np.partition(keys, k - 1, axis=axis).take([k - 1], axis=axis)
     mask = keys <= kth
     if np.count_nonzero(mask) == k * keys.shape[1 - axis]:

@@ -181,9 +181,10 @@ _ARGPARTITION = np.argpartition
 
 
 class TestSupportMasks:
-    """_rrsd_mask and _rssd_mask against the positions argpartition puts
-    first, which the generators set before the masks, on keys that tie
-    at the k-th smallest (Coarse) and on keys that do not."""
+    """_rrsd_mask and _rssd_mask against the mask of the positions
+    argpartition puts first, the rule among tied keys in the pinned
+    matrices, on keys that tie at the k-th smallest (Coarse) and on keys
+    that do not."""
 
     # (lanes, lane length, k): k = 1 and k = length - 1 included
     SHAPES = [(40, 2, 1), (40, 5, 1), (40, 5, 4), (40, 30, 1), (40, 30, 7),
