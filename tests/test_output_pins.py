@@ -7,7 +7,9 @@ the same numbers and reaches the same verdict on every pinned trial.
 
 It also holds the stdout of ``gtpool table1`` (CSV at the default
 ``--dmax`` and JSON at ``--dmax 12``), recorded before the table came to
-be rendered from one record per row.
+be rendered from one record per row, and its CSV at ``--dmax 64``, the
+cap, recorded while ``rssd_alpha_star`` and ``utdq_q_star`` still walked
+their grid and their alphabets one point at a time.
 
 It also holds sha256 digests of ``generate`` matrices and of the files
 ``gtpool design`` writes, recorded before the generators and the trial
@@ -99,10 +101,12 @@ CLI_RUNS = {
                        "--n-list", "50,400", "--target", "0.8",
                        "--trials", "60", "--format", "csv"],
 }
-# unseeded: the constants table as CSV at the default --dmax, and as JSON
+# unseeded: the constants table as CSV at the default --dmax and at the cap,
+# and as JSON
 TABLE_RUNS = {
     "table1": ["table1"],
     "table1.dmax12.json": ["table1", "--dmax", "12", "--format", "json"],
+    "table1.dmax64": ["table1", "--dmax", "64"],
 }
 
 # (model, n, m, param) drawn by generate: several row chunks at n=1000,
