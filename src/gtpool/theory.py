@@ -223,6 +223,43 @@ def rssd_objective(alpha: float, d: int) -> float:
 
 _GRID_POINTS = 10_000
 
+
+def _first_turn(value, turned, lo: int, hi: int):
+    """First i in [lo, hi] with i == hi or turned(value(i), value(i + 1)).
+
+    The turn must hold at every point after the first one that turns, as
+    it does past the peak of a sequence that rises (or falls) to one
+    extremum.  The search steps 1, 2, 4, ... from lo until a point turns,
+    then bisects the last step, so it reads O(log(i - lo)) points, each
+    once.  Returns i and the memoised reader of value, for the caller to
+    read points at and next to i again.
+    """
+    seen = {}
+
+    def read(i):
+        if i not in seen:
+            seen[i] = value(i)
+        return seen[i]
+
+    def turns(i):
+        return i >= hi or turned(read(i), read(i + 1))
+
+    if turns(lo):
+        return lo, read
+    flat, step = lo, 1  # flat: the last point known not to turn
+    while not turns(lo + step):
+        flat = lo + step
+        step *= 2
+    top = min(lo + step, hi)
+    while top - flat > 1:
+        mid = (flat + top) // 2
+        if turns(mid):
+            top = mid
+        else:
+            flat = mid
+    return top, read
+
+
 def _golden_max(f, xa: float, xb: float, xc: float):
     """Golden-section (x, f(x)) maximising f on a bracket xa < xb < xc.
 
@@ -257,23 +294,20 @@ def rssd_alpha_star(d: int) -> tuple:
     _golden_max (a port of SciPy 1.17's, bit for bit); at d = 1 the top is
     flat, no bracket is valid and the grid point stands.  The objective
     rises, then falls, over the grid (the peak nears alpha = ln2/d as d
-    grows), so the scan stops at the first point that does not rise, as
-    utdq_q_star's stops at the first rise: it keeps the full scan's first
-    maximum, and with it the bracket and the bits, and from d ~ 4 * 10^5,
-    where every grid value is 0.0, it stops at point 2.  When grid point 1
-    wins (from d = 4,813 on) the peak lies below the grid, and the bracket
-    is taken around ln2/d instead.
+    grows), so the grid point is the first one whose successor does not
+    rise, found by _first_turn's doubling steps and bisection in at most
+    50 objective calls instead of up to 5,004: the point a walk from the
+    grid's start stops at, and with it the bracket and the bits.  When
+    grid point 1 wins (from d = 4,813 on) the peak lies below the grid,
+    and the bracket is taken around ln2/d instead.
     """
     if d < 1:
         raise ParameterError("d must be >= 1")
-    best_k, best_v = 1, -1.0
     denom = _GRID_POINTS + 1
-    for k in range(1, _GRID_POINTS + 1):
-        v = rssd_objective(k / denom, d)
-        if v > best_v:
-            best_k, best_v = k, v
-        else:
-            break
+    best_k, read = _first_turn(lambda k: rssd_objective(k / denom, d),
+                               lambda here, after: after <= here,
+                               1, _GRID_POINTS)
+    best_v = read(best_k)
     grid = best_k / denom
     if best_k == 1:
         # the peak, near ln2/d, may lie below the grid's first point
@@ -300,17 +334,19 @@ def utdq_search_range(d: int) -> range:
 def utdq_q_star(d: int) -> tuple:
     """(argmin q, min value) of q / (-d ln P(q, d)) over the search range.
 
-    The ratio falls, then rises, over the range, so the scan stops at the
-    first rise; utdq_search_range caps it.
+    The ratio falls, then rises, over the range, so q* is the first q whose
+    successor rises (or the range's last, utdq_search_range's cap), found
+    by _first_turn's doubling steps and bisection, then moved back over
+    equal values to the first of tied minima, as a walk from the range's
+    start keeps it; at d = 800 that reads 34 alphabets instead of 356.
     """
-    best_q, best_v = None, math.inf
-    for q in utdq_search_range(d):
-        v = q / (-d * _ln_p_any(q, d))
-        if v < best_v:
-            best_q, best_v = q, v
-        elif v > best_v:
-            break
-    return best_q, best_v
+    span = utdq_search_range(d)
+    q, read = _first_turn(lambda q: q / (-d * _ln_p_any(q, d)),
+                          lambda here, after: after > here,
+                          span.start, span[-1])
+    while q > span.start and read(q - 1) == read(q):
+        q -= 1
+    return q, read(q)
 
 
 def c_constant(model: str, d: int) -> float:

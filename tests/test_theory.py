@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import permutations
 
@@ -193,6 +194,119 @@ class TestCollisionLogProb:
         assert ln_p_qd(q, d) == pytest.approx(total / q ** d, rel=1e-12)
 
 
+def _refined_alpha_star(d, best_k, best_v):
+    # rssd_alpha_star's bracket and golden refinement around grid point
+    # best_k, whose objective value is best_v
+    denom = theory._GRID_POINTS + 1
+    grid = best_k / denom
+    if best_k == 1:
+        # the peak may lie below the grid: bracket ln2/d instead
+        lo, mid, hi = (math.log(2) / d * t for t in (0.5, 1.0, 2.0))
+    else:
+        lo, mid, hi = ((best_k - 1) / denom, grid,
+                       min(best_k + 1, theory._GRID_POINTS) / denom)
+    want = grid, best_v
+    if lo < mid < hi:
+        res = theory._golden_max(lambda a: rssd_objective(a, d), lo, mid, hi)
+        if res is not None and res[1] >= best_v:
+            want = res
+    return want
+
+
+def _walked_alpha_star(d):
+    # the grid walk from point 1 to the first point that does not rise
+    denom = theory._GRID_POINTS + 1
+    best_k, best_v = 1, -1.0
+    for k in range(1, theory._GRID_POINTS + 1):
+        v = rssd_objective(k / denom, d)
+        if v > best_v:
+            best_k, best_v = k, v
+        else:
+            break
+    return _refined_alpha_star(d, best_k, best_v)
+
+
+def _walked_q_star(d):
+    # the walk over utdq_search_range(d) from its start to the first rise
+    best_q, best_v = None, math.inf
+    for q in utdq_search_range(d):
+        v = q / (-d * theory._ln_p_any(q, d))
+        if v < best_v:
+            best_q, best_v = q, v
+        elif v > best_v:
+            break
+    return best_q, best_v
+
+
+def _counted(monkeypatch, name):
+    # the arguments of every call to theory.<name>, which still runs
+    calls = []
+    fn = getattr(theory, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(theory, name, counted)
+    return calls
+
+
+class TestFirstTurn:
+    FALLS = staticmethod(lambda here, after: after <= here)
+    RISES = staticmethod(lambda here, after: after > here)
+
+    @staticmethod
+    def _turn(values, turned, lo=0, hi=None):
+        reads = []
+
+        def value(i):
+            reads.append(i)
+            return values[i]
+
+        hi = len(values) - 1 if hi is None else hi
+        i, read = theory._first_turn(value, turned, lo, hi)
+        assert len(reads) == len(set(reads)), "a point was read twice"
+        assert all(lo <= j <= hi for j in reads)
+        assert read(i) == values[i]
+        return i
+
+    def test_turn_at_the_first_point(self):
+        assert self._turn([3, 2, 1, 0], self.FALLS) == 0
+        assert self._turn([0, 1, 2, 3], self.RISES) == 0
+
+    def test_plateau_before_a_fall(self):
+        # the first point of the plateau turns, as a walk stops there
+        assert self._turn([0, 1, 2, 2, 2, 1, 0], self.FALLS) == 2
+
+    def test_plateau_before_a_rise(self):
+        # only the plateau's last point turns; utdq_q_star steps back
+        assert self._turn([5, 4, 3, 3, 3, 4, 5], self.RISES) == 4
+
+    def test_no_turn_in_range(self):
+        assert self._turn(list(range(100)), self.FALLS) == 99
+        assert self._turn(list(range(100)), self.FALLS, lo=10, hi=60) == 60
+
+    def test_one_point_range(self):
+        assert self._turn([7], self.FALLS) == 0
+        assert self._turn([1, 2, 3, 4], self.FALLS, lo=2, hi=2) == 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 100, 1000])
+    def test_every_peak_position(self, n):
+        # a rise to the peak at p, then a fall: the turn is p, found in
+        # a few reads per doubling of p
+        for p in range(n):
+            values = [-abs(i - p) for i in range(n)]
+            reads = []
+
+            def value(i):
+                reads.append(i)
+                return values[i]
+
+            i, _ = theory._first_turn(value, self.FALLS, 0, n - 1)
+            assert i == p
+            assert len(reads) <= 4 * math.log2(p + 1) + 2
+
+
 class TestColumnWeightRate:
     def test_objective_endpoints(self):
         assert rssd_objective(1.0, 3) == 0.0
@@ -227,28 +341,22 @@ class TestColumnWeightRate:
     @pytest.mark.parametrize("d", [*range(1, theory.CAPACITY_CAP + 1),
                                    5000, 10**5, 4 * 10**5, 10**6])
     def test_grid_scan_matches_full_scan(self, d):
-        # the oracle scans the whole grid; rssd_alpha_star stops at the
-        # first point that does not rise
+        # the oracle scans the whole grid; rssd_alpha_star looks only for
+        # the first point that does not rise
         denom = theory._GRID_POINTS + 1
         best_k, best_v = 1, -1.0
         for k in range(1, theory._GRID_POINTS + 1):
             v = rssd_objective(k / denom, d)
             if v > best_v:
                 best_k, best_v = k, v
-        grid = best_k / denom
-        if best_k == 1:
-            # the peak may lie below the grid: bracket ln2/d instead
-            lo, mid, hi = (math.log(2) / d * t for t in (0.5, 1.0, 2.0))
-        else:
-            lo, mid, hi = ((best_k - 1) / denom, grid,
-                           min(best_k + 1, theory._GRID_POINTS) / denom)
-        want = grid, best_v
-        if lo < mid < hi:
-            res = theory._golden_max(lambda a: rssd_objective(a, d),
-                                     lo, mid, hi)
-            if res is not None and res[1] >= best_v:
-                want = res
-        assert rssd_alpha_star(d) == want
+        assert rssd_alpha_star(d) == _refined_alpha_star(d, best_k, best_v)
+
+    def test_gallop_matches_the_walk(self):
+        # every d to 5000 (grid point 1 wins from d = 4,813 on), then
+        # log-spaced d to 10^9: the same bits as the walk from point 1
+        ds = [*range(1, 5001), *(round(10 ** (x / 8)) for x in range(30, 73))]
+        for d in ds:
+            assert rssd_alpha_star.__wrapped__(d) == _walked_alpha_star(d), d
 
     @pytest.mark.parametrize("d", [5000, 10**4, 10**5, 4 * 10**5, 10**6,
                                    10**9])
@@ -268,16 +376,18 @@ class TestColumnWeightRate:
     def test_flat_grid_stops_early(self, monkeypatch):
         # from d ~ 4 * 10^5 every grid value is 0.0; a cold call must not
         # walk all 10^4 points of it
-        calls = []
-
-        def counted(alpha, d):
-            calls.append(alpha)
-            return rssd_objective(alpha, d)
-
-        monkeypatch.setattr(theory, "rssd_objective", counted)
+        calls = _counted(monkeypatch, "rssd_objective")
         alpha, _ = rssd_alpha_star.__wrapped__(10**6)
         assert alpha * 10**6 == pytest.approx(math.log(2), rel=1e-2)
         assert len(calls) < 200
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10, 64, 1000])
+    def test_cold_call_reads_few_points(self, d, monkeypatch):
+        # a walk from grid point 1 made 5,004, 2,898, 2,061, 702, 147
+        # and 52 objective calls; about 50 of these are the refinement's
+        calls = _counted(monkeypatch, "rssd_objective")
+        rssd_alpha_star.__wrapped__(d)
+        assert len(calls) <= 100
 
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_star_beats_neighbours(self, d):
@@ -310,6 +420,33 @@ class TestQSearch:
         # recorded from the scan over the whole of utdq_search_range(d)
         assert utdq_q_star(d) == pin
 
+    def test_gallop_matches_the_walk(self, monkeypatch):
+        # the same (q, value) bits as the walk from the range's start,
+        # first of tied minima included; both read one memo of the pure
+        # _ln_p_any, so the walk pays only for the points it adds
+        monkeypatch.setattr(theory, "_ln_p_any",
+                            functools.lru_cache(maxsize=None)(
+                                theory._ln_p_any))
+        for d in [*range(1, 201), 400, 800]:
+            assert utdq_q_star.__wrapped__(d) == _walked_q_star(d), d
+
+    def test_first_of_tied_minima(self, monkeypatch):
+        # a ratio of powers of two, exact in floats, that falls to 1.0 at
+        # q = 8, stays there to q = 14, then rises; as the walk does,
+        # utdq_q_star keeps the first of the tied q
+        def ratio(q):
+            return 2.0 ** max(0, 8 - q, q - 14)
+
+        monkeypatch.setattr(theory, "_ln_p_any",
+                            lambda q, d: -q / (d * ratio(q)))
+        assert utdq_q_star.__wrapped__(2) == (8, 1.0) == _walked_q_star(2)
+
+    def test_cold_call_reads_few_alphabets(self, monkeypatch):
+        # a walk from q = 800 to q* = 1155 made 357 _ln_p_any calls
+        calls = _counted(monkeypatch, "_ln_p_any")
+        assert utdq_q_star.__wrapped__(800)[0] == 1155
+        assert len(calls) <= 60
+
     @pytest.mark.parametrize("d", range(1, 33))
     def test_star_is_argmin_over_range(self, d):
         # the oracle scans the whole range; utdq_q_star stops at the
@@ -336,6 +473,14 @@ class TestConstants:
         for model in ("rssd", "utdq"):
             c = c_constant(model, 200)
             assert abs(c - ASYMPTOTIC_CONSTANT) / ASYMPTOTIC_CONSTANT < 0.05
+
+    def test_gap_to_the_limit_shrinks_by_d_1000(self):
+        # c_M is the limit in d: at d = 1000 the gaps are about +4.0e-4
+        # (utdq) and -3.2e-4 (rssd), against +2.0e-3 and -1.6e-3 at 200
+        for model in ("rssd", "utdq"):
+            gap = abs(c_constant(model, 1000) - ASYMPTOTIC_CONSTANT)
+            assert gap < 1e-3
+            assert gap < abs(c_constant(model, 200) - ASYMPTOTIC_CONSTANT)
 
     def test_nothing_beats_the_information_floor(self):
         floor = 1.0 / math.log(2)
