@@ -338,7 +338,7 @@ def utdq_q_star(d: int) -> tuple:
     successor rises (or the range's last, utdq_search_range's cap), found
     by _first_turn's doubling steps and bisection, then moved back over
     equal values to the first of tied minima, as a walk from the range's
-    start keeps it; at d = 800 that reads 34 alphabets instead of 356.
+    start keeps it; at d = 800 that reads 34 alphabets instead of 357.
     """
     span = utdq_search_range(d)
     q, read = _first_turn(lambda q: q / (-d * _ln_p_any(q, d)),

@@ -256,7 +256,7 @@ class TestFirstTurn:
     RISES = staticmethod(lambda here, after: after > here)
 
     @staticmethod
-    def _turn(values, turned, lo=0, hi=None):
+    def _turn(values, turned, lo=0, hi=None, max_reads=math.inf):
         reads = []
 
         def value(i):
@@ -267,6 +267,7 @@ class TestFirstTurn:
         i, read = theory._first_turn(value, turned, lo, hi)
         assert len(reads) == len(set(reads)), "a point was read twice"
         assert all(lo <= j <= hi for j in reads)
+        assert len(reads) <= max_reads
         assert read(i) == values[i]
         return i
 
@@ -296,15 +297,8 @@ class TestFirstTurn:
         # a few reads per doubling of p
         for p in range(n):
             values = [-abs(i - p) for i in range(n)]
-            reads = []
-
-            def value(i):
-                reads.append(i)
-                return values[i]
-
-            i, _ = theory._first_turn(value, self.FALLS, 0, n - 1)
-            assert i == p
-            assert len(reads) <= 4 * math.log2(p + 1) + 2
+            assert self._turn(values, self.FALLS,
+                              max_reads=4 * math.log2(p + 1) + 2) == p
 
 
 class TestColumnWeightRate:
