@@ -288,13 +288,6 @@ _RID_SKIP_MIN_N = 1000
 # n = 10^3 and 0.94 at n = 2000.
 _RID_SPARSE_RATIO = 500
 
-# rssd blocks at least this wide are read by rows (_BlockRows), narrower
-# ones whole.  In CPU time per trial at d = 2 and 3 and sized m (same
-# host, each trial run by both reads in turn), the read by rows takes
-# x1.38-1.39 the time of the whole read at n = 10^3, x1.12-1.14 at 2000,
-# x1.00-1.02 at 3000, x0.93 at 4000 and x0.89-0.92 at 5000.
-_RSSD_SKIP_MIN_WIDTH = 4000
-
 # The good rows of a block's first read by rows.  In CPU time per trial
 # at n = 10^4 and d = 3 (same host, 200 trials, each run in turn by this
 # read and by a kernel that draws the whole block), 12, 16, 20, 24 and
@@ -352,16 +345,15 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             supports give the good rows G.  In each block, low is a
             column's least key over rows of G, and the column is covered
             when fewer than s bad keys are <= low, for then its s
-            smallest keys hold a key of G, ties included.  A block
-            narrower than _RSSD_SKIP_MIN_WIDTH is drawn whole, and low
-            is taken over all of G.  In a wider one (_BlockRows) each
-            row's defective entries are drawn and the rest of the row
-            advance()d over; then every bad row and the first
-            _RSSD_FIRST_GOOD rows of G are drawn, and each later row of
-            G only while a column is left, just that column's entries
-            (_draw_at) once few are.  A column left after all of G goes
-            through _rssd_mask and is covered when its support holds a
-            row of G.  Each block leaves the stream at its end.
+            smallest keys hold a key of G, ties included.  Each block is
+            read by rows (_BlockRows): each row's defective entries are
+            drawn and the rest of the row advance()d over; then every
+            bad row and the first _RSSD_FIRST_GOOD rows of G are drawn,
+            and each later row of G only while a column is left, just
+            that column's entries (_draw_at) once few are.  A column
+            left after all of G goes through _rssd_mask and is covered
+            when its support holds a row of G.  Each block leaves the
+            stream at its end.
       utdq  _utdq_entries, the m/q x n integers in [1, q], drawn in
             chunks of as many rows as _CHUNK_ENTRIES entries hold (at
             least one); q-ary row i covers column j when entry (i, j) is
@@ -479,20 +471,14 @@ def _trial_rssd(n, m, s, d, rng) -> bool:
     good = np.ones(m, dtype=bool)  # the rows that hold no defective
     for start, w in _column_blocks(m, n):
         h = min(max(d - start, 0), w)  # the block's defective columns
-        if w < _RSSD_SKIP_MIN_WIDTH:
-            block, keys = None, rng.random((m, w))
-        else:
-            block = _BlockRows(rng, m, w)
-            keys = block.keys
+        block = _BlockRows(rng, m, w)
         if h:
-            heads = keys[:, :h] if block is None else block.heads(h)
-            good[_rssd_mask(heads, s).any(axis=1)] = False
+            good[_rssd_mask(block.heads(h), s).any(axis=1)] = False
             if not good.any():
                 return False
-        if h < w and not _block_covered(keys[:, h:], good, s, block, h):
+        if h < w and not _block_covered(block, good, s, h):
             return False
-        if block is not None:
-            block.finish()
+        block.finish()
     return True
 
 
@@ -564,32 +550,28 @@ class _BlockRows(_RowCursor):
         self.keys[i, cols], self.at = _draw_at(self.rng, self.at, positions)
 
 
-def _block_covered(keys, good, s: int, block: _BlockRows | None,
-                   h: int) -> bool:
-    """Whether every column of keys (an rssd block past its h defective
-    columns) has a 1 in a good row, as _rssd_mask selects the s rows of
+def _block_covered(block: _BlockRows, good, s: int, h: int) -> bool:
+    """Whether every column of an rssd block past its h defective
+    columns has a 1 in a good row, as _rssd_mask selects the s rows of
     each.
 
     low is a column's least key over the good rows read so far, so it is
     a key of a good row: when fewer than s bad keys are <= low, the s
     smallest keys hold a good key, ties included, and the column is
-    covered.  A whole block (block None) has every row read.  Otherwise
-    every bad row is read, and of the good rows the first
+    covered.  Every bad row is read, and of the good rows the first
     _RSSD_FIRST_GOOD; later good rows are read one at a time while some
     column is left, and only the keys of the columns left while reading
     them alone (about _DRAW_GAP doubles' cost each) is cheaper than the
     row.  A column left after the last good row goes through
     _rssd_mask.
     """
+    keys = block.keys[:, h:]
     rows, bad = np.flatnonzero(good), np.flatnonzero(~good)
-    first = len(rows)
-    if block is not None:
-        first = _RSSD_FIRST_GOOD
-        read = ~good
-        read[rows[:first]] = True
-        block.read(np.flatnonzero(read))
+    read = ~good
+    read[rows[:_RSSD_FIRST_GOOD]] = True
+    block.read(np.flatnonzero(read))
     low = keys[rows[0]].copy()
-    for i in rows[1:first]:
+    for i in rows[1:_RSSD_FIRST_GOOD]:
         np.minimum(low, keys[i], out=low)
     count = np.zeros(len(low), dtype=np.min_scalar_type(len(good)))
     below = np.empty(len(low), dtype=bool)
@@ -600,7 +582,7 @@ def _block_covered(keys, good, s: int, block: _BlockRows | None,
     if not left.size:
         return True
     low, bad_keys = low[left], keys[np.ix_(bad, left)]
-    for i in rows[first:]:
+    for i in rows[_RSSD_FIRST_GOOD:]:
         if len(left) * _DRAW_GAP < len(count):
             block.read_at(i, left + h)
         else:

@@ -253,6 +253,10 @@ class TestSupportMasks:
 # half of it, where many trials fail
 BENCH_M = {"rssd": (133, 88, 66), "rrsd": (149, 99, 74)}
 
+# (n, m) of rssd blocks narrower than the benchmark's, at d = 3: the sized
+# m at n = 1000 and 3000, and half of it, where some trials fail
+NARROW_RSSD = [(1000, 113), (1000, 56), (3000, 123), (3000, 61)]
+
 
 def _small_blocks(monkeypatch, entries):
     """Shrink the generator blocks and kernel chunks to entries, which
@@ -310,16 +314,19 @@ class TestTrialKernel:
 
     @pytest.mark.parametrize("model", ["rrsd", "rssd"])
     def test_matches_at_benchmark_shapes(self, model):
-        outcomes = set()
-        for m in BENCH_M[model]:
-            spec = DesignSpec(model, 10 ** 4, m,
-                              optimal_param(model, 10 ** 4, 3, m_hint=m))
+        shapes = [(10 ** 4, m) for m in BENCH_M[model]]
+        if model == "rssd":
+            shapes += NARROW_RSSD
+        outcomes = {}  # the verdicts at each n
+        for n, m in shapes:
+            spec = DesignSpec(model, n, m,
+                              optimal_param(model, n, 3, m_hint=m))
             for t in range(12):
                 disjunct, _ = reference_trial(spec, 3, substream(m, t))
                 assert trial_disjunct(spec, 3, substream(m, t)) == disjunct, (
                     spec, t)
-                outcomes.add(disjunct)
-        assert outcomes == {True, False}
+                outcomes.setdefault(n, set()).add(disjunct)
+        assert all(seen == {True, False} for seen in outcomes.values())
 
     @pytest.mark.parametrize("block_entries", [None, 5])
     @pytest.mark.parametrize("model", ["rid", "rrsd", "rssd"])
@@ -415,24 +422,28 @@ class Tally(np.random.Generator):
 
 class TestRssdRowRead:
     """The rssd kernel's row read, which draws a block's bad rows and
-    only the good rows that decide it, forced on every block (width
-    switch 0) with one good row in the first read or the default count,
-    against the full-matrix path."""
+    only the good rows that decide it, with one good row in the first
+    read or the default count, against the full-matrix path."""
 
     @pytest.fixture(params=[1, designs._RSSD_FIRST_GOOD],
                     ids=["one-good-row", "default"])
     def first(self, request, monkeypatch):
-        monkeypatch.setattr(designs, "_RSSD_SKIP_MIN_WIDTH", 0)
         monkeypatch.setattr(designs, "_RSSD_FIRST_GOOD", request.param)
         return request.param
 
+    # at the default count these two are TestTrialKernel's rssd cases
+    ONE_GOOD_ROW = pytest.mark.parametrize("first", [1], indirect=True,
+                                           ids=["one-good-row"])
+
     @pytest.mark.parametrize("block_entries", [None, 1, 10, 64])
+    @ONE_GOOD_ROW
     def test_matches_full_matrix_path(self, first, monkeypatch,
                                       block_entries):
         _small_blocks(monkeypatch, block_entries)
         _check_kernel_cases("rssd")
 
     @pytest.mark.parametrize("block_entries", [None, 5])
+    @ONE_GOOD_ROW
     def test_matches_on_tied_keys(self, first, monkeypatch, block_entries):
         _small_blocks(monkeypatch, block_entries)
         _check_tied_keys("rssd")
@@ -485,21 +496,6 @@ class TestRssdRowRead:
                     spec, d, t)
                 covered += 1
         assert covered > 200
-
-
-def test_rssd_switch_reads_the_block_width(monkeypatch):
-    widths = []
-
-    class Spy(designs._BlockRows):
-        def __init__(self, rng, m, w):
-            widths.append(w)
-            super().__init__(rng, m, w)
-
-    monkeypatch.setattr(designs, "_BlockRows", Spy)
-    switch = designs._RSSD_SKIP_MIN_WIDTH
-    for n in (switch - 1, switch):
-        trial_disjunct(_rssd_bench_spec(133, n), 3, substream(n, 0))
-    assert widths == [switch]
 
 
 def test_rssd_reads_at_most_three_quarters_of_the_keys():
@@ -624,9 +620,8 @@ class TestRssdSuccessProbability:
         assert rssd_success_probability(n, m, s, d) == pytest.approx(
             _rssd_by_enumeration(n, m, s, d), abs=1e-12)
 
-    def test_matches_run_trials_on_the_row_read(self, monkeypatch):
+    def test_matches_run_trials_on_the_row_read(self):
         # three points with P in 0.64-0.78
-        monkeypatch.setattr(designs, "_RSSD_SKIP_MIN_WIDTH", 0)
         _check_run_trials([("rssd", 1000, 2, 31), ("rssd", 1000, 3, 47),
                            ("rssd", 2000, 2, 36)], 2027)
 
