@@ -18,7 +18,11 @@ disjunctness there and that the kernel agrees with both.
 Determinism contract: trial t of a run draws from the substream
 (master_seed, t), and a probe of the search at matrix size m derives
 its seed from (master_seed, m).  Results are therefore identical for
-any worker count and any probe order.
+any worker count and any probe order.  A chunk of trials derives its
+generators through rng.substreams, which hashes the seed words of a
+block of trials in one pass.  Each is the generator that
+substream(master_seed, t) builds; substream is its oracle
+(tests/test_rng.py).
 
 At jobs > 1, run_trials maps its chunks onto a process pool of one
 worker per chunk.  A search (find_min_m, run_sweep) starts that pool
@@ -47,7 +51,8 @@ from .designs import (
 )
 from .errors import InfeasibleError, ParameterError, _whole
 from .matrices import or_columns
-from .rng import check_seed, derive_seed, substream
+# substream is not called here; perfbench/spans.py times sim.substream
+from .rng import check_seed, derive_seed, substream, substreams  # noqa: F401
 
 __all__ = [
     "TrialReport",
@@ -151,8 +156,8 @@ def _pool(trials: int, jobs: int):
 
 def _count_chunk(args) -> int:
     spec, d, master_seed, start, stop = args
-    return sum(trial_disjunct(spec, d, substream(master_seed, t))
-               for t in range(start, stop))
+    return sum(trial_disjunct(spec, d, rng)
+               for rng in substreams(master_seed, start, stop))
 
 
 def reference_trial(spec: DesignSpec, d: int, seed) -> tuple:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtpool import designs, sim
+from gtpool import designs, rng, sim
 from gtpool.decoding import is_separable
 from gtpool.designs import (
     DesignSpec,
@@ -123,6 +123,43 @@ class TestRunTrials:
         teams = [run_trials(self.SPEC, 2, 3, 99, jobs=64) for _ in range(2)]
         assert inline_pool == [3, 3]
         assert teams == [run_trials(self.SPEC, 2, 3, 99, jobs=1)] * 2
+
+    # (spec, d) per model where some of 40 trials at seed 5 fail
+    CONTRACT = [
+        (DesignSpec("rid", 200, 41, math.exp(-0.5)), 2),
+        (DesignSpec("rrsd", 200, 32, 78), 2),
+        (DesignSpec("rssd", 200, 30, 9), 2),
+        (DesignSpec("utdq", 200, 24, 4), 2),
+    ]
+
+    @pytest.mark.parametrize("seed", [5, 2**128 + 5])
+    @pytest.mark.parametrize("jobs", [1, 3])
+    @pytest.mark.parametrize("spec, d", CONTRACT)
+    def test_trial_t_draws_from_substream_t(self, inline_pool, spec, d,
+                                            jobs, seed):
+        # at jobs = 3 the 40 trials run in chunks from t = 0, 14 and 28
+        oracle = sum(trial_disjunct(spec, d, substream(seed, t))
+                     for t in range(40))
+        if seed == 5:
+            assert 0 < oracle < 40
+        rep = run_trials(spec, d, 40, seed, jobs=jobs)
+        assert rep.disjunct_successes == oracle
+
+    def test_seeds_a_block_at_a_time(self, monkeypatch):
+        built = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        rep = run_trials(self.SPEC, 2, 200, 77)
+        assert len(built) <= math.ceil(200 / rng._BLOCK), len(built)
+        monkeypatch.undo()
+        assert rep.disjunct_successes == sum(
+            trial_disjunct(self.SPEC, 2, substream(77, t))
+            for t in range(200))
 
     def test_record_keys_ordered(self):
         rec = run_trials(self.SPEC, 2, 10, 1).as_record()
