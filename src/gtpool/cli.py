@@ -16,9 +16,11 @@ supply any long flag's value; flags given on the command line win.
 Each command loads only what it runs.  theory needs nothing but math;
 matrices and decoding import numpy only inside the functions that need
 it (a q-ary matrix or a dense view), so their names are plain imports
-and table1, --help, check and a binary decode start without numpy.
-design, mc and sweep import designs, sim and rng, which load numpy,
-when they run.  The parser registers every subcommand with its help,
+and table1 and --help run without numpy, as do check and decode of a
+binary file or of a q-ary one with single-digit entries (q <= 9),
+which is expanded from its bytes.  check and decode of any other q-ary
+file parse it with numpy; design, mc and sweep import designs, sim and
+rng, which load numpy, when they run.  The parser registers every subcommand with its help,
 but adds arguments only to the one named on the command line.
 """
 
@@ -44,6 +46,7 @@ from .matrices import (
     DefectiveSet,
     QaryMatrix,
     _replace_on_success,
+    _single_digit_expansion,
     expand_qary,
     or_columns,
     read_answers,
@@ -154,7 +157,12 @@ def _jobs(ns: dict) -> int:
 
 
 def _binary_matrix(path: str):
-    loaded = read_matrix(path)
+    """The matrix file check and decode run on, a q-ary one expanded.
+
+    A q-ary file of single digits is expanded from its bytes; any other
+    file goes through read_matrix and, when q-ary, expand_qary.
+    """
+    loaded = _single_digit_expansion(path) or read_matrix(path)
     # check and decode build n-bit masks: refuse an n no design could have
     if loaded.n > DESIGN_CELL_BUDGET:
         raise SizeGuardError(

@@ -8,7 +8,9 @@ AND/OR at machine word speed.  numpy is imported only inside the
 functions that need it: the dense views (``from_dense``, ``to_dense``,
 row packing for generation), q-ary matrices and their expansion, and
 the q-ary file reader and writer.  A binary matrix file is read line
-by line as bytes, so reading and checking one never imports numpy.
+by line as bytes, and a q-ary file of single-digit entries (q <= 9) is
+expanded to its binary rows from bytes, so reading and checking either
+never imports numpy.
 
 Items are 1-based everywhere in the public API, matching the on-disk
 formats; row/column accessors on the raw matrices are 0-based.
@@ -299,6 +301,11 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # for as whole numpy arrays.  Any other file, every binary one among
 # them, goes line by line (_matrix_from_lines), which names the first
 # bad line and is the oracle the whole-array reader is tested against.
+#
+# check and decode want the binary view, a q-ary matrix expanded.  For a
+# q-ary file of single digits, _single_digit_expansion builds it from
+# the bytes without numpy or a QaryMatrix; a file it does not vouch for
+# goes through read_matrix and expand_qary, which are its oracle.
 
 # the bytes of a q-ary file that _qary_from_bytes reads
 _QARY_BYTES = b"0123456789 \n"
@@ -391,6 +398,66 @@ def _qary_from_bytes(data: bytes) -> QaryMatrix | None:
         return QaryMatrix(m, n, q, entries.reshape(m, n))
     except DimensionError:  # an entry outside [1, q]
         return None
+
+
+def _single_digit_expansion(path) -> BitMatrix | None:
+    """expand_qary(read_matrix(path)) for a q-ary file of single-digit
+    entries, built from its bytes alone, or None.
+
+    The header decides first: unless it is three numbers with n >= 1 and
+    2 <= q <= 9, this returns None before reading the body, so a binary
+    file or a larger alphabet costs one line.  Rows 1..m must then each
+    hold n digits in 1..q, apart by spaces.  None means a file this
+    reader does not vouch for (an entry of several digits, a CR, a tab,
+    a short or bad row, a byte that is not ASCII, or a path that cannot
+    be opened), which read_matrix then reads or names the first bad line
+    of.  Lines after row m are ignored, as there.
+    """
+    try:
+        with open(path, "rb") as fh:
+            header = fh.readline()
+            if header.translate(None, b"0123456789 \n"):
+                return None
+            try:
+                m, n, q = map(int, header.split())
+            except ValueError:  # not three numbers, or one too long for int()
+                return None
+            if n < 1 or not 2 <= q <= 9:
+                return None
+            body = fh.read()
+    except OSError:
+        return None
+    # a row holds n digits, so m * n bounds m before the body is split
+    if not body.isascii() or m * n > len(body):
+        return None
+    if m == 0:
+        return BitMatrix(0, n, ())
+    text = b"\n".join(body.split(b"\n", m)[:m])  # rows 1..m
+    digits = text.translate(None, b" ")
+    symbols = b"123456789"[:q]
+    # only symbols and the m - 1 line breaks, each after n symbols
+    if (len(digits) != m * (n + 1) - 1
+            or digits.translate(None, symbols) != b"\n" * (m - 1)
+            or digits[n::n + 1] != b"\n" * (m - 1)):
+        return None
+    # no two symbols touch; in write_matrix's layout every other byte is
+    # a space or a line break, which rules that out without a search
+    if (text[1::2].translate(None, b" \n")
+            and b"11" in text.translate(bytes.maketrans(symbols, b"1" * q))):
+        return None
+    # indicator row i*q + s - 1 has a 1 where row i holds symbol s; the
+    # q rows of row i partition the columns, so the last is what the
+    # others leave
+    blocks = []
+    for k in range(q - 1):
+        table = bytes.maketrans(symbols, b"0" * k + b"1" + b"0" * (q - 1 - k))
+        blocks.append([int(r, 2) for r in digits.translate(table).split(b"\n")])
+    full = (1 << n) - 1
+    rows = []
+    for group in zip(*blocks):
+        rows += group
+        rows.append(full - sum(group))
+    return BitMatrix(m * q, n, rows)
 
 
 def _matrix_from_lines(path, data: bytes) -> BitMatrix | QaryMatrix:

@@ -15,6 +15,7 @@ from gtpool.errors import MatrixParseError
 from gtpool.matrices import (
     AnswerVector,
     BitMatrix,
+    expand_qary,
     or_columns,
     read_matrix,
     write_answers,
@@ -884,20 +885,33 @@ def test_help_runs_without_numpy():
     assert proc.stdout.startswith("usage: gtpool")
 
 
-@pytest.mark.parametrize("argv", [
+_BINARY_COMMANDS = [
     ["check", "--defectives", "3,17"],
     ["check", "--defectives", "3,17", "--separable"],
     ["check", "--defectives", "3,17", "--separable", "--d", "3"],
     ["decode", "--defectives", "3,17"],
     ["decode", "--answers", "answers.txt"],
-], ids=["check", "separable", "separable-d3", "decode", "decode-answers"])
-def test_binary_commands_run_without_numpy(capsys, tmp_path, argv):
-    # check and decode of a binary file: big-int algebra from bytes
+]
+
+
+@pytest.mark.parametrize("q, argv", [
+    *((None, argv) for argv in _BINARY_COMMANDS),
+    *((5, argv) for argv in _BINARY_COMMANDS if "--d" not in argv),
+], ids=["check", "separable", "separable-d3", "decode", "decode-answers",
+        "q5-check", "q5-separable", "q5-decode", "q5-decode-answers"])
+def test_binary_commands_run_without_numpy(capsys, tmp_path, q, argv):
+    # check and decode of a binary file, or of a q-ary one of single
+    # digits (utdq's q = 5): big-int algebra from bytes
     from gtpool import designs
 
-    matrix = designs.generate(designs.DesignSpec("rid", 120, 40, 0.7), 5)
     path = tmp_path / "m.txt"
-    write_matrix(path, matrix)
+    if q is None:
+        matrix = designs.generate(designs.DesignSpec("rid", 120, 40, 0.7), 5)
+        write_matrix(path, matrix)
+    else:
+        qary = designs.gen_utdq(120, 8, q, 5)
+        matrix = expand_qary(qary)
+        write_matrix(path, qary)
     write_answers(tmp_path / "answers.txt", or_columns(matrix, [3, 17]))
     argv = [argv[0], "--matrix", str(path),
             *(str(tmp_path / arg) if arg.endswith(".txt") else arg
@@ -907,6 +921,34 @@ def test_binary_commands_run_without_numpy(capsys, tmp_path, argv):
     proc = _python(_NO_NUMPY, *argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == want
+
+
+def test_decode_reads_larger_alphabets_with_numpy(capsys, tmp_path,
+                                                  monkeypatch):
+    # q = 12 has entries of two digits: read_matrix parses the file, and
+    # the candidates are those of its binary expansion
+    from gtpool import designs
+
+    qary = designs.gen_utdq(150, 10, 12, 3)
+    write_matrix(tmp_path / "q.txt", qary)
+    write_matrix(tmp_path / "b.txt", expand_qary(qary))
+    reads = []
+
+    def spy(path):
+        reads.append(os.path.basename(path))
+        return read_matrix(path)
+
+    monkeypatch.setattr(gtpool.cli, "read_matrix", spy)
+    records = []
+    for name in ("q.txt", "b.txt"):
+        code, stdout, _ = run(capsys, "decode", "--matrix",
+                              str(tmp_path / name), "--defectives", "3,17,90")
+        assert code == 0
+        records.append(json.loads(stdout))
+    assert reads == ["q.txt", "b.txt"]
+    assert records[0]["candidates"] == records[1]["candidates"]
+    assert 3 in records[0]["candidates"]
+    assert (records[0]["m"], records[0]["n"]) == (120, 150)
 
 
 def test_table1_config_error_without_numpy(tmp_path):

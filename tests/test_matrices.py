@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtpool import designs, matrices
+from gtpool.cli import _binary_matrix
 from gtpool.errors import DimensionError, MatrixParseError
 from gtpool.matrices import (
     AnswerVector,
@@ -16,6 +17,7 @@ from gtpool.matrices import (
     QaryMatrix,
     _matrix_from_lines,
     _qary_from_bytes,
+    _single_digit_expansion,
     expand_qary,
     or_columns,
     read_answers,
@@ -270,17 +272,18 @@ def _read_by_lines(path):
 
 
 @st.composite
-def qary_files(draw):
+def qary_files(draw, max_q=300, max_zeros=3):
     """The bytes of a q-ary file read_matrix accepts, its matrix, and
-    whether the whole-array reader must take it."""
-    q = draw(st.integers(2, 300))
+    whether the whole-array reader must take it.  Entries lie in
+    [1, max_q], each led by up to max_zeros zeros."""
+    q = draw(st.integers(2, max_q))
     m, n = draw(st.integers(0, 4)), draw(st.integers(1, 5))
     rows = draw(st.lists(st.lists(st.integers(1, q), min_size=n, max_size=n),
                          min_size=m, max_size=m))
     eol = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [f"{m} {n} {q}"]
     for row in rows:
-        tokens = [draw(st.text("0", max_size=3)) + str(v) for v in row]
+        tokens = [draw(st.text("0", max_size=max_zeros)) + str(v) for v in row]
         gaps = draw(st.lists(st.text(" ", min_size=1, max_size=3),
                              min_size=n + 1, max_size=n + 1))
         gaps[0], gaps[-1] = gaps[0][1:], gaps[-1][1:]  # margins may be empty
@@ -474,6 +477,108 @@ class TestQaryReaderOracle:
         scratch_file.write_bytes(_mutated(case[0], data))
         assert (_read_record(read_matrix, scratch_file)
                 == _read_record(_read_by_lines, scratch_file))
+
+
+def _expanded(path):
+    """The parent reader of check and decode: read_matrix, and a q-ary
+    matrix expanded."""
+    got = read_matrix(path)
+    return expand_qary(got) if isinstance(got, QaryMatrix) else got
+
+
+# q-ary files of single digits that the expansion from bytes takes
+SINGLE_DIGIT_FILES = [
+    "3 4 5\n1 2 3 4\n5 4 3 2\n1 1 1 1\n",
+    "2 3 5\n1  2   3\n4 5    1\n",           # irregular spacing
+    "2 3 5\n  1 2 3  \n 4 5 1 \n",           # leading and trailing spaces
+    "2 4 5\n 1 2 3 4\n5 4 3 2\n",            # odd bytes hold digits
+    "2 3 5\n1 2 3\n4 5 1",                   # no final newline
+    "1 3 5\n1 2 3\n99 x\n\n",                # lines after row m
+    "1 3 5\n1 2 3\n12\t\r\x01",
+    "0 4 5\n",
+    "0 4 5",
+    "0 4 5\n3 3\n",
+    "3 1 2\n1\n2\n1\n",                      # n = 1
+    "2 4 2\n1 2 2 1\n2 1 1 2\n",             # q = 2
+    "2 9 9\n1 2 3 4 5 6 7 8 9\n9 8 7 6 5 4 3 2 1\n",
+    " 01 3 05 \n1 2 3\n",
+]
+
+# files read_matrix reads that the expansion from bytes leaves to it
+NOT_SINGLE_DIGIT_FILES = [
+    "1 3 5\n01 2 3\n",                       # an entry of two digits
+    "1 3 5\r\n1 2 3\r\n",
+    "0 4 5\r\n",
+    "1\t3 5\n1 2 3\n",
+    "1 3 5\n1 2 3\r\n",
+    "1 3 5\n1\t2 3\n",
+    "1 3 5\n1 2\x0b3\n",
+    "1 3 12\n1 2 3\n",                       # q > 9
+    "1 3 10\n1 2 3\n",
+    "1 3\n101\n",                            # binary
+]
+
+# single-digit files that read_matrix refuses
+SINGLE_DIGIT_ERRORS = [
+    "1 3 5\n12 3\n",                          # two digits touch
+    "1 3 5\n1 2 3 4\n",
+    "1 3 5\n1 2\n",
+    "2 3 5\n1 2\n3 4 5 1\n",                 # right total, wrong rows
+    "2 3 5\n1 2 3\n",                         # missing row
+    "1 3 5\n1 2 6\n",                         # above q
+    "1 3 5\n1 0 3\n",
+    "1 3 5\n1 2 3\n\xff\n",                   # not ASCII after row m
+]
+
+
+class TestSingleDigitExpansion:
+    """The expansion of a single-digit q-ary file from its bytes, and the
+    CLI's binary view of every file, against expand_qary(read_matrix())."""
+
+    @pytest.mark.parametrize("content", SINGLE_DIGIT_FILES)
+    def test_takes_single_digit_files(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode())
+        got = _single_digit_expansion(path)
+        assert got is not None
+        assert got == _expanded(path)
+
+    @pytest.mark.parametrize("content",
+                             NOT_SINGLE_DIGIT_FILES + SINGLE_DIGIT_ERRORS)
+    def test_leaves_other_files_to_read_matrix(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode("latin-1"))
+        assert _single_digit_expansion(path) is None
+
+    def test_unreadable_path(self, tmp_path):
+        assert _single_digit_expansion(tmp_path / "missing.txt") is None
+        assert _single_digit_expansion(tmp_path) is None
+
+    @given(qary_files(max_q=9, max_zeros=0))
+    @settings(max_examples=300)
+    def test_valid_files(self, scratch_file, case):
+        data, want, _ = case
+        scratch_file.write_bytes(data)
+        # a CR is the one byte these files may hold that it leaves alone
+        assert _single_digit_expansion(scratch_file) == (
+            None if b"\r" in data else expand_qary(want))
+
+    @pytest.mark.parametrize("content",
+                             [c for c, _ in PARSE_ERRORS] + QARY_EDGES
+                             + SINGLE_DIGIT_FILES + NOT_SINGLE_DIGIT_FILES
+                             + SINGLE_DIGIT_ERRORS)
+    def test_edge_files(self, tmp_path, content):
+        path = tmp_path / "m.txt"
+        path.write_bytes(content.encode("latin-1"))
+        assert (_read_record(_binary_matrix, path)
+                == _read_record(_expanded, path))
+
+    @given(qary_files(max_q=9, max_zeros=0), st.data())
+    @settings(max_examples=500)
+    def test_one_byte_mutations(self, scratch_file, case, data):
+        scratch_file.write_bytes(_mutated(case[0], data))
+        assert (_read_record(_binary_matrix, scratch_file)
+                == _read_record(_expanded, scratch_file))
 
 
 class TestBinaryReaderOracle:
