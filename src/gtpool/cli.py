@@ -20,8 +20,9 @@ and table1 and --help run without numpy, as do check and decode of a
 binary file or of a q-ary one with single-digit entries (q <= 9),
 which is expanded from its bytes.  check and decode of any other q-ary
 file parse it with numpy; design, mc and sweep import designs, sim and
-rng, which load numpy, when they run.  The parser registers every subcommand with its help,
-but adds arguments only to the one named on the command line.
+rng, which load numpy, when they run.  The parser registers every
+subcommand with its help, but adds arguments only to the one named on
+the command line.
 """
 
 from __future__ import annotations

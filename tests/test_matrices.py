@@ -480,8 +480,8 @@ class TestQaryReaderOracle:
 
 
 def _expanded(path):
-    """The parent reader of check and decode: read_matrix, and a q-ary
-    matrix expanded."""
+    """read_matrix, with a q-ary matrix expanded: the oracle of the
+    binary view that check and decode read."""
     got = read_matrix(path)
     return expand_qary(got) if isinstance(got, QaryMatrix) else got
 
@@ -491,7 +491,7 @@ SINGLE_DIGIT_FILES = [
     "3 4 5\n1 2 3 4\n5 4 3 2\n1 1 1 1\n",
     "2 3 5\n1  2   3\n4 5    1\n",           # irregular spacing
     "2 3 5\n  1 2 3  \n 4 5 1 \n",           # leading and trailing spaces
-    "2 4 5\n 1 2 3 4\n5 4 3 2\n",            # odd bytes hold digits
+    "2 4 5\n 1 2 3 4\n5 4 3 2\n",            # digits at odd offsets
     "2 3 5\n1 2 3\n4 5 1",                   # no final newline
     "1 3 5\n1 2 3\n99 x\n\n",                # lines after row m
     "1 3 5\n1 2 3\n12\t\r\x01",
@@ -559,13 +559,13 @@ class TestSingleDigitExpansion:
     def test_valid_files(self, scratch_file, case):
         data, want, _ = case
         scratch_file.write_bytes(data)
-        # a CR is the one byte these files may hold that it leaves alone
+        # every entry is one digit, so a CR is the one byte of these files
+        # that leaves a file to read_matrix
         assert _single_digit_expansion(scratch_file) == (
             None if b"\r" in data else expand_qary(want))
 
     @pytest.mark.parametrize("content",
                              [c for c, _ in PARSE_ERRORS] + QARY_EDGES
-                             + SINGLE_DIGIT_FILES + NOT_SINGLE_DIGIT_FILES
                              + SINGLE_DIGIT_ERRORS)
     def test_edge_files(self, tmp_path, content):
         path = tmp_path / "m.txt"
