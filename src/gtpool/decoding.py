@@ -45,14 +45,17 @@ SEPARABILITY_BUDGET = 10_000_000
 
 
 def decode_eliminate(matrix: BitMatrix, answers: AnswerVector) -> set:
-    """Candidate set left after striking all members of negative tests."""
+    """Candidate set left after striking all members of negative tests.
+
+    The answers are read as their "0"/"1" string alongside the rows, so
+    the pass is linear in m, not an m-bit shift per row.
+    """
     if answers.m != matrix.m:
         raise DimensionError(
             f"answer vector has {answers.m} entries for a {matrix.m}-row matrix")
     eliminated = 0
-    abits, m = answers.bits, matrix.m
-    for t, w in enumerate(matrix.rows):
-        if not (abits >> (m - 1 - t)) & 1:
+    for w, a in zip(matrix.rows, answers.to01()):
+        if a == "0":
             eliminated |= w
     n = matrix.n
     survivors = ~eliminated & matrix.full_row_mask

@@ -246,8 +246,7 @@ def gen_utdq(n: int, m_prime: int, q: int, seed) -> QaryMatrix:
     """q-ary matrix with i.i.d. uniform entries in [1, q]."""
     DesignSpec("utdq", n, q * m_prime, q)
     q = int(q)
-    return QaryMatrix(m_prime, n, q,
-                      _utdq_entries(as_generator(seed), m_prime, n, q))
+    return QaryMatrix._drawn(q, _utdq_entries(as_generator(seed), m_prime, n, q))
 
 
 def generate(spec: DesignSpec, seed) -> BitMatrix:

@@ -168,6 +168,20 @@ class QaryMatrix:
         self.q = q
         self.entries = a
 
+    @classmethod
+    def _drawn(cls, q: int, entries) -> "QaryMatrix":
+        """A matrix around a 2-D int64 array that the package has just
+        drawn in [1, q] and holds no other reference to: the array is
+        made read-only in place, without the copy and range scan of
+        __init__, which every array from outside goes through.
+        """
+        entries.flags.writeable = False
+        self = object.__new__(cls)
+        self.m, self.n = entries.shape
+        self.q = q
+        self.entries = entries
+        return self
+
     def __eq__(self, other):
         return (isinstance(other, QaryMatrix)
                 and (self.m, self.n, self.q) == (other.m, other.n, other.q)
@@ -260,13 +274,13 @@ def _item_mask(matrix: BitMatrix, items) -> int:
 def or_columns(matrix: BitMatrix, items) -> AnswerVector:
     """Answer vector for a defective set: bitwise OR of its columns.
 
-    An empty set yields the all-negative vector.
+    An empty set yields the all-negative vector.  The answers are built
+    as one string of m characters and read with one int(·, 2), which is
+    linear in m; shifting an m-bit int once per row would be quadratic.
     """
     mask = _item_mask(matrix, items)
-    acc = 0
-    for w in matrix.rows:
-        acc = (acc << 1) | (1 if w & mask else 0)
-    return AnswerVector(matrix.m, acc)
+    s = "".join(["1" if w & mask else "0" for w in matrix.rows])
+    return AnswerVector(matrix.m, int(s, 2) if s else 0)
 
 
 def expand_qary(mq: QaryMatrix) -> BitMatrix:
@@ -306,6 +320,11 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # q-ary file of single digits, _single_digit_expansion builds it from
 # the bytes without numpy or a QaryMatrix; a file it does not vouch for
 # goes through read_matrix and expand_qary, which are its oracle.
+#
+# write_matrix writes a q-ary matrix over q <= 9 from a fixed byte layout,
+# a digit and then a space or line break per entry, without splitting
+# numbers into decimal places; the bytes are the same as formatting each
+# number, which is how a larger alphabet is written.
 
 # the bytes of a q-ary file that _qary_from_bytes reads
 _QARY_BYTES = b"0123456789 \n"
@@ -550,17 +569,29 @@ def _replace_on_success(*paths):
         raise
 
 
-def _qary_blocks(entries):
-    """The rows of a q-ary matrix as file bytes, a block at a time.
-
-    Each entry becomes one byte per decimal place of the largest entry,
-    NUL where a shorter number has no digit, then a space, or a newline
-    after the last entry of a row.  Without the NULs that is
+def _qary_blocks(entries, q: int):
+    """The rows of a q-ary matrix as file bytes, a block at a time:
     " ".join(map(str, row)) + "\\n" for each row.
+
+    Over q <= 9 every entry is one digit, so each becomes two bytes, its
+    digit and a space, or a newline after the last entry of a row.  A
+    larger alphabet takes one byte per decimal place of the largest
+    entry, NUL where a shorter number has no digit, and the NULs are
+    then dropped.
     """
     import numpy as np
 
     m, n = entries.shape
+    if q <= 9:
+        step = max(1, _WRITE_BLOCK // n)
+        for lo in range(0, m, step):
+            block = entries[lo:lo + step]
+            cells = np.empty((*block.shape, 2), dtype=np.uint8)
+            np.add(block, ord("0"), out=cells[..., 0], casting="unsafe")
+            cells[..., 1] = ord(" ")
+            cells[:, -1, 1] = ord("\n")
+            yield cells.ravel()
+        return
     width = len(str(entries.max(initial=1)))
     scale = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
     step = max(1, _WRITE_BLOCK // (n * width))
@@ -585,7 +616,7 @@ def write_matrix(path, matrix) -> None:
                 fh.write(f"{matrix.row_string(t)}\n".encode())
         elif isinstance(matrix, QaryMatrix):
             fh.write(f"{matrix.m} {matrix.n} {matrix.q}\n".encode())
-            fh.writelines(_qary_blocks(matrix.entries))
+            fh.writelines(_qary_blocks(matrix.entries, matrix.q))
         else:
             raise TypeError(f"cannot write {type(matrix).__name__}")
 

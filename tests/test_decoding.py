@@ -70,6 +70,31 @@ def test_decode_no_tests_keeps_everyone():
     assert decode_eliminate(m, AnswerVector(0, 0)) == {1, 2, 3, 4}
 
 
+def shift_decode(matrix, answers):
+    """The elimination decoder reading test t as bit (m - 1 - t) of the
+    answers, one m-bit shift per row: quadratic in m."""
+    eliminated = 0
+    for t, w in enumerate(matrix.rows):
+        if not (answers.bits >> (matrix.m - 1 - t)) & 1:
+            eliminated |= w
+    return {j + 1 for j in range(matrix.n)
+            if not (eliminated >> (matrix.n - 1 - j)) & 1}
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (0, 9), (1, 1), (7, 1), (40, 3),
+                                  (3, 70), (2000, 2), (300, 65)])
+def test_decode_matches_row_shifts(m, n):
+    rng = np.random.default_rng(1000 * m + n)
+    matrix = BitMatrix.from_dense(rng.integers(0, 2, size=(m, n)))
+    random_bits = sum(int(b) << t for t, b in enumerate(rng.integers(0, 2, m)))
+    for bits in (0, (1 << m) - 1, random_bits):
+        answers = AnswerVector(m, bits)
+        assert decode_eliminate(matrix, answers) == shift_decode(matrix, answers)
+    items = sorted({int(i) for i in rng.integers(1, n + 1, 2)})
+    answers = or_columns(matrix, items)
+    assert decode_eliminate(matrix, answers) == shift_decode(matrix, answers)
+
+
 def test_decode_length_mismatch():
     m = BitMatrix.from_strings(["10", "01"])
     with pytest.raises(DimensionError):

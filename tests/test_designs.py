@@ -19,7 +19,7 @@ from gtpool.designs import (
     upper_bound_m,
 )
 from gtpool.errors import DimensionError, ParameterError
-from gtpool.matrices import expand_qary
+from gtpool.matrices import QaryMatrix, expand_qary
 
 
 class TestDesignSpec:
@@ -92,6 +92,19 @@ class TestGenerators:
     def test_utdq_entries_in_alphabet(self):
         mq = gen_utdq(30, 8, 4, 99)
         assert mq.entries.min() >= 1 and mq.entries.max() <= 4
+
+    @pytest.mark.parametrize("n, m_prime, q", [(30, 8, 4), (1, 3, 2),
+                                                (50, 0, 5), (200, 6, 9)])
+    def test_utdq_is_the_public_matrix_of_its_draw(self, n, m_prime, q):
+        # gen_utdq keeps its draw without the public constructor's copy
+        mq = gen_utdq(n, m_prime, q, 17)
+        draw = np.random.default_rng(17).integers(
+            1, q + 1, size=(m_prime, n), dtype=np.int64)
+        assert mq == QaryMatrix(m_prime, n, q, draw)
+        assert (mq.m, mq.n, mq.q) == (m_prime, n, q)
+        assert mq.entries.dtype == np.int64
+        with pytest.raises(ValueError):
+            mq.entries[...] = 1
 
     def test_utdq_row_positions_uniformish(self):
         # each expanded column carries one 1 per q-ary row

@@ -147,6 +147,20 @@ class TestOrColumns:
         want = np.bitwise_or.reduce(arr[:, [i - 1 for i in items]], axis=1)
         assert got.to01() == "".join(str(b) for b in want)
 
+    @pytest.mark.parametrize("m, n", [(0, 1), (0, 9), (1, 1), (7, 1), (40, 3),
+                                      (3, 70), (2000, 2), (300, 65)])
+    def test_matches_row_shifts(self, m, n):
+        # the oracle shifts the answers once per row, quadratic in m
+        rng = np.random.default_rng(1000 * m + n)
+        matrix = BitMatrix.from_dense(rng.integers(0, 2, size=(m, n)))
+        some = sorted({int(i) for i in rng.integers(1, n + 1, 3)})
+        for items in ([], [1], [n], some):
+            mask = sum(1 << (n - i) for i in items)
+            acc = 0
+            for w in matrix.rows:
+                acc = (acc << 1) | (1 if w & mask else 0)
+            assert or_columns(matrix, items) == AnswerVector(m, acc)
+
 
 class TestQary:
     def test_entries_validated(self):
@@ -154,6 +168,15 @@ class TestQary:
             QaryMatrix(1, 2, 3, [[0, 1]])
         with pytest.raises(DimensionError):
             QaryMatrix(1, 2, 3, [[1, 4]])
+
+    def test_entries_copied_and_read_only(self):
+        source = np.array([[1, 2, 3]])
+        mq = QaryMatrix(1, 3, 3, source)
+        source[0, 0] = 3
+        assert mq.entries.tolist() == [[1, 2, 3]]
+        assert mq.entries.dtype == np.int64
+        with pytest.raises(ValueError):
+            mq.entries[0, 0] = 2
 
     def test_expand_block_structure(self):
         mq = QaryMatrix(2, 3, 3, [[1, 2, 3], [3, 3, 1]])
@@ -623,24 +646,40 @@ def test_written_binary_files_read_back(tmp_path, matrix):
     assert read_matrix(path) == matrix
 
 
-@pytest.mark.parametrize("q", [2, 9, 10, 11, 99, 100, 101, 289])
+# (q, n, rows): 7 columns and enough rows for every symbol; one column,
+# where each row is one entry and a newline; no rows, the header alone
+QARY_WRITER_CASES = (
+    [pytest.param(q, 7, None, id=f"{q}")
+     for q in (2, 5, 9, 10, 11, 99, 100, 101, 289)]
+    + [pytest.param(q, 1, None, id=f"{q}-n1") for q in (2, 5, 9, 10, 289)]
+    + [pytest.param(q, 7, 0, id=f"{q}-m0") for q in (2, 5, 9, 10, 289)])
+
+
+@pytest.mark.parametrize("q, n, rows", QARY_WRITER_CASES)
 @pytest.mark.parametrize("block", [1, 50, matrices._WRITE_BLOCK])
-def test_qary_writer_bytes(tmp_path, monkeypatch, q, block):
-    # every symbol appears; the two small blocks split the rows
+def test_qary_writer_bytes(tmp_path, monkeypatch, q, n, rows, block):
+    # every symbol appears; a block holds block // (n * digits) rows, at
+    # least one, so the small blocks split the rows
+    default_block = matrices._WRITE_BLOCK
     monkeypatch.setattr(matrices, "_WRITE_BLOCK", block)
-    n = 7
-    m = -(-q // n) + 3
-    rng = np.random.default_rng(q)
-    entries = rng.permutation(np.concatenate(
-        [np.arange(1, q + 1), rng.integers(1, q + 1, size=m * n - q)]))
+    if rows is None:
+        m = -(-q // n) + 3
+        rng = np.random.default_rng(q)
+        entries = rng.permutation(np.concatenate(
+            [np.arange(1, q + 1), rng.integers(1, q + 1, size=m * n - q)]))
+    else:
+        m = rows
+        entries = np.ones(m * n, dtype=np.int64)
     entries = entries.reshape(m, n)
     path = tmp_path / "q.txt"
     write_matrix(path, QaryMatrix(m, n, q, entries))
     old = f"{m} {n} {q}\n" + "".join(" ".join(map(str, row)) + "\n"
                                      for row in entries.tolist())
     assert path.read_bytes() == old.encode()
-    if block < matrices._WRITE_BLOCK:
-        assert m > block // (n * len(str(q)))
+    if m and block < default_block:
+        per_block = max(1, block // (n * len(str(q))))
+        blocks = list(matrices._qary_blocks(entries, q))
+        assert len(blocks) == -(-m // per_block)
 
 
 def test_qary_writer_wide_entries(tmp_path):
