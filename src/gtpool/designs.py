@@ -126,7 +126,7 @@ class DesignSpec:
 # The readers below fix where each entry sits in the random stream.  A
 # generator (and so the oracle sim.reference_trial) and its trial kernel
 # read through the same reader and support mask; where a kernel
-# skips part of the stream, it reads entries by position with _draw_at.
+# skips part of the stream, it reads entries by position with _words_at.
 # The generate digests in tests/output_pins.json guard the layouts.
 
 # Entries per row chunk of _row_chunks, which gen_rid, gen_rrsd and the
@@ -267,24 +267,27 @@ def generate(spec: DesignSpec, seed) -> BitMatrix:
 
 # rid rows at least this long are drawn head first, skipping the tail of
 # each positive row with advance(); shorter rows are drawn whole, in
-# chunks.  Measured per trial at d = 3, rate-optimal p and sized m (same
-# host): whole rows win at n = 100 (0.10 against 0.26 ms) and n = 300
-# (0.20 against 0.34 ms), the two tie at n = 1000 (0.51 against 0.54
-# ms), and head first wins at n = 2000 (0.77 against 0.95 ms) and
-# n = 10^4 (2.0 against 5.0 ms).
+# chunks.  CPU time per trial at d = 3, rate-optimal p and sized m (same
+# host, heads read as words, medians of 15-30 rounds that alternate the
+# two reads on the same seeds; head first as a multiple of whole rows):
+# whole rows win at n = 100 (x2.1-2.5), 300 (x1.25-1.42) and 500
+# (x1.31-1.42), the two tie at n = 700 and 850 (x0.99-1.01), and head
+# first wins at n = 1000 (x0.88-0.93), 2000 (x0.59-0.64) and 10^4
+# (0.90-0.97 against 3.4-3.7 ms).
 _RID_SKIP_MIN_N = 1000
 
 # On the head-first path, once a good row drawn whole leaves at most
 # n / _RID_SPARSE_RATIO columns uncovered, each later good row reads only
-# those columns' entries (_draw_at).  At rate-optimal p a good row
+# those columns' entries (_words_at).  At rate-optimal p a good row
 # leaves each column uncovered with probability p, so this is the last
-# third or so of a trial's good rows.  Measured per trial at d = 3 and
-# sized m (same host, medians of 30 rounds of 40 trials, each round
+# third or so of a trial's good rows.  CPU time per trial at d = 3 and
+# sized m (same host, words read, medians of 30-40 rounds, each round
 # running every setting on the same seeds): at n = 10^4 the ratios 300,
-# 500 and 700 take 0.81, 0.79 and 0.80 of the time without the switch,
-# and 500 takes 0.60 of it at n = 10^5; at d = 2 and m = 59 and 60, where
-# the switch fires only once 2 or 4 columns are left, it takes 0.96 at
-# n = 10^3 and 0.94 at n = 2000.
+# 500, 700 and 1000 take 0.75-0.77, 0.76-0.77, 0.73-0.77 and 0.80 of
+# the time without the switch, and at n = 10^5 0.59-0.64, 0.59-0.64,
+# 0.57-0.64 and 0.66; at d = 2 and m = 59 and 60, where the switch fires
+# only once a few columns are left, 500 takes 0.89 at n = 10^3 and 0.84
+# at n = 2000.
 _RID_SPARSE_RATIO = 500
 
 # The good rows of a block's first read by rows.  In CPU time per trial
@@ -296,11 +299,13 @@ _RID_SPARSE_RATIO = 500
 # m = 94, x0.74, 0.74, 0.76, 0.81 and 0.85.
 _RSSD_FIRST_GOOD = 20
 
-# _draw_at advance()s over a gap of more than this many entries, then
-# takes one scalar draw, and draws through a shorter gap: advance() and
-# one draw cost as much as a draw of 100-150 doubles (same host).  An
-# array draw of one double after the advance() took x0.94-1.04 the time
-# per rid trial at n = 10^5, slower in 5 of 6 rounds of 40 trials.
+# _words_at advance()s over a gap of more than this many entries, then
+# draws one word, and draws through a shorter gap: advance() and one
+# word cost as much as a draw of 50-125 words (same host, CPU time,
+# medians of 15 rounds).  The gap hardly shows per trial: against 150,
+# gaps of 50, 100, 200 and 300 took x0.97-1.04 the time per rid trial
+# at n = 10^4 and 10^5 and x1.00-1.07 per rssd trial at n = 10^4 and
+# 40000 (medians of 20-30 rounds).
 _DRAW_GAP = 150
 
 
@@ -313,18 +318,22 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
     kernel reads the random stream in its generator's layout and selects
     through the generator's support mask, so the verdict is the full
     path's for every seed.  Where a kernel skips part of the stream, it
-    reads the entries it needs by position with _draw_at.
+    reads the entries it needs by position with _words_at.
 
       rid   _row_chunks: entry (i, j) is the double at stream position
             i*n + j.  Rows shorter than _RID_SKIP_MIN_N are read in
-            chunks; in longer ones each row's d head entries are drawn,
-            a positive row's other n - d are skipped with advance(), and
-            a good row's are drawn and OR'ed into the coverage until a
+            chunks; in longer ones each row's d head entries are drawn
+            as 64-bit words, an entry being positive (double >= p)
+            exactly when its word w >= high = ceil(p * 2^53) << 11, as
+            the double is (w >> 11) * 2^-53.  A positive row's other
+            n - d entries are skipped with advance(), and a good row's
+            are drawn as doubles and OR'ed into the coverage until a
             good row leaves at most n / _RID_SPARSE_RATIO columns
-            uncovered.  Each later good row reads only the entries of
-            the columns still uncovered (_draw_at), and the trial
-            succeeds at the row that covers the last of them.  Every
-            row ends where the next starts, at a multiple of n.
+            uncovered.  Each later good row reads only the words of the
+            columns still uncovered (_words_at), testing each against
+            high, and the trial succeeds at the row that covers the
+            last of them.  Every row ends where the next starts, at a
+            multiple of n.
       rrsd  _row_chunks; a row's support is its r smallest keys
             (_rrsd_mask).  The rows are read head first (_RowCursor):
             each row's d head entries are drawn and the rest of the row
@@ -349,10 +358,10 @@ def trial_disjunct(spec: DesignSpec, d: int, seed) -> bool:
             drawn and the rest of the row advance()d over; then every
             bad row and the first _RSSD_FIRST_GOOD rows of G are drawn,
             and each later row of G only while a column is left, just
-            that column's entries (_draw_at) once few are.  A column
-            left after all of G goes through _rssd_mask and is covered
-            when its support holds a row of G.  Each block leaves the
-            stream at its end.
+            those columns' words (_words_at), turned into their doubles,
+            once few are.  A column left after all of G goes through
+            _rssd_mask and is covered when its support holds a row of
+            G.  Each block leaves the stream at its end.
       utdq  _utdq_entries, the m/q x n integers in [1, q], drawn in
             chunks of as many rows as _CHUNK_ENTRIES entries hold (at
             least one); q-ary row i covers column j when entry (i, j) is
@@ -387,19 +396,25 @@ def _trial_rid(n, m, p, d, rng) -> bool:
             if covered.all():
                 return True
         return False
-    draw, skip = rng.random, rng.bit_generator.advance
+    # PCG64's double of a word w is (w >> 11) * 2**-53, so it is >= p
+    # exactly when w >= high; Python ints, as numpy 1.x compares a uint64
+    # with an int above 2^63 through float64
+    high = math.ceil(p * 2.0 ** 53) << 11
+    bits = rng.bit_generator
+    draw, word, skip = rng.random, bits.random_raw, bits.advance
     tail = np.empty(n - d)
     left = None  # once few are uncovered, their positions in a row
     for _ in range(m):
         for k in range(d):
-            if draw() >= p:  # a positive row: skip the rest of it
+            if word() >= high:  # a positive row: skip the rest of it
                 skip(n - 1 - k)
                 break
         else:
             if left is not None:
-                vals, at = _draw_at(rng, d, left)
-                skip(n - at)  # to the end of the row
-                left = [j for j, x in zip(left, vals) if x < p]
+                end = left[-1] + 1
+                left = [j for j, w in zip(left, _words_at(bits, d, left))
+                        if w < high]
+                skip(n - end)  # to the end of the row
                 if not left:
                     return True
                 continue
@@ -413,25 +428,26 @@ def _trial_rid(n, m, p, d, rng) -> bool:
     return False
 
 
-def _draw_at(rng, at: int, positions) -> tuple:
-    """The doubles at the given stream positions, read from position at.
+def _words_at(bits, at: int, positions):
+    """Yield the 64-bit words, as Python ints, of the bit generator bits
+    at the given stream positions, read from position at.
 
     positions increase and none is behind at.  A gap of more than
-    _DRAW_GAP entries before a position is advance()d over and its double
-    drawn alone; a shorter gap is drawn through.  Returns the doubles and
-    the position just past the last one, where the stream stands.
+    _DRAW_GAP entries before a position is advance()d over and its word
+    drawn alone; a shorter gap is drawn through.  Once every word is
+    read, the stream stands just past the last position.  On PCG64 a
+    word w gives the double (w >> 11) * 2**-53 that Generator.random
+    draws there.
     """
-    draw, skip = rng.random, rng.bit_generator.advance
-    values = []
+    word, skip = bits.random_raw, bits.advance
     for j in positions:
         gap = j - at
         if gap > _DRAW_GAP:
             skip(gap)
-            values.append(draw())
+            yield word()
         else:
-            values.append(draw(gap + 1)[gap])
+            yield int(word(gap + 1)[gap])
         at = j + 1
-    return values, at
 
 
 def _trial_rrsd(n, m, r, d, rng) -> bool:
@@ -542,11 +558,13 @@ class _BlockRows(_RowCursor):
 
     def read_at(self, i: int, cols) -> None:
         """Draw row i's keys in the columns cols (increasing) alone,
-        through _draw_at."""
+        through _words_at."""
         positions = (int(i) * self.w + cols).tolist()
         if positions[0] < self.at:
             self._seek(0)
-        self.keys[i, cols], self.at = _draw_at(self.rng, self.at, positions)
+        words = _words_at(self.bits, self.at, positions)
+        self.keys[i, cols] = [(w >> 11) * 2.0 ** -53 for w in words]
+        self.at = positions[-1] + 1
 
 
 def _block_covered(block: _BlockRows, good, s: int, h: int) -> bool:

@@ -5,19 +5,22 @@ it lives beside the tests rather than in the package: the good-row count
 and its variance bound, the transversal failure lemma of the q-ary
 model, the Stirling step behind the entropy rates, the
 inclusion-exclusion sum that theory's surjection recurrence is checked
-against, and the exact success probability of each model's designs.
+against, the exact success probability of each model's designs, and the
+exact law of the minimal-m search's answer for rid.
 """
 
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from gtpool.designs import _check_args, _utdq_uncovered, gen_rssd
+from gtpool.designs import _check_args, _utdq_uncovered, gen_rssd, spec_at
 from gtpool.errors import ParameterError
 from gtpool.matrices import BitMatrix, QaryMatrix, _item_mask
 from gtpool.rng import check_seed, substream
+from gtpool.sim import SEARCH_CAP, wilson_interval
 from gtpool.theory import LN2, entropy
 
 
@@ -261,3 +264,55 @@ def utdq_success_probability(n: int, m_prime: int, q: int, d: int) -> float:
     return math.fsum(
         pr * (1.0 - math.prod(((k + 1) / q) ** ck for k, ck in enumerate(c)))
         ** (n - d) for c, pr in counts.items())
+
+
+# The search's guard band: a probe passes when its Wilson lower bound
+# reaches target - SEARCH_GUARD.  It is sim.WILSON_GUARD written out, so
+# that the law does not move with the code it checks.
+SEARCH_GUARD = 0.03
+
+
+def rid_search_law(n: int, d: int, target: float, trials: int) -> dict:
+    """The law of find_min_m("rid", n, d, target, trials, seed).m_star
+    over seeds, as {m: probability}, with independent probes.
+
+    A probe at m runs trials trials from a seed of its own, so the probes
+    of one search are independent, and it passes with probability
+    Pr[Binomial(trials, P(m)) >= k_min]: P(m) is rid_success_probability
+    at the spec the search builds, and k_min the least success count
+    whose Wilson lower bound reaches target - SEARCH_GUARD.  The search
+    doubles hi from 1 until a probe passes, then bisects between the
+    last failed m (0 at first) and hi; the law sums the probability of
+    each path of that tree onto the m it ends at.  A path the search
+    would refuse at SEARCH_CAP carries no mass; neither does one whose
+    probability underflows to 0.
+    """
+    k_min = next(k for k in range(trials + 1)
+                 if wilson_interval(k, trials)[0] >= target - SEARCH_GUARD)
+
+    @cache
+    def passes(m: int) -> float:
+        spec = spec_at("rid", n, d, m)
+        p = rid_success_probability(n, m, spec.param, d)
+        return math.fsum(math.comb(trials, k) * p ** k
+                         * (1.0 - p) ** (trials - k)
+                         for k in range(k_min, trials + 1))
+
+    law = defaultdict(float)
+
+    def bisect(lo: int, hi: int, weight: float) -> None:
+        if not weight:
+            return
+        if hi - lo <= 1:
+            law[hi] += weight
+            return
+        mid = (lo + hi) // 2
+        bisect(lo, mid, weight * passes(mid))
+        bisect(mid, hi, weight * (1.0 - passes(mid)))
+
+    lo, hi, reach = 0, 1, 1.0  # reach: the chance every probe so far failed
+    while reach and hi <= SEARCH_CAP:
+        bisect(lo, hi, reach * passes(hi))
+        reach *= 1.0 - passes(hi)
+        lo, hi = hi, 2 * hi
+    return dict(law)

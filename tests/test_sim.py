@@ -36,6 +36,7 @@ from gtpool.sim import (
 )
 
 from lemmas import (
+    rid_search_law,
     rid_success_probability,
     rrsd_success_probability,
     rssd_success_probability,
@@ -200,11 +201,18 @@ def _kernel_cases(model):
 
 class Coarse(np.random.Generator):
     """PCG64 doubles rounded down to a grid of `levels` values, so keys
-    tie at the selection boundary, where argpartition alone decides."""
+    tie at the selection boundary, where argpartition alone decides.
+    Its bit_generator rounds the words the kernels read onto the same
+    grid (_CoarseBits)."""
 
     def __init__(self, seed, levels=4):
         super().__init__(np.random.PCG64(seed))
         self.levels = levels
+        self.bits = _CoarseBits(super().bit_generator, levels)
+
+    @property
+    def bit_generator(self):
+        return self.bits
 
     def random(self, size=None, out=None):
         keys = super().random(size, out=out)
@@ -212,6 +220,38 @@ class Coarse(np.random.Generator):
             return math.floor(keys * self.levels) / self.levels
         keys[...] = np.floor(keys * self.levels) / self.levels
         return keys
+
+
+class _CoarseBits:
+    """Coarse's bit generator: random_raw rounds each 64-bit word down to
+    a multiple of 2^64 / levels (levels a power of two), so the word's
+    double (w >> 11) * 2^-53 is the one Coarse.random gives there; state,
+    advance and the rest are the real PCG64's.  words logs each word a
+    kernel reads, the last of an array draw, with the name of the
+    function that drew it."""
+
+    def __init__(self, bits, levels):
+        top = levels.bit_length() - 1
+        vars(self).update(_bits=bits, _levels=levels, words=[],
+                          _mask=((1 << top) - 1) << (64 - top))
+
+    def random_raw(self, size=None):
+        assert self._levels & (self._levels - 1) == 0, self._levels
+        words = self._bits.random_raw(size)
+        if size is None:
+            words &= self._mask
+            last = words
+        else:
+            words &= np.uint64(self._mask)
+            last = int(words.flat[-1])
+        self.words.append((sys._getframe(1).f_code.co_name, last))
+        return words
+
+    def __getattr__(self, name):
+        return getattr(self._bits, name)
+
+    def __setattr__(self, name, value):
+        setattr(self._bits, name, value)
 
 
 _ARGPARTITION = np.argpartition
@@ -316,13 +356,14 @@ def _check_kernel_cases(model):
     assert outcomes == {True, False}
 
 
-def _check_tied_keys(model):
+def _check_tied_keys(model) -> set:
     # keys on a grid of four values tie at the selection boundary in
     # most rows and columns, and rid's p is on that grid, so a key equals
     # p in about a quarter of the entries; the last 100 cases have
-    # m >= 256 rows
+    # m >= 256 rows.  Returns, for rid, the functions that read a word
+    # equal to high, the word of p (designs._trial_rid)
     rs = np.random.default_rng(7)
-    outcomes = set()
+    outcomes, met = set(), set()
     for c in range(500):
         n = int(rs.integers(2, 30))
         d = int(rs.integers(1, min(3, n) + 1))
@@ -334,10 +375,15 @@ def _check_tied_keys(model):
         spec = DesignSpec(model, n, m, param)
         disjunct, decoded = reference_trial(spec, d, Coarse(c))
         assert disjunct == decoded
-        got = trial_disjunct(spec, d, Coarse(c))
+        rng = Coarse(c)
+        got = trial_disjunct(spec, d, rng)
         assert got == disjunct, (spec, d, c)
         outcomes.add(disjunct)
+        if model == "rid":
+            high = math.ceil(param * 2.0 ** 53) << 11
+            met |= {name for name, w in rng.bits.words if w == high}
     assert outcomes == {True, False}
+    return met
 
 
 class TestTrialKernel:
@@ -762,7 +808,7 @@ def test_upper_bound_m_meets_its_delta(model, n, d, delta):
     assert exact >= 1.0 - delta, (spec, exact)
 
 
-def test_draw_at_reads_the_stream_by_position():
+def test_words_at_reads_the_stream_by_position():
     # from mid-row, gaps on both sides of _DRAW_GAP and past it, each
     # long gap next to a short one
     gaps = [0, 1, designs._DRAW_GAP, designs._DRAW_GAP + 1, 10 ** 4]
@@ -773,12 +819,52 @@ def test_draw_at_reads_the_stream_by_position():
         at += gap + 1
     rng = substream(28, 0)
     rng.bit_generator.advance(start)
-    values, end = designs._draw_at(rng, start, positions)
-    assert end == positions[-1] + 1
-    assert values == substream(28, 0).random(end)[positions].tolist()
+    words = list(designs._words_at(rng.bit_generator, start, positions))
+    end = positions[-1] + 1
+    assert all(type(w) is int for w in words)  # compared as Python ints
+    assert words == substream(28, 0).bit_generator.random_raw(end)[
+        positions].tolist()
+    assert [(w >> 11) * 2.0 ** -53 for w in words] == substream(
+        28, 0).random(end)[positions].tolist()
     fresh = substream(28, 0)
     fresh.bit_generator.advance(end)
     assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+class TestWordLayout:
+    """The PCG64 layout the rid kernel reads words by: Generator.random's
+    double is (random_raw() >> 11) * 2^-53 of the same word, so a word w
+    is >= high = ceil(p * 2^53) << 11 exactly when its double is >= p.
+    Under every numpy the package supports; a numpy that changes
+    PCG64's next_double fails here first."""
+
+    def test_random_is_a_word_shifted(self):
+        # scalar and then bulk draws of each kind from one state
+        raw = np.random.PCG64(41)
+        words = [raw.random_raw() for _ in range(1000)]
+        words += raw.random_raw(1000).tolist()
+        doubles = np.random.Generator(np.random.PCG64(41))
+        values = [doubles.random() for _ in range(1000)]
+        values += doubles.random(1000).tolist()
+        assert values == [(w >> 11) * 2.0 ** -53 for w in words]
+        assert doubles.bit_generator.state == raw.state
+
+    def test_threshold_matches_the_double_compare(self):
+        grid = [1, 3, 2 ** 51, 2 ** 52 + 1, 2 ** 53 - 1]  # p * 2^53
+        ps = [k * 2.0 ** -53 for k in grid]
+        ps += [math.nextafter(p, x) for p in ps for x in (0.0, 1.0)]
+        ps += [2.0 ** -60, 1.0 - 2.0 ** -53]
+        ps += [math.exp(-1.0 / d) for d in range(1, 6)]
+        rs = np.random.default_rng(43)
+        for p in (p for p in ps if 0.0 < p < 1.0):  # a rid spec's range
+            high = math.ceil(p * 2.0 ** 53) << 11
+            assert high < 2 ** 64
+            near = [high + k for k in (-2 ** 11 - 1, -2 ** 11, -1, 0, 1,
+                                       2 ** 11 - 1, 2 ** 11)]
+            words = [0, 2 ** 64 - 1] + [w for w in near if 0 <= w < 2 ** 64]
+            words += rs.integers(0, 2 ** 64, 200, dtype=np.uint64).tolist()
+            for w in words:
+                assert (w >= high) == ((w >> 11) * 2.0 ** -53 >= p), (p, w)
 
 
 # rid at n = 10^4: the sized m at d = 2 and 3, and two thirds of the
@@ -857,13 +943,13 @@ class TestRidSparsePhase:
     def test_matches_on_tied_keys(self, monkeypatch, draw_gap):
         # every row head first and, from the first good row on, only the
         # uncovered columns' entries, so each test of a key against p
-        # (head, whole row, left columns) meets keys equal to p; with no
-        # gap, _draw_at advance()s to every entry it reads
+        # (head word, whole row, left columns' words) meets keys equal to
+        # p; with no gap, _words_at advance()s to every word it reads
         monkeypatch.setattr(designs, "_RID_SKIP_MIN_N", 0)
         monkeypatch.setattr(designs, "_RID_SPARSE_RATIO", 1)
         if draw_gap is not None:
             monkeypatch.setattr(designs, "_DRAW_GAP", draw_gap)
-        _check_tied_keys("rid")
+        assert _check_tied_keys("rid") == {"_trial_rid", "_words_at"}
 
     def test_last_column_case(self):
         spec, d, path = RID_LAST_COLUMN
@@ -927,6 +1013,77 @@ class TestFindMinM:
         # a pool left registered would be shut down: this sweep would fail
         assert (run_sweep("rid", 1, [30, 90], 0.75, 40, 12, jobs=2)
                 == run_sweep("rid", 1, [30, 90], 0.75, 40, 12))
+
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Pr[chi-squared with df degrees of freedom >= x]: the regularized
+    upper gamma Q(df / 2, x / 2), from Q(1/2, h) = erfc(sqrt(h)) or
+    Q(1, h) = exp(-h) by Q(a + 1, h) = Q(a, h) + h^a exp(-h) / Gamma(a + 1)."""
+    h = x / 2
+    if h <= 0:
+        return 1.0
+    a, q = (0.5, math.erfc(math.sqrt(h))) if df % 2 else (1.0, math.exp(-h))
+    while a < df / 2:
+        q += math.exp(a * math.log(h) - h - math.lgamma(a + 1))
+        a += 1
+    return q
+
+
+def test_chi2_sf_at_known_quantiles():
+    # the 0.95 and 0.999 quantiles of chi-squared tables
+    for x, df, want in [(3.841459, 1, 0.05), (5.991465, 2, 0.05),
+                        (11.070498, 5, 0.05), (22.457744, 6, 0.001),
+                        (24.321886, 7, 0.001)]:
+        assert _chi2_sf(x, df) == pytest.approx(want, rel=1e-5)
+
+
+class TestSearchLaw:
+    """lemmas.rid_search_law, the exact law of find_min_m's answer for
+    rid with independent probes, against find_min_m."""
+
+    @pytest.mark.parametrize("n, trials", [(100, 100), (100, 200),
+                                           (1000, 200), (10 ** 5, 200)])
+    def test_sums_to_one(self, n, trials):
+        law = rid_search_law(n, 2, 0.9, trials)
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(w > 0 for w in law.values())
+
+    def test_criterion_06_failure_chance(self):
+        # the sweep's three n have evenly spaced logs, so its slope is
+        # (m*(10^5) - m*(10^3)) / (2 ln 100), from two independent searches
+        low, high = (rid_search_law(n, 2, 0.9, 200) for n in (1000, 10 ** 5))
+        span = 2 * math.log(100)
+        below = sum(a * b for m1, a in low.items() for m2, b in high.items()
+                    if (m2 - m1) / span < 2.04)
+        above = sum(a * b for m1, a in low.items() for m2, b in high.items()
+                    if (m2 - m1) / span > 3.40)
+        assert 0.0425 < below + above < 0.0435
+        assert below < 1e-4
+
+    def test_find_min_m_follows_the_law(self):
+        # 100 searches at n = 100 (seeds 370000-370099, fixed before the
+        # first run) against the law, by a chi-squared test at level
+        # 10^-3: consecutive m are pooled until each bin expects at least
+        # 5 searches, a short tail joining the last bin
+        n, d, target, trials, seeds = 100, 2, 0.9, 100, range(370000, 370100)
+        law = rid_search_law(n, d, target, trials)
+        tops, expected, mass = [], [], 0.0
+        for m in sorted(law):
+            mass += law[m]
+            if mass * len(seeds) >= 5:
+                tops.append(m)
+                expected.append(mass * len(seeds))
+                mass = 0.0
+        tops[-1] = max(law)
+        expected[-1] += mass * len(seeds)
+        observed = [0] * len(tops)
+        for seed in seeds:
+            m_star = find_min_m("rid", n, d, target, trials, seed).m_star
+            assert m_star in law, m_star
+            observed[next(i for i, top in enumerate(tops)
+                          if m_star <= top)] += 1
+        chi2 = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
+        assert _chi2_sf(chi2, len(tops) - 1) > 1e-3, (tops, observed, expected)
 
 
 class TestSweep:
