@@ -46,7 +46,9 @@ from .errors import (
 from .matrices import (
     DefectiveSet,
     QaryMatrix,
+    _indicator_rows,
     _replace_on_success,
+    _RowBlocks,
     _single_digit_expansion,
     expand_qary,
     or_columns,
@@ -62,8 +64,10 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
 
 # Largest m * n that `design` draws and writes: the binary file takes a
-# byte per entry and the rssd draw a dense boolean matrix, so about 1 GiB
-# each.  The n = 10^5 designs of the benchmark take about 10^7 entries.
+# byte per entry, so about 1 GiB.  The file is written block by block as
+# the rows are drawn; only rssd still holds a dense m x n draw, a byte per
+# entry (and utdq with --qary-out its m/q x n entries, 8 bytes each).
+# The n = 10^5 designs of the benchmark take about 10^7 entries.
 DESIGN_CELL_BUDGET = 1 << 30
 
 
@@ -229,18 +233,18 @@ def cmd_design(ns: dict) -> int:
 
     _cell_guard(m, n)
     spec = designs.spec_at(model, n, d, m, explicit)
-    # all or nothing, and an unwritable target fails before the draw
+    # all or nothing, and an unwritable target fails before the draw; the
+    # binary rows go into their new file block by block as they are drawn
     targets = filter(None, (qary_out, ns["out"]))
     with _replace_on_success(*targets) as tmps:
-        if model == "utdq":
+        if qary_out:
             q = int(spec.param)
             mq = designs.gen_utdq(n, m // q, q, seed)
-            if qary_out:
-                write_matrix(tmps[0], mq)
-            matrix = expand_qary(mq)
+            write_matrix(tmps[0], mq)
+            blocks = _indicator_rows(mq.entries, q)
         else:
-            matrix = designs.generate(spec, seed)
-        write_matrix(tmps[-1], matrix)
+            blocks = designs._row_blocks(spec, seed)
+        write_matrix(tmps[-1], _RowBlocks(m, n, blocks))
     _emit({
         "model": model, "n": n, "d": d, "delta": delta, "m": m,
         "param": spec.param, "lambda": lam, "feasible": True, "seed": seed,

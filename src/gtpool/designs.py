@@ -31,7 +31,13 @@ import numpy as np
 
 from . import theory
 from .errors import DimensionError, ParameterError, _whole
-from .matrices import BitMatrix, QaryMatrix, _pack_rows, expand_qary
+from .matrices import (
+    BitMatrix,
+    QaryMatrix,
+    _indicator_rows,
+    _pack_rows,
+    expand_qary,
+)
 from .rng import as_generator
 
 __all__ = [
@@ -129,16 +135,17 @@ class DesignSpec:
 # skips part of the stream, it reads entries by position with _words_at.
 # The generate digests in tests/output_pins.json guard the layouts.
 
-# Entries per row chunk of _row_chunks, which gen_rid, gen_rrsd and the
-# rid kernel's short rows read, and of the utdq kernel's q-ary rows.
-# Output does not depend on it: row-wise draws give the same numbers for
-# any split.  CPU time per call at d = 3 (2-core x86 host, 2 MiB L2;
-# medians of 15 rounds, each running 2^12, 2^13, ..., 2^17 and 2^20 in
-# turn): gen_rid and gen_rrsd at n = 10^4, m = 149 take 8.3 and 15.0 ms
-# at 2^15 (7.6 and 15.0 at 2^16), and x1.16 and x1.27 that at 2^20; the
-# rid kernel's short rows at n = 300, m = 113 take 0.21 ms (0.18 at
-# 2^14); utdq trials at n = 10^4, m = 85 take 1.25 ms (1.17 at 2^16,
-# 1.36 at 2^20), and at n = 1000 every size takes 0.22-0.25 ms.
+# Entries per row chunk of _row_chunks, which the rid and rrsd rows of
+# _row_blocks and the rid kernel's short rows read, of _utdq_chunks, which
+# the utdq kernel and _row_blocks read, and of _in_chunks.  Output does
+# not depend on it: row-wise draws give the same numbers for any split.
+# CPU time per call at d = 3 (2-core x86 host, 2 MiB L2; medians of 15
+# rounds, each running 2^12, 2^13, ..., 2^17 and 2^20 in turn): gen_rid
+# and gen_rrsd at n = 10^4, m = 149 take 8.3 and 15.0 ms at 2^15 (7.6
+# and 15.0 at 2^16), and x1.16 and x1.27 that at 2^20; the rid kernel's
+# short rows at n = 300, m = 113 take 0.21 ms (0.18 at 2^14); utdq
+# trials at n = 10^4, m = 85 take 1.25 ms (1.17 at 2^16, 1.36 at 2^20),
+# and at n = 1000 every size takes 0.22-0.25 ms.
 _CHUNK_ENTRIES = 1 << 15
 
 # Entries per rssd column block of _column_blocks.  It fixes the rssd
@@ -207,39 +214,82 @@ def _utdq_entries(rng, m_prime: int, n: int, q: int):
     return rng.integers(1, q + 1, size=(m_prime, n), dtype=np.int64)
 
 
+def _utdq_chunks(rng, m_prime: int, n: int, q: int):
+    """_utdq_entries(rng, m_prime, n, q) as consecutive chunks of as many
+    rows as _CHUNK_ENTRIES entries hold (at least one): row-wise draws
+    give the same integers for any split."""
+    step = max(1, _CHUNK_ENTRIES // n)
+    for start in range(0, m_prime, step):
+        yield _utdq_entries(rng, min(step, m_prime - start), n, q)
+
+
+def _in_chunks(rows):
+    """The 2-D rows as consecutive views of as many rows as
+    _CHUNK_ENTRIES entries hold (at least one)."""
+    step = max(1, _CHUNK_ENTRIES // rows.shape[1])
+    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
+
+
+def _rssd_rows(rng, m: int, n: int, s: int):
+    """The rows of an rssd draw: every column block's mask, then the
+    dense m x n matrix in chunks of rows."""
+    dense = np.zeros((m, n), dtype=bool)
+    for start, w in _column_blocks(m, n):
+        dense[:, start:start + w] = _rssd_mask(rng.random((m, w)), s)
+    yield from _in_chunks(dense)
+
+
+def _row_blocks(spec: DesignSpec, seed):
+    """The rows of generate(spec, seed) as consecutive 2-D bool blocks,
+    each drawn when it is reached: the one place each model's rule turns
+    the stream into rows.
+
+      rid   a chunk of _row_chunks, 1 where the double is >= p
+      rrsd  a chunk of _row_chunks through _rrsd_mask
+      rssd  _rssd_rows: the only model that holds its m x n draw
+      utdq  the indicator rows of a chunk of q-ary rows (_utdq_chunks)
+
+    An rrsd row weight r of 0 or n, or an rssd column weight s of 0 or
+    m, draws nothing: every row is empty or full.
+    """
+    n, m, model = spec.n, spec.m, spec.model
+    rng = as_generator(seed)
+    if model == "rid":
+        p = spec.param
+        return (vals >= p for vals in _row_chunks(rng, m, n))
+    k = int(spec.param)
+    if model == "utdq":
+        return (rows for entries in _utdq_chunks(rng, m // k, n, k)
+                for rows in _indicator_rows(entries, k))
+    if k == 0 or k == (n if model == "rrsd" else m):
+        return _in_chunks(np.broadcast_to(k > 0, (m, n)))
+    if model == "rrsd":
+        # the r smallest of n i.i.d. uniform keys form a uniform r-subset
+        return (_rrsd_mask(keys, k) for keys in _row_chunks(rng, m, n))
+    return _rssd_rows(rng, m, n, k)
+
+
+def _packed(spec: DesignSpec, seed) -> BitMatrix:
+    """generate(spec, seed), packed from _row_blocks."""
+    rows = []
+    for block in _row_blocks(spec, seed):
+        rows += _pack_rows(block)
+    return BitMatrix(spec.m, spec.n, rows)
+
+
 def gen_rid(n: int, m: int, p: float, seed) -> BitMatrix:
     """Matrix with i.i.d. entries, each zero with probability p."""
-    DesignSpec("rid", n, m, p)
-    rows = []
-    for vals in _row_chunks(as_generator(seed), m, n):
-        rows.extend(_pack_rows(vals >= p))
-    return BitMatrix(m, n, rows)
+    return _packed(DesignSpec("rid", n, m, p), seed)
 
 
 def gen_rrsd(n: int, m: int, r: int, seed) -> BitMatrix:
     """Matrix whose rows are i.i.d. uniform weight-r rows."""
-    DesignSpec("rrsd", n, m, r)
-    r = int(r)
-    if r == 0 or r == n:  # no draw: every row is empty or full
-        return BitMatrix(m, n, [(1 << n) - 1 if r else 0] * m)
-    rows = []
-    for keys in _row_chunks(as_generator(seed), m, n):
-        # the r smallest of n i.i.d. uniform keys form a uniform r-subset
-        rows.extend(_pack_rows(_rrsd_mask(keys, r)))
-    return BitMatrix(m, n, rows)
+    return _packed(DesignSpec("rrsd", n, m, r), seed)
 
 
 def gen_rssd(n: int, m: int, s: int, seed) -> BitMatrix:
     """Matrix whose columns are i.i.d. uniform weight-s columns."""
-    DesignSpec("rssd", n, m, s)
-    s = int(s)
-    if s == 0 or s == m:  # no draw: every column is empty or full
-        return BitMatrix(m, n, [(1 << n) - 1 if s else 0] * m)
-    rng = as_generator(seed)
-    dense = np.zeros((m, n), dtype=bool)
-    for start, w in _column_blocks(m, n):
-        dense[:, start:start + w] = _rssd_mask(rng.random((m, w)), s)
-    return BitMatrix(m, n, _pack_rows(dense))
+    return _packed(DesignSpec("rssd", n, m, s), seed)
 
 
 def gen_utdq(n: int, m_prime: int, q: int, seed) -> QaryMatrix:
@@ -251,14 +301,10 @@ def gen_utdq(n: int, m_prime: int, q: int, seed) -> QaryMatrix:
 
 def generate(spec: DesignSpec, seed) -> BitMatrix:
     """Draw one binary test matrix for the given DesignSpec."""
-    if spec.model == "rid":
-        return gen_rid(spec.n, spec.m, spec.param, seed)
-    if spec.model == "rrsd":
-        return gen_rrsd(spec.n, spec.m, int(spec.param), seed)
-    if spec.model == "rssd":
-        return gen_rssd(spec.n, spec.m, int(spec.param), seed)
-    q = int(spec.param)
-    return expand_qary(gen_utdq(spec.n, spec.m // q, q, seed))
+    if spec.model == "utdq":
+        q = int(spec.param)
+        return expand_qary(gen_utdq(spec.n, spec.m // q, q, seed))
+    return _packed(spec, seed)
 
 
 # ---------------------------------------------------------------------
@@ -614,9 +660,7 @@ def _block_covered(block: _BlockRows, good, s: int, h: int) -> bool:
 
 def _trial_utdq(n, m_prime, q, d, rng) -> bool:
     left = None  # the columns that no row read so far covers
-    step = max(1, _CHUNK_ENTRIES // n)
-    for start in range(0, m_prime, step):
-        entries = _utdq_entries(rng, min(step, m_prime - start), n, q)
+    for entries in _utdq_chunks(rng, m_prime, n, q):
         if left is None:
             left = np.flatnonzero(_utdq_uncovered(entries, d)) + d
         else:

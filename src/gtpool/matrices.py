@@ -21,7 +21,7 @@ from __future__ import annotations
 import contextlib
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .errors import (
     DimensionError,
@@ -290,13 +290,24 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
     has a 1 exactly in the columns where row i equals s.  Each group of
     q rows therefore partitions the items.
     """
+    rows = []
+    for block in _indicator_rows(mq.entries, mq.q):
+        rows += _pack_rows(block)
+    return BitMatrix(mq.m * mq.q, mq.n, rows)
+
+
+def _indicator_rows(entries, q: int):
+    """The binary rows of the q-ary rows entries (a 2-D int array over
+    [1, q]), as expand_qary numbers them, in consecutive 2-D bool blocks
+    of the q indicator rows of as many q-ary rows as _WRITE_BLOCK
+    entries hold (at least one)."""
     import numpy as np
 
-    symbols = np.arange(1, mq.q + 1)[:, None]
-    rows = []
-    for row in mq.entries:
-        rows.extend(_pack_rows(row == symbols))
-    return BitMatrix(mq.m * mq.q, mq.n, rows)
+    m, n = entries.shape
+    symbols = np.arange(1, q + 1)[:, None]
+    step = max(1, _WRITE_BLOCK // (q * n))
+    for lo in range(0, m, step):
+        yield (entries[lo:lo + step, None, :] == symbols).reshape(-1, n)
 
 
 # ---------------------------------------------------------------------
@@ -325,6 +336,14 @@ def expand_qary(mq: QaryMatrix) -> BitMatrix:
 # a digit and then a space or line break per entry, without splitting
 # numbers into decimal places; the bytes are the same as formatting each
 # number, which is how a larger alphabet is written.
+#
+# A BitMatrix is written row by row from its packed ints (row_string).
+# A design's binary file is written block by block as its rows are drawn
+# (_RowBlocks): each dense bool block becomes its file bytes at once
+# (_binary_lines), with no packed row and no per-row formatting, and the
+# two give the same bytes.  Such a write goes straight into a new file
+# that its caller replaces the target with, as `design` writes every
+# target all or nothing.
 
 # the bytes of a q-ary file that _qary_from_bytes reads
 _QARY_BYTES = b"0123456789 \n"
@@ -332,7 +351,8 @@ _QARY_BYTES = b"0123456789 \n"
 # the longest entry _qary_from_bytes reads; 10**18 - 1 fits in an int64
 _QARY_DIGITS = 18
 
-# digits the q-ary writer formats at once: bounds its buffers, not its output
+# entries the writers and expand_qary take at once: bounds their buffers,
+# not their output
 _WRITE_BLOCK = 1 << 20
 
 
@@ -607,7 +627,40 @@ def _qary_blocks(entries, q: int):
         yield cells[cells != 0]
 
 
+class _RowBlocks(NamedTuple):
+    """An m x n binary matrix on its way to a file: its rows as
+    consecutive 2-D bool blocks, each drawn when the writer reaches it,
+    so the whole matrix is never held at once."""
+
+    m: int
+    n: int
+    blocks: Iterable
+
+
+def _binary_lines(block):
+    """The binary file lines of the rows of a 2-D bool block, as one
+    uint8 array: each row's n cells, ord("0") + bit, and then a "\\n"."""
+    import numpy as np
+
+    k, n = block.shape
+    cells = np.empty((k, n + 1), dtype=np.uint8)
+    # a bool is the byte 0 or 1; adding in uint8 skips a cast per cell
+    np.add(block.view(np.uint8), np.uint8(ord("0")), out=cells[:, :n])
+    cells[:, n] = ord("\n")
+    return cells.ravel()
+
+
 def write_matrix(path, matrix) -> None:
+    """Write a BitMatrix or QaryMatrix to path, all or nothing.
+
+    A _RowBlocks is written into path itself, which must be a new file
+    that the caller replaces its target with (_replace_on_success).
+    """
+    if isinstance(matrix, _RowBlocks):
+        with open(path, "wb") as fh:
+            fh.write(f"{matrix.m} {matrix.n}\n".encode())
+            fh.writelines(map(_binary_lines, matrix.blocks))
+        return
     with (_replace_on_success(path) as (tmp,),
           open(tmp, "wb") as fh):
         if isinstance(matrix, BitMatrix):

@@ -6,7 +6,7 @@ and its variance bound, the transversal failure lemma of the q-ary
 model, the Stirling step behind the entropy rates, the
 inclusion-exclusion sum that theory's surjection recurrence is checked
 against, the exact success probability of each model's designs, and the
-exact law of the minimal-m search's answer for rid.
+exact law of the minimal-m search's answer for rid and utdq.
 """
 
 import math
@@ -272,31 +272,42 @@ def utdq_success_probability(n: int, m_prime: int, q: int, d: int) -> float:
 SEARCH_GUARD = 0.03
 
 
-def rid_search_law(n: int, d: int, target: float, trials: int) -> dict:
-    """The law of find_min_m("rid", n, d, target, trials, seed).m_star
-    over seeds, as {m: probability}, with independent probes.
+def search_law(model: str, n: int, d: int, target: float,
+               trials: int) -> dict:
+    """The law of find_min_m(model, n, d, target, trials, seed).m_star
+    over seeds, as {m: probability}, with independent probes, for rid
+    and utdq.
 
-    A probe at m runs trials trials from a seed of its own, so the probes
-    of one search are independent, and it passes with probability
-    Pr[Binomial(trials, P(m)) >= k_min]: P(m) is rid_success_probability
-    at the spec the search builds, and k_min the least success count
-    whose Wilson lower bound reaches target - SEARCH_GUARD.  The search
-    doubles hi from 1 until a probe passes, then bisects between the
-    last failed m (0 at first) and hi; the law sums the probability of
-    each path of that tree onto the m it ends at.  A path the search
-    would refuse at SEARCH_CAP carries no mass; neither does one whose
+    The search probes m in whole steps, m = k * step, where step is q
+    for utdq (its m counts binary rows, q per q-ary row) and 1 for rid.
+    A probe at m runs trials trials from a seed of its own, so the
+    probes of one search are independent, and it passes with
+    probability Pr[Binomial(trials, P(m)) >= k_min]: P(m) is
+    rid_success_probability or utdq_success_probability at the spec the
+    search builds, and k_min the least success count whose Wilson lower
+    bound reaches target - SEARCH_GUARD.  The search doubles hi from 1
+    step until a probe passes, then bisects between the last failed
+    step count (0 at first) and hi; the law sums the probability of each
+    path of that tree onto the m it ends at.  A path the search would
+    refuse at SEARCH_CAP carries no mass; neither does one whose
     probability underflows to 0.
     """
+    if model not in ("rid", "utdq"):
+        raise ParameterError(f"no search law for {model!r}")
     k_min = next(k for k in range(trials + 1)
                  if wilson_interval(k, trials)[0] >= target - SEARCH_GUARD)
+    step = int(spec_at(model, n, d, 0).param) if model == "utdq" else 1
 
     @cache
-    def passes(m: int) -> float:
-        spec = spec_at("rid", n, d, m)
-        p = rid_success_probability(n, m, spec.param, d)
-        return math.fsum(math.comb(trials, k) * p ** k
-                         * (1.0 - p) ** (trials - k)
-                         for k in range(k_min, trials + 1))
+    def passes(k: int) -> float:  # the probe at m = k * step
+        if model == "utdq":
+            p = utdq_success_probability(n, k, step, d)
+        else:
+            p = rid_success_probability(n, k, spec_at("rid", n, d, k).param,
+                                        d)
+        return math.fsum(math.comb(trials, j) * p ** j
+                         * (1.0 - p) ** (trials - j)
+                         for j in range(k_min, trials + 1))
 
     law = defaultdict(float)
 
@@ -304,14 +315,14 @@ def rid_search_law(n: int, d: int, target: float, trials: int) -> dict:
         if not weight:
             return
         if hi - lo <= 1:
-            law[hi] += weight
+            law[hi * step] += weight
             return
         mid = (lo + hi) // 2
         bisect(lo, mid, weight * passes(mid))
         bisect(mid, hi, weight * (1.0 - passes(mid)))
 
     lo, hi, reach = 0, 1, 1.0  # reach: the chance every probe so far failed
-    while reach and hi <= SEARCH_CAP:
+    while reach and hi * step <= SEARCH_CAP:
         bisect(lo, hi, reach * passes(hi))
         reach *= 1.0 - passes(hi)
         lo, hi = hi, 2 * hi

@@ -109,7 +109,8 @@ class TestDesign:
         def no_work(*args, **kwargs):
             raise AssertionError("sized or drew before the refusal")
 
-        for target in ("upper_bound_m", "gen_utdq", "generate"):
+        for target in ("upper_bound_m", "gen_utdq", "generate",
+                       "_row_blocks"):
             monkeypatch.setattr(f"gtpool.designs.{target}", no_work)
         monkeypatch.chdir(tmp_path)
         qout = "m.txt" if alias == "same" else "./sub/../m.txt"
@@ -148,8 +149,8 @@ class TestDesign:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a design beyond the budget")
 
-        monkeypatch.setattr("gtpool.designs.generate", no_draw)
-        monkeypatch.setattr("gtpool.designs.gen_utdq", no_draw)
+        for target in ("generate", "gen_utdq", "_row_blocks"):
+            monkeypatch.setattr(f"gtpool.designs.{target}", no_draw)
         out, qout = tmp_path / "bin.txt", tmp_path / "qary.txt"
         qary = ["--qary-out", str(qout)] if model == "utdq" else []
         tracemalloc.start()
@@ -168,10 +169,11 @@ class TestDesign:
 
     def test_size_guard_admits_the_budget(self, capsys, tmp_path,
                                           monkeypatch):
+        # the rows are drawn as the file is written; none here, so the
+        # admitted design writes its header alone
         drawn = []
-        monkeypatch.setattr("gtpool.designs.generate",
-                            lambda spec, seed: drawn.append(spec) or
-                            BitMatrix(0, 1, []))
+        monkeypatch.setattr("gtpool.designs._row_blocks",
+                            lambda spec, seed: drawn.append(spec) or iter(()))
         m = 64
         n = DESIGN_CELL_BUDGET // m
         argv = ["design", "--model", "rid", "--d", "3", "--m", str(m),
@@ -252,6 +254,111 @@ class TestDesign:
         assert len(calls) == failing + 1
         assert out.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("qary", [False, True], ids=["rid", "utdq"])
+    def test_failure_after_the_first_block_writes_neither(
+            self, capsys, tmp_path, monkeypatch, qary):
+        # the binary file is written into its new file as the rows are
+        # drawn; an error after a block is written leaves both targets
+        # as they were and no new file behind
+        def one_block(blocks):
+            yield next(iter(blocks))
+            raise OSError("no space left")
+
+        if qary:
+            real = gtpool.cli._indicator_rows
+            monkeypatch.setattr("gtpool.cli._indicator_rows",
+                                lambda *args: one_block(real(*args)))
+            argv = [*self.UTDQ, "--qary-out", str(tmp_path / "q.txt")]
+        else:
+            real = gtpool.designs._row_blocks
+            monkeypatch.setattr("gtpool.designs._row_blocks",
+                                lambda *args: one_block(real(*args)))
+            argv = ["design", "--model", "rid", "--n", "40", "--d", "2",
+                    "--m", "30", "--seed", "1"]
+        monkeypatch.setattr("gtpool.designs._CHUNK_ENTRIES", 40)
+        monkeypatch.setattr("gtpool.matrices._WRITE_BLOCK", 40)
+        out = tmp_path / "bin.txt"
+        out.write_text("old\n")
+        code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+        assert code == 4 and stdout == "" and "no space left" in stderr
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+
+# `design` command lines whose binary rows are drawn in several blocks,
+# with block edges mid-matrix: n above _CHUNK_ENTRIES (a row a block), n
+# that does not divide it, m = 0, the constant rows of rrsd r = 0 or n
+# and rssd s = 0 or m, and utdq over q = 2 and q = 12, with and without
+# the q-ary file; --seed is appended
+STREAMED_DESIGNS = {
+    "rid-sized": "--model rid --n 1000 --d 3 --delta 0.1",
+    "rid-wide": "--model rid --n 40000 --d 3 --m 3",
+    "rid-m0": "--model rid --n 33000 --d 2 --m 0",
+    "rrsd": "--model rrsd --n 1000 --d 3 --m 70",
+    "rrsd-r0": "--model rrsd --n 1000 --d 3 --m 70 --r 0",
+    "rrsd-rn": "--model rrsd --n 1000 --d 3 --m 70 --r 1000",
+    "rssd": "--model rssd --n 1000 --d 3 --m 70",
+    "rssd-s0": "--model rssd --n 1000 --d 3 --m 70 --s 0",
+    "rssd-sm": "--model rssd --n 1000 --d 3 --m 70 --s 70",
+    "utdq-sized": "--model utdq --n 1000 --d 3 --delta 0.1",
+    "utdq-q2": "--model utdq --n 300 --d 3 --q 2 --m 80",
+    "utdq-q2-qary": "--model utdq --n 300 --d 3 --q 2 --m 80 --qary-out",
+    "utdq-q12-qary": "--model utdq --n 300 --d 3 --q 12 --m 48 --qary-out",
+}
+
+
+class TestStreamedDesign:
+    """`design` writes the binary file block by block from the drawn
+    rows; its bytes are those of write_matrix(generate(...)), which
+    formats the packed rows one at a time (BitMatrix.row_string)."""
+
+    @pytest.mark.parametrize("chunk", [None, 7], ids=["default", "small"])
+    @pytest.mark.parametrize("name", list(STREAMED_DESIGNS))
+    def test_bytes_match_the_row_writer(self, capsys, tmp_path, monkeypatch,
+                                        name, chunk):
+        from gtpool import designs
+
+        if chunk is not None:  # a row or a q-ary row a block
+            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", chunk)
+            monkeypatch.setattr(gtpool.matrices, "_WRITE_BLOCK", chunk)
+        argv = ["design", *STREAMED_DESIGNS[name].split(), "--seed", "17"]
+        if argv[-3] == "--qary-out":
+            argv[-2:-2] = [str(tmp_path / "q.txt")]
+        code, stdout, _ = run(capsys, *argv, "--out",
+                              str(tmp_path / "bin.txt"))
+        assert code == 0
+        rec = json.loads(stdout)
+        spec = designs.spec_at(rec["model"], rec["n"], rec["d"], rec["m"],
+                               rec["param"])
+        write_matrix(tmp_path / "want.txt", designs.generate(spec, 17))
+        assert ((tmp_path / "bin.txt").read_bytes()
+                == (tmp_path / "want.txt").read_bytes())
+        if "--qary-out" in argv:
+            q = int(spec.param)
+            write_matrix(tmp_path / "want-q.txt",
+                         designs.gen_utdq(spec.n, spec.m // q, q, 17))
+            assert ((tmp_path / "q.txt").read_bytes()
+                    == (tmp_path / "want-q.txt").read_bytes())
+
+    def test_rid_memory_is_one_block(self, capsys, tmp_path):
+        # at n = 10^5 and m = 172 (the cli-pipeline design) the packed
+        # rows alone take m * n / 8 = 2.1 MB, and the draw packed and
+        # formatted row by row peaked at 3.11 MiB; written block by block
+        # (a row of 10^5 doubles, its bits and its bytes) it peaks at
+        # about 1.0 MiB; a small design first imports what a design loads
+        argv = ["design", "--model", "rid", "--d", "3", "--m", "172",
+                "--seed", "3", "--out", str(tmp_path / "bin.txt")]
+        assert run(capsys, *argv, "--n", "100")[0] == 0
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv, "--n", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert (tmp_path / "bin.txt").stat().st_size == 11 + 172 * 100001
+        assert peak < 1.5 * 2 ** 20
 
 
 class TestCheck:

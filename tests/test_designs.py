@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtpool import designs, theory
+from gtpool import designs, matrices, theory
 from gtpool.designs import (
     DesignSpec,
     gen_rid,
@@ -19,7 +19,7 @@ from gtpool.designs import (
     upper_bound_m,
 )
 from gtpool.errors import DimensionError, ParameterError
-from gtpool.matrices import QaryMatrix, expand_qary
+from gtpool.matrices import QaryMatrix, _RowBlocks, expand_qary, write_matrix
 
 
 class TestDesignSpec:
@@ -134,6 +134,36 @@ class TestGenerators:
             got = [(gen_rid(n, m, 0.6, 2024), gen_rrsd(n, m, n // 3, 2024))
                    for n, m in shapes]
             assert got == want, entries
+
+    # n = 1, m = 0, the constant rows of rrsd r = 0 or n and rssd s = 0
+    # or m, and utdq over q = 2, 3 and 12
+    STREAM_SPECS = [
+        DesignSpec("rid", 1, 9, 0.5), DesignSpec("rid", 37, 0, 0.5),
+        DesignSpec("rid", 37, 20, 0.6),
+        *(DesignSpec("rrsd", 1, 9, r) for r in (0, 1)),
+        *(DesignSpec("rrsd", 37, 20, r) for r in (0, 10, 37)),
+        *(DesignSpec("rssd", 1, 9, s) for s in (0, 4, 9)),
+        *(DesignSpec("rssd", 37, 20, s) for s in (0, 7, 20)),
+        DesignSpec("utdq", 1, 6, 2), DesignSpec("utdq", 37, 0, 4),
+        DesignSpec("utdq", 37, 24, 3), DesignSpec("utdq", 37, 24, 12),
+    ]
+
+    @pytest.mark.parametrize("entries", [None, 1, 10, 64])
+    def test_streamed_rows_write_the_generated_matrix(self, tmp_path,
+                                                      monkeypatch, entries):
+        # the row blocks `design` writes as it draws them, against the
+        # matrix generate() packs, written one row string at a time; the
+        # small sizes cut blocks mid-matrix, a row or a q-ary row each
+        if entries is not None:
+            monkeypatch.setattr(designs, "_BLOCK_ENTRIES", entries)
+            monkeypatch.setattr(designs, "_CHUNK_ENTRIES", entries)
+            monkeypatch.setattr(matrices, "_WRITE_BLOCK", entries)
+        streamed, packed = tmp_path / "streamed.txt", tmp_path / "packed.txt"
+        for spec in self.STREAM_SPECS:
+            rows = _RowBlocks(spec.m, spec.n, designs._row_blocks(spec, 5))
+            write_matrix(streamed, rows)
+            write_matrix(packed, generate(spec, 5))
+            assert streamed.read_bytes() == packed.read_bytes(), spec
 
     def test_arguments_checked_as_design_spec(self):
         with pytest.raises(ParameterError):

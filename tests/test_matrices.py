@@ -189,6 +189,18 @@ class TestQary:
         assert e.row_string(3) == "001"   # symbol 1 in q-ary row 1
         assert e.row_string(5) == "110"
 
+    @pytest.mark.parametrize("block", [1, 7, matrices._WRITE_BLOCK])
+    @pytest.mark.parametrize("q", [2, 5, 12])
+    def test_expand_matches_row_indicators(self, monkeypatch, q, block):
+        # expanded a block of q-ary rows at a time, against each row's q
+        # indicator rows packed on their own
+        monkeypatch.setattr(matrices, "_WRITE_BLOCK", block)
+        entries = np.random.default_rng(q).integers(1, q + 1, size=(9, 11))
+        symbols = np.arange(1, q + 1)[:, None]
+        want = [r for row in entries
+                for r in BitMatrix.from_dense(row == symbols).rows]
+        assert expand_qary(QaryMatrix(9, 11, q, entries)).rows == tuple(want)
+
     @given(st.integers(2, 5), st.integers(1, 4), st.integers(1, 6),
            st.integers(0, 2**32 - 1))
     @settings(max_examples=40)
@@ -644,6 +656,22 @@ def test_written_binary_files_read_back(tmp_path, matrix):
     path = tmp_path / "m.txt"
     write_matrix(path, matrix)
     assert read_matrix(path) == matrix
+
+
+@pytest.mark.parametrize("n", [1, 5, 64])
+@pytest.mark.parametrize("cuts", [(), (0,), (1, 3), (0, 0, 4, 4, 7)],
+                         ids=["whole", "empty-first", "mid", "empty-blocks"])
+def test_row_block_writer_bytes(tmp_path, n, cuts):
+    # a matrix written as its row blocks, each formatted at once, against
+    # the same matrix written one row string at a time; cuts are the
+    # block edges, empty blocks included
+    dense = np.random.default_rng(n).random((7, n)) < 0.5
+    path, want = tmp_path / "blocks.txt", tmp_path / "rows.txt"
+    write_matrix(path, matrices._RowBlocks(7, n, np.split(dense, cuts)))
+    write_matrix(want, BitMatrix.from_dense(dense))
+    assert path.read_bytes() == want.read_bytes()
+    write_matrix(path, matrices._RowBlocks(0, n, []))
+    assert path.read_bytes() == f"0 {n}\n".encode()
 
 
 # (q, n, rows): 7 columns and enough rows for every symbol; one column,

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtpool import designs, rng, sim
+from gtpool import designs, rng, sim, theory
 from gtpool.decoding import is_separable
 from gtpool.designs import (
     DesignSpec,
@@ -36,10 +36,10 @@ from gtpool.sim import (
 )
 
 from lemmas import (
-    rid_search_law,
     rid_success_probability,
     rrsd_success_probability,
     rssd_success_probability,
+    search_law,
     transversal_prob_check,
     utdq_success_probability,
     variance_probe,
@@ -356,12 +356,14 @@ def _check_kernel_cases(model):
     assert outcomes == {True, False}
 
 
-def _check_tied_keys(model) -> set:
+def _check_tied_keys(model, rid_ps=(0.25, 0.5, 0.75)) -> set:
     # keys on a grid of four values tie at the selection boundary in
-    # most rows and columns, and rid's p is on that grid, so a key equals
-    # p in about a quarter of the entries; the last 100 cases have
-    # m >= 256 rows.  Returns, for rid, the functions that read a word
-    # equal to high, the word of p (designs._trial_rid)
+    # most rows and columns, and rid's p is drawn from rid_ps, by default
+    # on that grid, so a key equals p in about a quarter of the entries;
+    # the last 100 cases have m >= 256 rows.  Returns, for rid, the
+    # functions that read a word equal to floor(p * 2^53) << 11, the
+    # word of the largest draw <= p (draws are multiples of 2^-53): high
+    # (designs._trial_rid) when p is on that grid, 2^11 below it if not
     rs = np.random.default_rng(7)
     outcomes, met = set(), set()
     for c in range(500):
@@ -369,7 +371,7 @@ def _check_tied_keys(model) -> set:
         d = int(rs.integers(1, min(3, n) + 1))
         m = int(rs.integers(0, 30) if c < 400 else rs.integers(256, 700))
         if model == "rid":
-            param = (0.25, 0.5, 0.75)[int(rs.integers(0, 3))]
+            param = rid_ps[int(rs.integers(0, len(rid_ps)))]
         else:
             param = int(rs.integers(0, (n if model == "rrsd" else m) + 1))
         spec = DesignSpec(model, n, m, param)
@@ -380,8 +382,8 @@ def _check_tied_keys(model) -> set:
         assert got == disjunct, (spec, d, c)
         outcomes.add(disjunct)
         if model == "rid":
-            high = math.ceil(param * 2.0 ** 53) << 11
-            met |= {name for name, w in rng.bits.words if w == high}
+            below = math.floor(param * 2.0 ** 53) << 11
+            met |= {name for name, w in rng.bits.words if w == below}
     assert outcomes == {True, False}
     return met
 
@@ -951,6 +953,19 @@ class TestRidSparsePhase:
             monkeypatch.setattr(designs, "_DRAW_GAP", draw_gap)
         assert _check_tied_keys("rid") == {"_trial_rid", "_words_at"}
 
+    def test_matches_on_keys_just_below_p(self, monkeypatch):
+        # p = 0.25 + 2^-54 is off the 2^-53 grid, and Coarse's key 0.25,
+        # a quarter of the entries, is the largest double below it: its
+        # word floor(p * 2^53) << 11 is 2^11 below high = ceil(p * 2^53)
+        # << 11, so the entry is 0, as the generator's double compare
+        # says; a threshold taken with floor would call it 1.  Read at
+        # the head words and the left columns' words
+        monkeypatch.setattr(designs, "_RID_SKIP_MIN_N", 0)
+        monkeypatch.setattr(designs, "_RID_SPARSE_RATIO", 1)
+        p = math.nextafter(0.25, 1.0)
+        assert math.floor(p * 2.0 ** 53) < p * 2.0 ** 53
+        assert _check_tied_keys("rid", (p,)) == {"_trial_rid", "_words_at"}
+
     def test_last_column_case(self):
         spec, d, path = RID_LAST_COLUMN
         assert spec.n >= designs._RID_SKIP_MIN_N
@@ -1037,21 +1052,55 @@ def test_chi2_sf_at_known_quantiles():
         assert _chi2_sf(x, df) == pytest.approx(want, rel=1e-5)
 
 
+def _search_fit(model, n, d, target, trials, seeds) -> tuple:
+    """find_min_m's answers over seeds against lemmas.search_law, by a
+    chi-squared test: consecutive m are pooled until each bin expects at
+    least 5 searches, a short tail joining the last bin.  Returns the
+    p-value and the bins' tops, observed and expected counts."""
+    law = search_law(model, n, d, target, trials)
+    tops, expected, mass = [], [], 0.0
+    for m in sorted(law):
+        mass += law[m]
+        if mass * len(seeds) >= 5:
+            tops.append(m)
+            expected.append(mass * len(seeds))
+            mass = 0.0
+    tops[-1] = max(law)
+    expected[-1] += mass * len(seeds)
+    observed = [0] * len(tops)
+    for seed in seeds:
+        m_star = find_min_m(model, n, d, target, trials, seed).m_star
+        assert m_star in law, m_star
+        observed[next(i for i, top in enumerate(tops) if m_star <= top)] += 1
+    chi2 = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    return _chi2_sf(chi2, len(tops) - 1), tops, observed, expected
+
+
 class TestSearchLaw:
-    """lemmas.rid_search_law, the exact law of find_min_m's answer for
-    rid with independent probes, against find_min_m."""
+    """lemmas.search_law, the exact law of find_min_m's answer for rid
+    and utdq with independent probes, against find_min_m."""
 
     @pytest.mark.parametrize("n, trials", [(100, 100), (100, 200),
                                            (1000, 200), (10 ** 5, 200)])
     def test_sums_to_one(self, n, trials):
-        law = rid_search_law(n, 2, 0.9, trials)
+        law = search_law("rid", n, 2, 0.9, trials)
         assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(w > 0 for w in law.values())
+
+    @pytest.mark.parametrize("n, d, trials", [(30, 2, 100), (100, 3, 100),
+                                              (1000, 3, 200)])
+    def test_utdq_sums_to_one(self, n, d, trials):
+        # every m is a whole number of q-ary rows, q = utdq_q_star(d)
+        law = search_law("utdq", n, d, 0.9, trials)
+        q = theory.utdq_q_star(d)[0]
+        assert math.fsum(law.values()) == pytest.approx(1.0, abs=1e-12)
+        assert all(w > 0 and m % q == 0 for m, w in law.items())
 
     def test_criterion_06_failure_chance(self):
         # the sweep's three n have evenly spaced logs, so its slope is
         # (m*(10^5) - m*(10^3)) / (2 ln 100), from two independent searches
-        low, high = (rid_search_law(n, 2, 0.9, 200) for n in (1000, 10 ** 5))
+        low, high = (search_law("rid", n, 2, 0.9, 200)
+                     for n in (1000, 10 ** 5))
         span = 2 * math.log(100)
         below = sum(a * b for m1, a in low.items() for m2, b in high.items()
                     if (m2 - m1) / span < 2.04)
@@ -1062,28 +1111,15 @@ class TestSearchLaw:
 
     def test_find_min_m_follows_the_law(self):
         # 100 searches at n = 100 (seeds 370000-370099, fixed before the
-        # first run) against the law, by a chi-squared test at level
-        # 10^-3: consecutive m are pooled until each bin expects at least
-        # 5 searches, a short tail joining the last bin
-        n, d, target, trials, seeds = 100, 2, 0.9, 100, range(370000, 370100)
-        law = rid_search_law(n, d, target, trials)
-        tops, expected, mass = [], [], 0.0
-        for m in sorted(law):
-            mass += law[m]
-            if mass * len(seeds) >= 5:
-                tops.append(m)
-                expected.append(mass * len(seeds))
-                mass = 0.0
-        tops[-1] = max(law)
-        expected[-1] += mass * len(seeds)
-        observed = [0] * len(tops)
-        for seed in seeds:
-            m_star = find_min_m("rid", n, d, target, trials, seed).m_star
-            assert m_star in law, m_star
-            observed[next(i for i, top in enumerate(tops)
-                          if m_star <= top)] += 1
-        chi2 = math.fsum((o - e) ** 2 / e for o, e in zip(observed, expected))
-        assert _chi2_sf(chi2, len(tops) - 1) > 1e-3, (tops, observed, expected)
+        # first run) against the law, at level 10^-3
+        fit = _search_fit("rid", 100, 2, 0.9, 100, range(370000, 370100))
+        assert fit[0] > 1e-3, fit
+
+    def test_find_min_m_follows_the_utdq_law(self):
+        # 150 searches at n = 100, d = 3 (q = 5; seeds 380000-380149,
+        # fixed before the first run) against the law, at level 10^-3
+        fit = _search_fit("utdq", 100, 3, 0.9, 100, range(380000, 380150))
+        assert fit[0] > 1e-3, fit
 
 
 class TestSweep:
