@@ -20,9 +20,11 @@ and table1 and --help run without numpy, as do check and decode of a
 binary file or of a q-ary one with single-digit entries (q <= 9),
 which is expanded from its bytes.  check and decode of any other q-ary
 file parse it with numpy; design, mc and sweep import designs, sim and
-rng, which load numpy, when they run.  The parser registers every
-subcommand with its help, but adds arguments only to the one named on
-the command line.
+rng, which load numpy, when they run.  A command line that starts
+with a subcommand gets a parser that registers that subcommand alone,
+with its arguments; any other (--help, none, an unknown command)
+registers every subcommand with its help line, and arguments only for
+a subcommand it names.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .errors import (
 from .matrices import (
     DefectiveSet,
     QaryMatrix,
-    _indicator_rows,
+    _QaryRowBlocks,
     _replace_on_success,
     _RowBlocks,
     _single_digit_expansion,
@@ -65,9 +67,9 @@ _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 # Largest m * n that `design` draws and writes: the binary file takes a
 # byte per entry, so about 1 GiB.  The file is written block by block as
-# the rows are drawn; only rssd still holds a dense m x n draw, a byte per
-# entry (and utdq with --qary-out its m/q x n entries, 8 bytes each).
-# The n = 10^5 designs of the benchmark take about 10^7 entries.
+# the rows are drawn, and with --qary-out the q-ary file with it; only
+# rssd still holds a dense m x n draw, a byte per entry.  The n = 10^5
+# designs of the benchmark take about 10^7 entries.
 DESIGN_CELL_BUDGET = 1 << 30
 
 
@@ -202,7 +204,7 @@ def _emit_csv(records) -> None:
 
 
 def cmd_design(ns: dict) -> int:
-    from . import designs
+    from . import designs, rng
 
     _require(ns, "model", "n", "d", "out")
     model = ns["model"]
@@ -234,17 +236,16 @@ def cmd_design(ns: dict) -> int:
     _cell_guard(m, n)
     spec = designs.spec_at(model, n, d, m, explicit)
     # all or nothing, and an unwritable target fails before the draw; the
-    # binary rows go into their new file block by block as they are drawn
+    # rows go into their new files block by block as they are drawn
     targets = filter(None, (qary_out, ns["out"]))
     with _replace_on_success(*targets) as tmps:
         if qary_out:
             q = int(spec.param)
-            mq = designs.gen_utdq(n, m // q, q, seed)
-            write_matrix(tmps[0], mq)
-            blocks = _indicator_rows(mq.entries, q)
+            rows = designs._utdq_chunks(rng.as_generator(seed), m // q, n, q)
+            matrix = _QaryRowBlocks(m // q, n, q, rows, tmps[1])
         else:
-            blocks = designs._row_blocks(spec, seed)
-        write_matrix(tmps[-1], _RowBlocks(m, n, blocks))
+            matrix = _RowBlocks(m, n, designs._row_blocks(spec, seed))
+        write_matrix(tmps[0], matrix)
     _emit({
         "model": model, "n": n, "d": d, "delta": delta, "m": m,
         "param": spec.param, "lambda": lam, "feasible": True, "seed": seed,
@@ -443,23 +444,34 @@ _COMMANDS = {
 
 
 def _build_parser(argv) -> tuple:
-    """The parser, with arguments added only to the subcommands whose
-    names appear in argv.
+    """The parser for argv, and its subcommands by name.
 
-    argparse hands argv to the subparser whose name is an argument of
-    its own, so no other subparser parses or prints anything.  Every
-    subcommand is still registered with its help line, for the usage,
-    the top-level help and the choices.
+    argparse hands argv to the subparser that its first positional
+    argument names; no other subparser parses or prints anything.  When
+    argv[0] names a command, that subparser is the only one registered,
+    and the metavar keeps every command in the top usage line that an
+    error prints.  Any other argv (none, --help, an unknown command, or
+    a leading --, which argparse refuses as a choice) registers every
+    command with its help line, for the top-level help and the choices.
+    Arguments go only to the commands argv names: after a leading
+    unknown option, a command named later is still parsed.
     """
     parser = argparse.ArgumentParser(
         prog="gtpool",
         description="Randomized pool designs for non-adaptive group testing")
-    sub = parser.add_subparsers(dest="command", required=True)
-    named = set(argv)
-    for name, (help_line, add_arguments, func) in _COMMANDS.items():
+    if argv and argv[0] in _COMMANDS:
+        registered = argv[:1]
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(_COMMANDS) + "}")
+    else:
+        registered = _COMMANDS
+        # an error about the command itself names it by dest, no metavar
+        sub = parser.add_subparsers(dest="command", required=True)
+    for name in registered:
+        help_line, add_arguments, func = _COMMANDS[name]
         # a subparser that never parses needs no -h either
-        p = sub.add_parser(name, help=help_line, add_help=name in named)
-        if name in named:
+        p = sub.add_parser(name, help=help_line, add_help=name in argv)
+        if name in argv:
             add_arguments(p)
             p.set_defaults(func=func)
     return parser, sub.choices

@@ -341,8 +341,10 @@ def _indicator_rows(entries, q: int):
 # A design's binary file is written block by block as its rows are drawn
 # (_RowBlocks): each dense bool block becomes its file bytes at once
 # (_binary_lines), with no packed row and no per-row formatting, and the
-# two give the same bytes.  Such a write goes straight into a new file
-# that its caller replaces the target with, as `design` writes every
+# two give the same bytes.  A utdq design's q-ary file and its binary
+# expansion are written together, block by block as its q-ary rows are
+# drawn (_QaryRowBlocks).  Such a write goes straight into new files
+# that its caller replaces the targets with, as `design` writes every
 # target all or nothing.
 
 # the bytes of a q-ary file that _qary_from_bytes reads
@@ -637,6 +639,20 @@ class _RowBlocks(NamedTuple):
     blocks: Iterable
 
 
+class _QaryRowBlocks(NamedTuple):
+    """An m x n q-ary matrix on its way to a file, and its expansion on
+    the way to a new file at expanded: its rows as consecutive 2-D int
+    blocks, each drawn when the writer reaches it.  Each block's q-ary
+    lines and indicator rows are written before the next is drawn, so
+    neither matrix is held whole."""
+
+    m: int
+    n: int
+    q: int
+    blocks: Iterable
+    expanded: str
+
+
 def _binary_lines(block):
     """The binary file lines of the rows of a 2-D bool block, as one
     uint8 array: each row's n cells, ord("0") + bit, and then a "\\n"."""
@@ -653,13 +669,23 @@ def _binary_lines(block):
 def write_matrix(path, matrix) -> None:
     """Write a BitMatrix or QaryMatrix to path, all or nothing.
 
-    A _RowBlocks is written into path itself, which must be a new file
-    that the caller replaces its target with (_replace_on_success).
+    A _RowBlocks is written into path itself, and a _QaryRowBlocks into
+    path and its expanded file, which must be new files that the caller
+    replaces its targets with (_replace_on_success).
     """
     if isinstance(matrix, _RowBlocks):
         with open(path, "wb") as fh:
             fh.write(f"{matrix.m} {matrix.n}\n".encode())
             fh.writelines(map(_binary_lines, matrix.blocks))
+        return
+    if isinstance(matrix, _QaryRowBlocks):
+        m, n, q = matrix.m, matrix.n, matrix.q
+        with open(path, "wb") as fh, open(matrix.expanded, "wb") as bfh:
+            fh.write(f"{m} {n} {q}\n".encode())
+            bfh.write(f"{m * q} {n}\n".encode())
+            for entries in matrix.blocks:
+                fh.writelines(_qary_blocks(entries, q))
+                bfh.writelines(map(_binary_lines, _indicator_rows(entries, q)))
         return
     with (_replace_on_success(path) as (tmp,),
           open(tmp, "wb") as fh):

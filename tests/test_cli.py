@@ -110,7 +110,7 @@ class TestDesign:
             raise AssertionError("sized or drew before the refusal")
 
         for target in ("upper_bound_m", "gen_utdq", "generate",
-                       "_row_blocks"):
+                       "_row_blocks", "_utdq_chunks"):
             monkeypatch.setattr(f"gtpool.designs.{target}", no_work)
         monkeypatch.chdir(tmp_path)
         qout = "m.txt" if alias == "same" else "./sub/../m.txt"
@@ -149,7 +149,8 @@ class TestDesign:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a design beyond the budget")
 
-        for target in ("generate", "gen_utdq", "_row_blocks"):
+        for target in ("generate", "gen_utdq", "_row_blocks",
+                       "_utdq_chunks"):
             monkeypatch.setattr(f"gtpool.designs.{target}", no_draw)
         out, qout = tmp_path / "bin.txt", tmp_path / "qary.txt"
         qary = ["--qary-out", str(qout)] if model == "utdq" else []
@@ -205,7 +206,8 @@ class TestDesign:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew before opening the targets")
 
-        monkeypatch.setattr("gtpool.designs.gen_utdq", no_draw)
+        for target in ("gen_utdq", "_utdq_chunks"):
+            monkeypatch.setattr(f"gtpool.designs.{target}", no_draw)
         kept = tmp_path / "kept.txt"
         if old is not None:
             kept.write_text(old)
@@ -233,25 +235,33 @@ class TestDesign:
         assert list(tmp_path.iterdir()) == [tmp_path / "x.txt"]
         assert list((tmp_path / "x.txt").iterdir()) == []
 
-    # write 0 is the q-ary pre-image, write 1 the binary matrix
+    # both files are written a q-ary row at a time, the q-ary lines and
+    # then the binary ones; write 0 (the q-ary pre-image's) or write 1
+    # (the binary matrix's) fails at the second row, after the first
+    # row has gone into both new files
     @pytest.mark.parametrize("failing", [0, 1])
     def test_failed_write_writes_neither(self, capsys, tmp_path,
                                          monkeypatch, failing):
         calls = []
 
-        def flaky_write(path, matrix):
-            calls.append(path)
-            if len(calls) == failing + 1:
-                raise OSError("no space left")
-            write_matrix(path, matrix)
+        def flaky(index, real):
+            def write(*args):
+                calls.append(index)
+                if index == failing and calls.count(index) == 2:
+                    raise OSError("no space left")
+                return real(*args)
+            return write
 
-        monkeypatch.setattr("gtpool.cli.write_matrix", flaky_write)
+        for index, name in enumerate(("_qary_blocks", "_binary_lines")):
+            real = getattr(gtpool.matrices, name)
+            monkeypatch.setattr(gtpool.matrices, name, flaky(index, real))
+        monkeypatch.setattr("gtpool.designs._CHUNK_ENTRIES", 40)
         out, qout = tmp_path / "bin.txt", tmp_path / "q.txt"
         out.write_text("old\n")
-        code, stdout, _ = run(capsys, *self.UTDQ, "--out", str(out),
-                              "--qary-out", str(qout))
-        assert code == 4 and stdout == ""
-        assert len(calls) == failing + 1
+        code, stdout, stderr = run(capsys, *self.UTDQ, "--out", str(out),
+                                   "--qary-out", str(qout))
+        assert code == 4 and stdout == "" and "no space left" in stderr
+        assert calls == [0, 1, 0, 1][:failing + 3]
         assert out.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 
@@ -266,8 +276,8 @@ class TestDesign:
             raise OSError("no space left")
 
         if qary:
-            real = gtpool.cli._indicator_rows
-            monkeypatch.setattr("gtpool.cli._indicator_rows",
+            real = gtpool.matrices._indicator_rows
+            monkeypatch.setattr("gtpool.matrices._indicator_rows",
                                 lambda *args: one_block(real(*args)))
             argv = [*self.UTDQ, "--qary-out", str(tmp_path / "q.txt")]
         else:
@@ -359,6 +369,46 @@ class TestStreamedDesign:
         assert code == 0
         assert (tmp_path / "bin.txt").stat().st_size == 11 + 172 * 100001
         assert peak < 1.5 * 2 ** 20
+
+    def test_qary_files_match_the_whole_matrix_writers(self, capsys,
+                                                       tmp_path):
+        # at n = 40000, above the 2^15 entries of a chunk, each chunk is
+        # one q-ary row, whose lines and indicator rows are written
+        # before the next row is drawn
+        from gtpool import designs
+
+        out, qout = tmp_path / "bin.txt", tmp_path / "q.txt"
+        code, _, _ = run(capsys, "design", "--model", "utdq", "--n", "40000",
+                         "--d", "3", "--q", "4", "--m", "48", "--seed", "17",
+                         "--out", str(out), "--qary-out", str(qout))
+        assert code == 0
+        mq = designs.gen_utdq(40000, 12, 4, 17)
+        write_matrix(tmp_path / "want-q.txt", mq)
+        write_matrix(tmp_path / "want.txt", expand_qary(mq))
+        assert qout.read_bytes() == (tmp_path / "want-q.txt").read_bytes()
+        assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()
+
+    def test_utdq_qary_memory_is_one_chunk(self, capsys, tmp_path):
+        # at n = 10^5, d = 3 and delta = 0.1 (q = 5, m = 100) the q-ary
+        # draw alone takes 20 x 10^5 int64 entries, 15.3 MiB: drawn whole
+        # before either file was written it peaked at 19.11 MiB; written
+        # a q-ary row at a time it peaks at about 1.75 MiB; a small
+        # design first imports what a design loads
+        argv = ["design", "--model", "utdq", "--d", "3", "--delta", "0.1",
+                "--seed", "3", "--out", str(tmp_path / "bin.txt"),
+                "--qary-out", str(tmp_path / "q.txt")]
+        assert run(capsys, *argv, "--n", "100")[0] == 0
+        tracemalloc.start()
+        try:
+            code, stdout, _ = run(capsys, *argv, "--n", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rec = json.loads(stdout)
+        assert (rec["m"], rec["param"]) == (100, 5)
+        assert (tmp_path / "q.txt").stat().st_size == 12 + 20 * 200000
+        assert peak < 4 * 2 ** 20
 
 
 class TestCheck:
@@ -792,6 +842,40 @@ class TestTable:
             code, stdout, _ = run(capsys, "table1", "--dmax", dmax)
             assert code == 2, dmax
             assert stdout == "", dmax
+
+
+def _parser_exit(capsys, *argv):
+    """Exit code, stdout and stderr of a command line the parser ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(gtpool.cli._COMMANDS))
+    def test_the_named_command_is_the_only_one_built(self, command):
+        _, commands = gtpool.cli._build_parser([command, "--help"])
+        assert list(commands) == [command]
+
+    def test_an_unnamed_command_line_builds_every_command(self):
+        _, commands = gtpool.cli._build_parser(["--help"])
+        assert list(commands) == list(gtpool.cli._COMMANDS)
+
+    def test_usage_lists_every_command(self, capsys):
+        code, stdout, stderr = _parser_exit(capsys, "check", "--frobnicate")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(
+            "usage: gtpool [-h] {design,check,decode,mc,sweep,table1} ...\n")
+        assert stderr.endswith("unrecognized arguments: --frobnicate\n")
+
+    def test_leading_double_dash_is_an_invalid_choice(self, capsys):
+        # argparse refuses "--" as the command, so the table1 after it
+        # reaches no subparser: the error is that of an unknown command
+        got = _parser_exit(capsys, "--", "table1", "--dmax", "2")
+        code, stdout, stderr = _parser_exit(capsys, "frobnicate")
+        assert got == (code, stdout, stderr.replace("frobnicate", "--"))
+        assert code == 2 and "invalid choice: '--'" in got[2]
 
 
 class TestConfigAndErrors:

@@ -52,6 +52,7 @@ say so in CHANGES.md:
     PYTHONPATH=src python tests/test_output_pins.py > tests/output_pins.json
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -353,14 +354,41 @@ def test_parser_output_matches_the_pins():
         assert got[key] == want[key], key
 
 
+def _full_parser(argv) -> tuple:
+    """The parser with every command and all of its arguments, built
+    from cli._COMMANDS: the oracle for what _build_parser builds."""
+    parser = argparse.ArgumentParser(
+        prog="gtpool",
+        description="Randomized pool designs for non-adaptive group testing")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, func) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        add_arguments(p)
+        p.set_defaults(func=func)
+    return parser, sub.choices
+
+
+# command lines whose argv[0] names no command: a leading unknown
+# option, after which argparse still runs a later command's subparser
+# (check's help, exit 0), and a leading --, which it refuses as a choice
+UNNAMED_RUNS = [
+    "--frobnicate check -h",
+    "-x table1 --dmax 2",
+    "--frobnicate check --d x",
+    "-- table1 --dmax 2",
+]
+
+
 def test_lazy_parser_matches_the_full_one(monkeypatch):
-    # on any Python: the parser built for the one command named prints
-    # what a parser with every command's arguments prints
-    lazy = parser_outputs()
-    build = cli._build_parser
-    monkeypatch.setattr(cli, "_build_parser",
-                        lambda argv: build(list(cli._COMMANDS)))
-    assert parser_outputs() == lazy
+    # on any Python: the parser built for the command line prints what
+    # the parser with every command's arguments prints
+    def outputs():
+        return {**parser_outputs(),
+                **{call: _outcome(call.split()) for call in UNNAMED_RUNS}}
+
+    lazy = outputs()
+    monkeypatch.setattr(cli, "_build_parser", _full_parser)
+    assert outputs() == lazy
 
 
 if __name__ == "__main__":
